@@ -214,7 +214,7 @@ func BenchmarkWarmVsColdSimplex(b *testing.B) {
 	for k := 0; k < 6; k++ {
 		target := base * (1 - 0.01*float64(k))
 		rng := rand.New(rand.NewSource(11)) // same seed: identical candidate sets, so identical LP structure
-		probes = append(probes, core.BPLP(core.BuildFullProblemForTest(d, m0, target, opts, rng)))
+		probes = append(probes, core.FullProblemLP(d, m0, target, opts, rng))
 	}
 	want := make([]float64, len(probes))
 	for k, p := range probes {

@@ -393,9 +393,8 @@ func run() int {
 		}
 		if *kernProfF != "" {
 			out := struct {
-				Kernel *flight.Kernel    `json:"kernel"`
-				Tree   *flight.TreeStats `json:"tree,omitempty"`
-			}{journal.Kernel, journal.Tree}
+				Kernel *flight.Kernel `json:"kernel"`
+			}{journal.Kernel}
 			data, err := json.MarshalIndent(out, "", "  ")
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -485,9 +484,6 @@ func startProgressLine(rep *obs.Reporter, w io.Writer) func() {
 			}
 			if p.LPSolves > 0 {
 				line += fmt.Sprintf("  LP %d (%d iters)", p.LPSolves, p.SimplexIters)
-			}
-			if p.Nodes > 0 {
-				line += fmt.Sprintf("  nodes %d", p.Nodes)
 			}
 			fmt.Fprintf(w, "\r\033[K%s", line)
 		}

@@ -3,6 +3,8 @@ package bench
 import (
 	"context"
 	"testing"
+
+	"agingfp/internal/milp"
 )
 
 func TestRunFig2b(t *testing.T) {
@@ -67,9 +69,20 @@ func TestRunScalingSmall(t *testing.T) {
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
-	for _, p := range pts {
+	// The monolithic search is deterministic for a seed: pinning its
+	// outcome and node count catches any change to the branch-and-bound
+	// rule, child order, or pruning.
+	want := []struct {
+		status milp.Status
+		nodes  int
+	}{{milp.Optimal, 15}, {milp.Optimal, 104}}
+	for i, p := range pts {
 		if !p.TwoStepOK {
 			t.Fatalf("two-step failed at %d ops", p.Ops)
+		}
+		if p.MonolithicStatus != want[i].status || p.MonolithicNodes != want[i].nodes {
+			t.Errorf("%d ops: monolithic %v/%d nodes, want %v/%d",
+				p.Ops, p.MonolithicStatus, p.MonolithicNodes, want[i].status, want[i].nodes)
 		}
 	}
 }

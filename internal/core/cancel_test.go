@@ -128,8 +128,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"max-paths", func(o *Options) { o.MaxPaths = -1 }},
 		{"delta-frac", func(o *Options) { o.DeltaFrac = 1.5 }},
 		{"binary-steps", func(o *Options) { o.BinarySearchSteps = -2 }},
-		{"candidates", func(o *Options) { o.CandidatesPerOp = -1 }},
-		{"max-nodes", func(o *Options) { o.MaxNodes = -1 }},
 		{"time-limit", func(o *Options) { o.TimeLimit = -time.Second }},
 		{"rotation-restarts", func(o *Options) { o.RotationRestarts = -1 }},
 		{"crit-eps", func(o *Options) { o.CritEpsNs = -0.1 }},

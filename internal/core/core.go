@@ -79,11 +79,6 @@ type Options struct {
 	BinarySearchSteps int
 	// RoundThreshold is the LP pre-mapping threshold (paper: 0.95).
 	RoundThreshold float64
-	// CandidatesPerOp bounds each op's candidate PE set in the
-	// delay-aware MILP; 0 (the default) admits every PE. Sampled sets
-	// shrink the variable count but inject feasibility noise; they are
-	// kept for the scaling ablation.
-	CandidatesPerOp int
 	// ContextsPerBatch solves this many contexts jointly per MILP.
 	// 0 derives a batch size from the problem scale; negative forces a
 	// single joint MILP over all contexts. Large instances use small
@@ -91,9 +86,6 @@ type Options struct {
 	// rails); the stress budget rows chain across batches so the final
 	// floorplan still satisfies ST_target globally.
 	ContextsPerBatch int
-	// MaxNodes bounds branch-and-bound nodes in the experimental
-	// monolithic solver (the production dive is LP-budgeted instead).
-	MaxNodes int
 	// TimeLimit is the wall-clock budget of one ST_target probe
 	// (including its lazy-path repair rounds); on timeout the probe
 	// counts as infeasible. 0 means unbounded.
@@ -127,23 +119,15 @@ type Options struct {
 	// makes the run a trace root.
 	TraceParent obs.Span
 	// Flight, when non-nil, journals every decision Algorithm 1 makes —
-	// Step-1 probes, relaxations, rotation scoring, pre-maps, B&B
-	// events, warm-start outcomes, infeasibility attributions — into the
-	// per-solve flight recorder (internal/flight); Remap also threads it
-	// onto the context so the milp/lp layers underneath journal into the
-	// same recorder. nil falls back to the context-carried recorder
-	// (flight.WithRecorder); nil both ways disables journaling at zero
-	// cost. Note: under RemapBoth the two concurrent arms interleave
+	// Step-1 probes, relaxations, rotation scoring, pre-maps, warm-start
+	// outcomes, infeasibility attributions — into the per-solve flight
+	// recorder (internal/flight); Remap also threads it onto the context
+	// so the lp layer underneath journals into the same recorder. nil
+	// falls back to the context-carried recorder (flight.WithRecorder);
+	// nil both ways disables journaling at zero cost. Note: under RemapBoth the two concurrent arms interleave
 	// their events in one journal; attach a recorder per Remap call when
 	// per-arm ordering matters.
 	Flight *flight.Recorder
-	// LinearSTSearch runs Step 2.3 exactly as Algorithm 1 writes it:
-	// ST_target swept linearly upward from the lower bound by Delta.
-	// The default (false) bisects the same interval instead, reaching
-	// the same smallest-feasible budget (within Delta) in O(log) probes
-	// — important because every infeasible probe costs a full MILP
-	// attempt. See the scaling experiment E4.
-	LinearSTSearch bool
 	// CPDBudgetNs overrides the delay budget of the path constraints.
 	// 0 (the default) uses the original floorplan's CPD, exactly as the
 	// paper's formulation (3) does — the re-mapped CPD never exceeds the
@@ -213,12 +197,6 @@ func (o Options) Validate() error {
 	if o.BinarySearchSteps < 0 {
 		return fmt.Errorf("core: Options.BinarySearchSteps %d is negative", o.BinarySearchSteps)
 	}
-	if o.CandidatesPerOp < 0 {
-		return fmt.Errorf("core: Options.CandidatesPerOp %d is negative (0 admits every PE)", o.CandidatesPerOp)
-	}
-	if o.MaxNodes < 0 {
-		return fmt.Errorf("core: Options.MaxNodes %d is negative", o.MaxNodes)
-	}
 	if o.TimeLimit < 0 {
 		return fmt.Errorf("core: Options.TimeLimit %v is negative (0 means unbounded)", o.TimeLimit)
 	}
@@ -247,9 +225,7 @@ func DefaultOptions() Options {
 		DeltaFrac:          1.0 / 16,
 		BinarySearchSteps:  7,
 		RoundThreshold:     0.95,
-		CandidatesPerOp:    0,
 		ContextsPerBatch:   0,
-		MaxNodes:           600,
 		TimeLimit:          2 * time.Minute,
 		Seed:               1,
 		WireObjective:      true,

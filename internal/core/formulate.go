@@ -12,21 +12,23 @@ import (
 
 // candidateSets picks each movable op's candidate PEs: the op's original
 // PE, its nearest PEs (cheap wires), the fabric's least-stressed PEs
-// (spreading targets), and a random sample (connectivity of the implied
+// (spreading targets), and a random fill (connectivity of the implied
 // bipartite graph), excluding PEs occupied by frozen ops of the same
-// context. K <= 0 derives a default from the fabric size.
+// context.
+//
+// The sets aim at the full fabric: simplex cost scales with constraint
+// rows, not candidate columns, so full sets are affordable even at
+// 16x16. They are full whenever the op's context has no frozen op. When
+// it has one, the set can never reach n, so the random fill spends all
+// 8n draws and may still miss an allowed PE (at seed 1 on the baseline
+// placement: one op's PE on B2, two on B5, one on B25). The draws are
+// kept because every later random choice of the flow follows them, and
+// a deterministic full set measurably changes floorplans (DESIGN.md §4b).
 func candidateSets(d *arch.Design, m arch.Mapping, stress0 arch.StressMap,
-	frozenPos map[int]arch.Coord, movable []int, K int, rng *rand.Rand) map[int][]int {
+	frozenPos map[int]arch.Coord, movable []int, rng *rand.Rand) map[int][]int {
 
 	f := d.Fabric
 	n := f.NumPEs()
-	// Default: the full fabric. Simplex cost scales with constraint
-	// rows, not candidate columns, so full candidate sets are affordable
-	// even at 16x16 — and they remove sampling noise from feasibility
-	// (a sampled set can randomly miss the only legal spreading).
-	if K <= 0 || K > n {
-		K = n
-	}
 
 	// Frozen occupancy per context.
 	frozenAt := make(map[[3]int]bool, len(frozenPos))
@@ -55,9 +57,9 @@ func candidateSets(d *arch.Design, m arch.Mapping, stress0 arch.StressMap,
 			co := f.CoordOf(pe)
 			return !frozenAt[[3]int{c, co.X, co.Y}]
 		}
-		set := make(map[int]bool, K)
+		set := make(map[int]bool, n)
 		add := func(pe int) {
-			if len(set) < K && ok(pe) {
+			if len(set) < n && ok(pe) {
 				set[pe] = true
 			}
 		}
@@ -75,15 +77,15 @@ func candidateSets(d *arch.Design, m arch.Mapping, stress0 arch.StressMap,
 			}
 			return near[a] < near[b]
 		})
-		for i := 0; i < len(near) && len(set) < 1+K/3; i++ {
+		for i := 0; i < len(near) && len(set) < 1+n/3; i++ {
 			add(near[i])
 		}
 		// Least-stressed PEs.
-		for i := 0; i < n && len(set) < 1+2*K/3; i++ {
+		for i := 0; i < n && len(set) < 1+2*n/3; i++ {
 			add(byStress[i])
 		}
 		// Random fill.
-		for guard := 0; len(set) < K && guard < 8*n; guard++ {
+		for guard := 0; len(set) < n && guard < 8*n; guard++ {
 			add(rng.Intn(n))
 		}
 		cands := make([]int, 0, len(set))

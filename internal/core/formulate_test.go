@@ -44,7 +44,7 @@ func buildFreezeBatch(t *testing.T, d *arch.Design, m0 arch.Mapping, st float64)
 	}
 	stress0 := arch.ComputeStress(d, m0)
 	rng := rand.New(rand.NewSource(5))
-	cands := candidateSets(d, m0, stress0, frozenPos, movable, 0, rng)
+	cands := candidateSets(d, m0, stress0, frozenPos, movable, rng)
 	opts := DefaultOptions()
 	opts.Mode = Freeze
 	bp := buildBatch(d, m0, inBatch, frozenPos, cands, paths, st, committed, res.CPD, opts)
@@ -167,4 +167,69 @@ func firstViolatedRow(p *lp.Problem, x []float64) int {
 		}
 	}
 	return -1
+}
+
+// TestCandidateSetsRespectFrozen: every candidate set holds the op's own
+// PE and no PE a frozen op of the same context occupies, and an op whose
+// context has no frozen op gets the whole fabric.
+func TestCandidateSetsRespectFrozen(t *testing.T) {
+	d, err := hls.BuildDesign("fir", dfg.FIR(16), arch.Fabric{W: 6, H: 6}, hls.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0, err := place.Place(d, place.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := timing.Analyze(d, m0)
+	frozenPos := make(map[int]arch.Coord)
+	for op := range timing.CriticalOps(d, m0, res, 1e-6) {
+		frozenPos[op] = m0[op]
+	}
+	if len(frozenPos) == 0 {
+		t.Fatal("no critical ops to freeze; the test needs some")
+	}
+	frozenAt := make(map[[2]int]bool, len(frozenPos)) // (ctx, PE)
+	for op, pe := range frozenPos {
+		frozenAt[[2]int{d.Ctx[op], d.Fabric.Index(pe)}] = true
+	}
+	var movable []int
+	for op := 0; op < d.NumOps(); op++ {
+		if _, fr := frozenPos[op]; !fr {
+			movable = append(movable, op)
+		}
+	}
+	n := d.Fabric.NumPEs()
+	cands := candidateSets(d, m0, arch.ComputeStress(d, m0), frozenPos, movable, rand.New(rand.NewSource(1)))
+	sawFrozenCtx, sawFreeCtx := false, false
+	for _, op := range movable {
+		set := cands[op]
+		own, c := d.Fabric.Index(m0[op]), d.Ctx[op]
+		hasOwn, ctxFrozen := false, false
+		for _, pe := range set {
+			if pe == own {
+				hasOwn = true
+			}
+			if frozenAt[[2]int{c, pe}] {
+				t.Fatalf("op %d: candidate PE %d is held by a frozen op of context %d", op, pe, c)
+			}
+		}
+		if !hasOwn {
+			t.Fatalf("op %d: own PE %d missing from its candidates %v", op, own, set)
+		}
+		for pe := 0; pe < n; pe++ {
+			ctxFrozen = ctxFrozen || frozenAt[[2]int{c, pe}]
+		}
+		if ctxFrozen {
+			sawFrozenCtx = true
+		} else {
+			sawFreeCtx = true
+			if len(set) != n {
+				t.Fatalf("op %d: context %d has no frozen op, but %d of %d PEs are candidates", op, c, len(set), n)
+			}
+		}
+	}
+	if !sawFrozenCtx || !sawFreeCtx {
+		t.Fatalf("instance exercises frozen contexts %v, frozen-free contexts %v; want both", sawFrozenCtx, sawFreeCtx)
+	}
 }

@@ -26,8 +26,7 @@ import (
 // returned with Improved == false.
 //
 // Cancellation is cooperative: ctx is polled at every ST_target probe,
-// every context batch, every branch-and-bound node and (via the LP
-// layer) inside the simplex loops, so a canceled or expired context
+// every context batch and (via the LP layer) inside the simplex loops, so a canceled or expired context
 // makes Remap return promptly. A canceled run returns a partial Result
 // (Status milp.Canceled, the baseline mapping, statistics so far)
 // alongside ctx.Err(); existing synchronous callers pass
@@ -64,7 +63,7 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 
 	// The flight recorder follows the same precedence (explicit option,
 	// then context), and the context is re-wrapped with the resolved
-	// recorder so the milp/lp layers underneath journal into it without
+	// recorder so the lp layer underneath journals into it without
 	// per-call wiring.
 	if opts.Flight == nil {
 		opts.Flight = flight.FromContext(ctx)
@@ -410,155 +409,140 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 	}
 
 	searched := false
-	linearSweep := func() (bool, error) {
-		// Algorithm 1 literal: sweep upward by Delta, ending at ST_up.
-		const maxOuter = 64
-		for k := 0; result.Stats.OuterIterations < maxOuter; k++ {
-			st := stStart + float64(k)*delta
-			lastProbe := false
-			if st >= stUp-1e-12 {
-				st, lastProbe = stUp, true
+	// Seeded re-solve: probe the prior solve's ST_target first. On a
+	// hit the budget search collapses to O(1) probes — one at the
+	// prior target plus one refinement a Delta below it — instead of
+	// the cold path's endpoint probes and O(log) bisection. On a
+	// miss (the delta genuinely tightened the instance) nothing is
+	// lost but the one probe: the cold search below runs as usual.
+	skipStart := false
+	if p := opts.prior; p != nil && p.STTarget > 0 {
+		st1 := p.STTarget
+		if st1 < stStart {
+			st1 = stStart
+		}
+		if st1 > stUp {
+			st1 = stUp
+		}
+		// Validate the prior floorplan directly before spending a
+		// MILP probe: if it is still structurally valid, meets the
+		// prior stress target on THIS design's stress rates, and
+		// stays under the delay budget, it IS a feasible floorplan
+		// at st1 — the bracket hit costs one timing analysis. A
+		// MILP re-probe could not give that guarantee: the probe
+		// pool's lazy path rows accumulate across a solve, so the
+		// prior's winning probe is not reproducible in isolation.
+		var m arch.Mapping
+		var cpd float64
+		ok := false
+		if pm := p.Mapping; pm != nil && arch.ValidateMapping(d, pm) == nil &&
+			arch.ComputeStress(d, pm).Max() <= st1+1e-9 {
+			vT := time.Now()
+			pres := timing.Analyze(d, pm)
+			result.Stats.TimingTime += time.Since(vT)
+			if pres.CPD <= budget+1e-9 {
+				m, cpd, ok = pm, pres.CPD, true
+				opts.Flight.Record(flight.Event{Kind: flight.KindProbe,
+					Round: result.Stats.OuterIterations, ST: st1, Status: "prior_validated", Obj: cpd})
 			}
-			if k > 0 {
-				// Algorithm 1's `ST_target += Δ`, caused by whatever the
-				// previous probe concluded.
-				opts.Flight.Record(flight.Event{Kind: flight.KindRelax,
-					Round: result.Stats.OuterIterations, ST: st, F: delta, Cause: lastProbeStatus})
-			}
-			m, cpd, ok, err := probe(st)
+		}
+		if !ok {
+			var err error
+			m, cpd, ok, err = probe(st1)
 			if err != nil {
-				return false, err
-			}
-			if ok {
-				finish(m, st, cpd)
-				return true, nil
-			}
-			if lastProbe {
-				break
+				return fail(err)
 			}
 		}
-		return false, nil
+		if ok {
+			result.Resume.BracketHit = true
+			st0 := st1 - delta
+			if st0 > stStart {
+				if m2, cpd2, ok2, err := probe(st0); err != nil {
+					return fail(err)
+				} else if ok2 {
+					m, st1, cpd = m2, st0, cpd2
+				}
+			}
+			finish(m, st1, cpd)
+			searched = true
+		} else if st1 <= stStart+1e-15 {
+			// The resume probe already was the stStart probe.
+			skipStart = true
+		}
 	}
-	if opts.LinearSTSearch {
-		ok, err := linearSweep()
-		if err != nil {
+	// Bisection over [stStart, stUp]: same smallest-feasible budget
+	// (within Delta), O(log) probes.
+	if !searched && !skipStart {
+		if m, cpd, ok, err := probe(stStart); err != nil {
 			return fail(err)
+		} else if ok {
+			finish(m, stStart, cpd)
+			searched = true
 		}
-		searched = ok
-	} else {
-		// Seeded re-solve: probe the prior solve's ST_target first. On a
-		// hit the budget search collapses to O(1) probes — one at the
-		// prior target plus one refinement a Delta below it — instead of
-		// the cold path's endpoint probes and O(log) bisection. On a
-		// miss (the delta genuinely tightened the instance) nothing is
-		// lost but the one probe: the cold search below runs as usual.
-		skipStart := false
-		if p := opts.prior; p != nil && p.STTarget > 0 {
-			st1 := p.STTarget
-			if st1 < stStart {
-				st1 = stStart
-			}
-			if st1 > stUp {
-				st1 = stUp
-			}
-			// Validate the prior floorplan directly before spending a
-			// MILP probe: if it is still structurally valid, meets the
-			// prior stress target on THIS design's stress rates, and
-			// stays under the delay budget, it IS a feasible floorplan
-			// at st1 — the bracket hit costs one timing analysis. A
-			// MILP re-probe could not give that guarantee: the probe
-			// pool's lazy path rows accumulate across a solve, so the
-			// prior's winning probe is not reproducible in isolation.
-			var m arch.Mapping
-			var cpd float64
-			ok := false
-			if pm := p.Mapping; pm != nil && arch.ValidateMapping(d, pm) == nil &&
-				arch.ComputeStress(d, pm).Max() <= st1+1e-9 {
-				vT := time.Now()
-				pres := timing.Analyze(d, pm)
-				result.Stats.TimingTime += time.Since(vT)
-				if pres.CPD <= budget+1e-9 {
-					m, cpd, ok = pm, pres.CPD, true
-					opts.Flight.Record(flight.Event{Kind: flight.KindProbe,
-						Round: result.Stats.OuterIterations, ST: st1, Status: "prior_validated", Obj: cpd})
-				}
-			}
-			if !ok {
-				var err error
-				m, cpd, ok, err = probe(st1)
+	}
+	if !searched {
+		lo := stStart
+		var bestM arch.Mapping
+		var bestST, bestCPD float64
+		hi := stUp
+		// The jump from the failed stStart probe to ST_up is the
+		// bisection's (single, coarse) relaxation; the interior
+		// probes below refine it and appear in the probe table.
+		opts.Flight.Record(flight.Event{Kind: flight.KindRelax,
+			Round: result.Stats.OuterIterations, ST: stUp, F: stUp - stStart, Cause: lastProbeStatus})
+		if m, cpd, ok, err := probe(stUp); err != nil {
+			return fail(err)
+		} else if ok {
+			bestM, bestST, bestCPD = m, stUp, cpd
+		}
+		if bestM != nil {
+			for hi-lo > delta {
+				mid := (lo + hi) / 2
+				m, cpd, ok, err := probe(mid)
 				if err != nil {
 					return fail(err)
 				}
-			}
-			if ok {
-				result.Resume.BracketHit = true
-				st0 := st1 - delta
-				if st0 > stStart {
-					if m2, cpd2, ok2, err := probe(st0); err != nil {
-						return fail(err)
-					} else if ok2 {
-						m, st1, cpd = m2, st0, cpd2
-					}
+				if ok {
+					bestM, bestST, bestCPD = m, mid, cpd
+					hi = mid
+				} else {
+					lo = mid
 				}
-				finish(m, st1, cpd)
-				searched = true
-			} else if st1 <= stStart+1e-15 {
-				// The resume probe already was the stStart probe.
-				skipStart = true
 			}
-		}
-		// Bisection over [stStart, stUp]: same smallest-feasible budget
-		// (within Delta), O(log) probes.
-		if !searched && !skipStart {
-			if m, cpd, ok, err := probe(stStart); err != nil {
-				return fail(err)
-			} else if ok {
-				finish(m, stStart, cpd)
-				searched = true
-			}
-		}
-		if !searched {
-			lo := stStart
-			var bestM arch.Mapping
-			var bestST, bestCPD float64
-			hi := stUp
-			// The jump from the failed stStart probe to ST_up is the
-			// bisection's (single, coarse) relaxation; the interior
-			// probes below refine it and appear in the probe table.
-			opts.Flight.Record(flight.Event{Kind: flight.KindRelax,
-				Round: result.Stats.OuterIterations, ST: stUp, F: stUp - stStart, Cause: lastProbeStatus})
-			if m, cpd, ok, err := probe(stUp); err != nil {
-				return fail(err)
-			} else if ok {
-				bestM, bestST, bestCPD = m, stUp, cpd
-			}
-			if bestM != nil {
-				for hi-lo > delta {
-					mid := (lo + hi) / 2
-					m, cpd, ok, err := probe(mid)
-					if err != nil {
-						return fail(err)
-					}
-					if ok {
-						bestM, bestST, bestCPD = m, mid, cpd
-						hi = mid
-					} else {
-						lo = mid
-					}
+			finish(bestM, bestST, bestCPD)
+			searched = true
+		} else {
+			// Bisection assumes ST_up is feasible, which context
+			// batching cannot guarantee (earlier batches may consume
+			// budget at cells the originals occupied). Fall back to
+			// the Algorithm-1 linear sweep, which probes the
+			// intermediate budgets the bisection skipped: ST_target
+			// swept upward by Delta, ending at ST_up.
+			const maxOuter = 64
+			for k := 0; result.Stats.OuterIterations < maxOuter; k++ {
+				st := stStart + float64(k)*delta
+				lastProbe := false
+				if st >= stUp-1e-12 {
+					st, lastProbe = stUp, true
 				}
-				finish(bestM, bestST, bestCPD)
-				searched = true
-			} else {
-				// Bisection assumes ST_up is feasible, which context
-				// batching cannot guarantee (earlier batches may consume
-				// budget at cells the originals occupied). Fall back to
-				// the Algorithm-1 linear sweep, which probes the
-				// intermediate budgets the bisection skipped.
-				ok, err := linearSweep()
+				if k > 0 {
+					// Algorithm 1's `ST_target += Δ`, caused by
+					// whatever the previous probe concluded.
+					opts.Flight.Record(flight.Event{Kind: flight.KindRelax,
+						Round: result.Stats.OuterIterations, ST: st, F: delta, Cause: lastProbeStatus})
+				}
+				m, cpd, ok, err := probe(st)
 				if err != nil {
 					return fail(err)
 				}
-				searched = ok
+				if ok {
+					finish(m, st, cpd)
+					searched = true
+					break
+				}
+				if lastProbe {
+					break
+				}
 			}
 		}
 	}
@@ -771,7 +755,7 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 				Batch: bi, N: len(movable), Status: "canceled"})
 			return nil, false, err
 		}
-		cands := candidateSets(d, m0, stress0, frozenPos, movable, opts.CandidatesPerOp, rng)
+		cands := candidateSets(d, m0, stress0, frozenPos, movable, rng)
 		bp := buildBatch(d, mCur, inBatch, frozenPos, cands, paths, st, committed, cpd, opts)
 		if bp.infeasibleReason != "" {
 			bsp.Event("core.batch.infeasible_construction", obs.String("reason", bp.infeasibleReason))

@@ -43,7 +43,7 @@ func buildFullProblem(d *arch.Design, m0 arch.Mapping, stTarget float64, opts Op
 	for op, pe := range frozenPos {
 		committed[d.Fabric.Index(pe)] += d.StressRate(op)
 	}
-	cands := candidateSets(d, m0, stress0, frozenPos, movable, opts.CandidatesPerOp, rng)
+	cands := candidateSets(d, m0, stress0, frozenPos, movable, rng)
 	return buildBatch(d, m0, inBatch, frozenPos, cands, paths, stTarget, committed, res0.CPD, opts)
 }
 
@@ -86,24 +86,12 @@ func SolveRemapMonolithic(ctx context.Context, d *arch.Design, m0 arch.Mapping, 
 	return milp.Solve(ctx, &milp.Problem{LP: bp.lp, IntVars: bp.ints}, milp.Options{
 		MaxNodes:    nodeCap,
 		StopAtFirst: true,
-		Branching:   milp.MostFractional,
-		Trace:       opts.Trace,
 	})
 }
 
-// Test/diagnostic accessors (used by cmd/profremap and benchmarks).
-
-// BuildFullProblemForTest exposes the single-batch formulation builder.
-func BuildFullProblemForTest(d *arch.Design, m0 arch.Mapping, stTarget float64, opts Options, rng *rand.Rand) interface{} {
-	return buildFullProblem(d, m0, stTarget, opts, rng)
+// FullProblemLP returns the LP relaxation of the single-batch
+// formulation that both scaling entry points solve, for benchmarks of
+// the simplex layer on a realistic assignment LP.
+func FullProblemLP(d *arch.Design, m0 arch.Mapping, stTarget float64, opts Options, rng *rand.Rand) *lp.Problem {
+	return buildFullProblem(d, m0, stTarget, opts, rng).lp
 }
-
-// BPRows returns the row count of a problem built by
-// BuildFullProblemForTest.
-func BPRows(bp interface{}) int { return bp.(*batchProblem).lp.NumRows() }
-
-// BPVars returns the variable count.
-func BPVars(bp interface{}) int { return bp.(*batchProblem).lp.NumVars() }
-
-// BPLP returns the underlying LP.
-func BPLP(bp interface{}) *lp.Problem { return bp.(*batchProblem).lp }

@@ -1,9 +1,9 @@
 // Package flight is the per-solve flight recorder: a bounded,
 // allocation-conscious journal of the structured decisions Algorithm 1
 // makes while it runs — Step-1 probes, ST_target relaxations, rotation
-// scoring, rounding-dive pre-maps, branch-and-bound events, warm-start
-// outcomes, and infeasibility attributions. Where internal/obs answers
-// "how is the fleet doing?" with spans and counters, flight answers
+// scoring, rounding-dive pre-maps, warm-start outcomes, and
+// infeasibility attributions. Where internal/obs answers "how is the
+// fleet doing?" with spans and counters, flight answers
 // "why did THIS solve do what it did?" with a replayable event log and
 // a derived explainability report (see report.go).
 //
@@ -67,6 +67,10 @@ const (
 	// KindWarmReject is a refused warm start: Cause is the reason
 	// (dim_mismatch, stale_basis, singular).
 	KindWarmReject = "warm_reject"
+	// KindBranch, KindIncumbent and KindPrune are branch-and-bound
+	// events. No solver journals them any more; they stay in the v1
+	// schema so older journals still read and report the same.
+	//
 	// KindBranch is a B&B branching decision: Node, Depth, Var the
 	// fractional variable branched on, F its fractional value.
 	KindBranch = "branch"
@@ -163,12 +167,11 @@ type Recorder struct {
 	stress  *StressAttribution
 
 	// Kernel profiling state (see kernel.go); armed by EnableKernel,
-	// populated by NoteKernel/NoteTree. Both stay nil when unarmed so
-	// existing journals serialize unchanged.
+	// populated by NoteKernel. kernel stays nil when unarmed so existing
+	// journals serialize unchanged.
 	kernelOn   bool
 	kernelRate int
 	kernel     *Kernel
-	tree       *TreeStats
 }
 
 // NewRecorder returns a recorder bounded to max events; max <= 0
@@ -236,16 +239,6 @@ func (r *Recorder) NoteWarm(accepted bool, reason string) {
 	r.Record(Event{Kind: KindWarmReject, Cause: reason})
 }
 
-// NoteNodes adds processed branch-and-bound nodes to the aggregate.
-func (r *Recorder) NoteNodes(n int) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.agg.Nodes += int64(n)
-}
-
 // NoteInfeasible attributes one failed probe to a constraint family
 // and journals the attribution.
 func (r *Recorder) NoteInfeasible(family string) {
@@ -288,7 +281,6 @@ func (r *Recorder) Snapshot() *Journal {
 		Aggregates: r.agg,
 		Stress:     r.stress,
 		Kernel:     r.kernel.clone(),
-		Tree:       r.tree.clone(),
 		Events:     append([]Event(nil), r.events...),
 	}
 	j.Aggregates.WarmRejects = copyCounts(r.agg.WarmRejects)

@@ -13,7 +13,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Record(Event{Kind: KindProbe})
 	r.NoteLP(3, 1, 1)
 	r.NoteWarm(false, "singular")
-	r.NoteNodes(7)
 	r.NoteInfeasible(FamilyStressBudget)
 	r.SetStress(&StressAttribution{})
 	if j := r.Snapshot(); j != nil {
@@ -165,10 +164,13 @@ func TestBuildReportSynthesis(t *testing.T) {
 	r.Record(Event{Kind: KindRotateCtx, Ctx: 1, Var: 0})
 	r.Record(Event{Kind: KindPrune, Node: 3, Cause: "bound"})
 	r.Record(Event{Kind: KindPrune, Node: 5, Cause: "bound"})
-	r.NoteNodes(9)
 	r.NoteInfeasible(FamilyStressBudget)
 
-	rep := BuildReport(r.Snapshot())
+	// No solver fills the node aggregate any more, but v1 journals carry
+	// it, so the report must still pass it through.
+	j := r.Snapshot()
+	j.Aggregates.Nodes = 9
+	rep := BuildReport(j)
 	if rep.Summary.RelaxIterations != 2 {
 		t.Fatalf("RelaxIterations = %d, want 2", rep.Summary.RelaxIterations)
 	}

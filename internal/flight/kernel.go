@@ -1,9 +1,8 @@
-// Solver-kernel profile types: the phase-attributed simplex effort and
-// branch-and-bound tree shape a recorder accumulates when kernel
-// profiling is armed (EnableKernel). The lp layer measures per solve and
-// contributes via NoteKernel; milp contributes tree shape via NoteTree.
-// Both sections are strictly opt-in — an unarmed recorder journals
-// neither, so existing journals stay byte-identical.
+// Solver-kernel profile types: the phase-attributed simplex effort a
+// recorder accumulates when kernel profiling is armed (EnableKernel).
+// The lp layer measures per solve and contributes via NoteKernel. The
+// section is strictly opt-in — an unarmed recorder journals none of it,
+// so existing journals stay byte-identical.
 package flight
 
 // Simplex phase names, shared between the lp profiler, the journal, and
@@ -41,8 +40,8 @@ type Kernel struct {
 	// SampleRate is the iteration sampling stride the profiler used
 	// (time every Nth iteration, extrapolate).
 	SampleRate int `json:"sample_rate"`
-	// RefreshEvery is the effective primal-refresh cadence, recorded so
-	// refactor-frequency experiments are reproducible from the journal.
+	// RefreshEvery is the primal-refresh cadence (iterations between
+	// refreshes) the profiled solves ran with.
 	RefreshEvery int `json:"refresh_every"`
 	// MaxM/MaxN are the largest basis dimension and column count seen;
 	// BinvBytes is the dense basis-inverse footprint at MaxM (8·M²) —
@@ -143,140 +142,11 @@ func (k *Kernel) clone() *Kernel {
 	return &out
 }
 
-// B&B prune reasons, the taxonomy of TreeStats.Prunes (a subset of the
-// Cause values KindPrune events carry, plus "integral" for leaves that
-// needed no branching).
-const (
-	PruneBound      = "bound"
-	PruneInfeasible = "infeasible"
-	PruneIntegral   = "integral"
-	PruneIterLimit  = "iterlimit"
-	PruneBudget     = "budget"
-)
-
-// maxTreeDepthBins caps the depth histogram; deeper nodes land in the
-// last bin so a pathological dive cannot grow the journal unboundedly.
-const maxTreeDepthBins = 32
-
-// maxTreeIncumbents bounds the recorded incumbent trajectory across all
-// merged solves.
-const maxTreeIncumbents = 64
-
-// TreeIncumbent is one incumbent improvement: at which processed node
-// it landed and the objective it reached.
-type TreeIncumbent struct {
-	Node int     `json:"node"`
-	Obj  float64 `json:"obj"`
-}
-
-// TreeStats is the branch-and-bound tree shape aggregated across the
-// MILP solves of one recorder's lifetime.
-type TreeStats struct {
-	// Solves counts MILP solves merged in; Nodes the processed nodes.
-	Solves int   `json:"solves"`
-	Nodes  int64 `json:"nodes"`
-	// MaxDepth is the deepest node processed; DepthHist counts nodes per
-	// depth (index = depth, capped at maxTreeDepthBins-1).
-	MaxDepth  int     `json:"max_depth"`
-	DepthHist []int64 `json:"depth_hist,omitempty"`
-	// Prunes counts pruned subtrees by reason (Prune* taxonomy).
-	Prunes map[string]int64 `json:"prunes,omitempty"`
-	// Incumbents is the improvement trajectory (bounded; per solve the
-	// node indices restart from that solve's own numbering).
-	Incumbents []TreeIncumbent `json:"incumbents,omitempty"`
-	// ElapsedNanos sums the wall-clock of the merged solves, giving node
-	// throughput as Nodes/ElapsedNanos.
-	ElapsedNanos int64 `json:"elapsed_nanos,omitempty"`
-}
-
-// Node records one processed node at the given depth. Unsynchronized —
-// for a TreeStats still owned by a single search; NoteTree merges it
-// into a recorder under lock afterwards. Nil-safe.
-func (t *TreeStats) Node(depth int) {
-	if t == nil {
-		return
-	}
-	t.Nodes++
-	if depth > t.MaxDepth {
-		t.MaxDepth = depth
-	}
-	bin := depth
-	if bin >= maxTreeDepthBins {
-		bin = maxTreeDepthBins - 1
-	}
-	for len(t.DepthHist) <= bin {
-		t.DepthHist = append(t.DepthHist, 0)
-	}
-	t.DepthHist[bin]++
-}
-
-// Prune records one pruned subtree by reason (Prune* taxonomy). Nil-safe.
-func (t *TreeStats) Prune(cause string) {
-	if t == nil {
-		return
-	}
-	if t.Prunes == nil {
-		t.Prunes = make(map[string]int64)
-	}
-	t.Prunes[cause]++
-}
-
-// Incumbent records one incumbent improvement (bounded). Nil-safe.
-func (t *TreeStats) Incumbent(node int, obj float64) {
-	if t == nil || len(t.Incumbents) >= maxTreeIncumbents {
-		return
-	}
-	t.Incumbents = append(t.Incumbents, TreeIncumbent{Node: node, Obj: obj})
-}
-
-// merge folds one MILP solve's tree shape into the aggregate.
-func (t *TreeStats) merge(c *TreeStats) {
-	t.Solves += c.Solves
-	t.Nodes += c.Nodes
-	if c.MaxDepth > t.MaxDepth {
-		t.MaxDepth = c.MaxDepth
-	}
-	if len(c.DepthHist) > len(t.DepthHist) {
-		grown := make([]int64, len(c.DepthHist))
-		copy(grown, t.DepthHist)
-		t.DepthHist = grown
-	}
-	for d, n := range c.DepthHist {
-		t.DepthHist[d] += n
-	}
-	for cause, n := range c.Prunes {
-		if t.Prunes == nil {
-			t.Prunes = make(map[string]int64)
-		}
-		t.Prunes[cause] += n
-	}
-	for _, inc := range c.Incumbents {
-		if len(t.Incumbents) >= maxTreeIncumbents {
-			break
-		}
-		t.Incumbents = append(t.Incumbents, inc)
-	}
-	t.ElapsedNanos += c.ElapsedNanos
-}
-
-// clone deep-copies the aggregate.
-func (t *TreeStats) clone() *TreeStats {
-	if t == nil {
-		return nil
-	}
-	out := *t
-	out.DepthHist = append([]int64(nil), t.DepthHist...)
-	out.Prunes = copyCounts(t.Prunes)
-	out.Incumbents = append([]TreeIncumbent(nil), t.Incumbents...)
-	return &out
-}
-
 // EnableKernel arms kernel profiling on the recorder: LP solves that
 // fall back to this recorder (explicitly or via the context) profile
 // themselves at the given sampling rate (0 selects the lp default) and
-// contribute via NoteKernel, and MILP solves contribute tree shape via
-// NoteTree. Nil-safe; unarmed recorders cost the solvers one atomic
-// load per solve.
+// contribute via NoteKernel. Nil-safe; unarmed recorders cost the
+// solvers one atomic load per solve.
 func (r *Recorder) EnableKernel(rate int) {
 	if r == nil {
 		return
@@ -309,24 +179,6 @@ func (r *Recorder) NoteKernel(c *Kernel) {
 		r.kernel = &Kernel{}
 	}
 	r.kernel.merge(c)
-}
-
-// NoteTree merges one MILP solve's tree-shape contribution. Only armed
-// recorders accept it: tree stats carry wall-clock, which would break
-// the byte-identity of unprofiled journals.
-func (r *Recorder) NoteTree(c *TreeStats) {
-	if r == nil || c == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.kernelOn {
-		return
-	}
-	if r.tree == nil {
-		r.tree = &TreeStats{}
-	}
-	r.tree.merge(c)
 }
 
 // KernelSnapshot deep-copies the kernel aggregate (nil when no profiled

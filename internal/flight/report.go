@@ -33,11 +33,10 @@ type Journal struct {
 	Dropped    int                `json:"dropped"`
 	Aggregates Aggregates         `json:"aggregates"`
 	Stress     *StressAttribution `json:"stress,omitempty"`
-	// Kernel/Tree carry the solver-kernel profile when profiling was
-	// armed (EnableKernel); both are absent otherwise.
-	Kernel *Kernel    `json:"kernel,omitempty"`
-	Tree   *TreeStats `json:"tree,omitempty"`
-	Events []Event    `json:"events"`
+	// Kernel carries the solver-kernel profile when profiling was armed
+	// (EnableKernel); it is absent otherwise.
+	Kernel *Kernel `json:"kernel,omitempty"`
+	Events []Event `json:"events"`
 }
 
 // WriteJSON writes the journal as indented JSON.
@@ -153,10 +152,9 @@ type Report struct {
 	Numerics      NumericsSummary    `json:"numerics"`
 	Infeasibility *Digest            `json:"infeasibility,omitempty"`
 	Stress        *StressAttribution `json:"stress,omitempty"`
-	// Kernel/Tree pass the journal's solver-kernel profile through when
+	// Kernel passes the journal's solver-kernel profile through when
 	// profiling was armed.
-	Kernel *Kernel    `json:"kernel,omitempty"`
-	Tree   *TreeStats `json:"tree,omitempty"`
+	Kernel *Kernel `json:"kernel,omitempty"`
 }
 
 // BuildReport synthesizes a journal into a report. The pass over the
@@ -189,7 +187,6 @@ func BuildReport(j *Journal) *Report {
 	}
 	r.Stress = j.Stress
 	r.Kernel = j.Kernel
-	r.Tree = j.Tree
 
 	var rot *RotationSummary
 	for _, e := range j.Events {
@@ -401,38 +398,6 @@ func (r *Report) Text() string {
 			fmt.Fprintf(&b, "\n")
 		}
 	}
-	if t := r.Tree; t != nil {
-		fmt.Fprintf(&b, "\n-- branch-and-bound tree shape --\n")
-		throughput := ""
-		if t.ElapsedNanos > 0 {
-			throughput = fmt.Sprintf(", %.0f nodes/s", float64(t.Nodes)/(float64(t.ElapsedNanos)/1e9))
-		}
-		fmt.Fprintf(&b, "%d solves, %d nodes, max depth %d%s\n", t.Solves, t.Nodes, t.MaxDepth, throughput)
-		if len(t.DepthHist) > 0 {
-			fmt.Fprintf(&b, "nodes by depth:")
-			for d, c := range t.DepthHist {
-				if c > 0 {
-					fmt.Fprintf(&b, " %d:%d", d, c)
-				}
-			}
-			fmt.Fprintf(&b, "\n")
-		}
-		if len(t.Prunes) > 0 {
-			fmt.Fprintf(&b, "prunes:")
-			for _, cause := range sortedKeys(t.Prunes) {
-				fmt.Fprintf(&b, " %s=%d", cause, t.Prunes[cause])
-			}
-			fmt.Fprintf(&b, "\n")
-		}
-		if len(t.Incumbents) > 0 {
-			fmt.Fprintf(&b, "incumbent trajectory (node:obj):")
-			for _, inc := range t.Incumbents {
-				fmt.Fprintf(&b, " %d:%.4f", inc.Node, inc.Obj)
-			}
-			fmt.Fprintf(&b, "\n")
-		}
-	}
-
 	if d := r.Infeasibility; d != nil {
 		fmt.Fprintf(&b, "\n-- infeasibility digest --\n")
 		fmt.Fprintf(&b, "blocking constraint family: %s\n", d.Blocker)

@@ -121,12 +121,6 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{MaxIter: -1}).Validate(); err == nil {
 		t.Fatal("negative MaxIter accepted")
 	}
-	if err := (Options{Tol: -0.1}).Validate(); err == nil {
-		t.Fatal("negative Tol accepted")
-	}
-	if err := (Options{Tol: 1.5}).Validate(); err == nil {
-		t.Fatal("Tol >= 1 accepted")
-	}
 	p := NewProblem()
 	p.AddVar(1, 0, 1)
 	p.MustAddRow(LE, 1, []int{0}, []float64{1})

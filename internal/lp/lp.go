@@ -264,8 +264,6 @@ type Options struct {
 	// MaxIter bounds total simplex iterations; 0 selects a default
 	// proportional to the problem size.
 	MaxIter int
-	// Tol is the feasibility/optimality tolerance; 0 selects 1e-9.
-	Tol float64
 	// WarmStart, when non-nil, seeds the solve with a basis snapshot
 	// from a previous Solution of a structurally identical problem. The
 	// solver refactorizes the basis against the current data and
@@ -290,11 +288,6 @@ type Options struct {
 	// ProfileRate is the iteration-sampling stride (time one in N
 	// iterations, extrapolate); 0 selects DefaultProfileRate.
 	ProfileRate int
-	// RefreshEvery overrides the periodic primal-refresh cadence of the
-	// simplex loop (iterations between refreshes); 0 keeps the built-in
-	// default. The effective value is recorded in the kernel profile so
-	// refactor-frequency experiments are reproducible.
-	RefreshEvery int
 	// ProfileClock replaces the profiler's monotonic clock (nanoseconds
 	// since an arbitrary origin) — determinism tests inject a fake clock
 	// so same-seed profiles are byte-identical. nil selects wall-clock.
@@ -307,21 +300,15 @@ type Options struct {
 
 // Validate rejects nonsense option values with a descriptive error.
 // Zero values are valid (they select documented defaults); only values
-// that cannot mean anything — negative budgets, tolerances outside
-// [0, 1) — are refused. Solve validates its options itself; Validate
-// exists so configuration layers can fail fast before queueing work.
+// that cannot mean anything — negative budgets or sampling strides — are
+// refused. Solve validates its options itself; Validate exists so
+// configuration layers can fail fast before queueing work.
 func (o Options) Validate() error {
 	if o.MaxIter < 0 {
 		return fmt.Errorf("lp: Options.MaxIter %d is negative (0 selects the size-proportional default)", o.MaxIter)
 	}
-	if math.IsNaN(o.Tol) || o.Tol < 0 || o.Tol >= 1 {
-		return fmt.Errorf("lp: Options.Tol %g outside [0, 1) (0 selects the default 1e-9)", o.Tol)
-	}
 	if o.ProfileRate < 0 {
 		return fmt.Errorf("lp: Options.ProfileRate %d is negative (0 selects the default %d)", o.ProfileRate, DefaultProfileRate)
-	}
-	if o.RefreshEvery < 0 {
-		return fmt.Errorf("lp: Options.RefreshEvery %d is negative (0 keeps the built-in cadence)", o.RefreshEvery)
 	}
 	return nil
 }

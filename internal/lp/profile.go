@@ -69,8 +69,8 @@ type Profile struct {
 	M         int   `json:"m"`
 	N         int   `json:"n"`
 	BinvBytes int64 `json:"binv_bytes"`
-	// RefreshEvery is the effective primal-refresh cadence
-	// (Options.RefreshEvery or the built-in default).
+	// RefreshEvery is the primal-refresh cadence (iterations between
+	// refreshes) the solve ran with.
 	RefreshEvery int `json:"refresh_every"`
 	// Refreshes/Degenerate mirror the Solution counters;
 	// MaxDegenerateRun is the longest consecutive degenerate-pivot run.
@@ -214,7 +214,7 @@ func (p *profiler) build(s *solver, total int64) *Profile {
 		M:                s.m,
 		N:                s.n,
 		BinvBytes:        8 * int64(s.m) * int64(s.m),
-		RefreshEvery:     s.refreshEvery,
+		RefreshEvery:     refreshN,
 		Refreshes:        s.refreshes,
 		Degenerate:       s.degenTotal,
 		MaxDegenerateRun: s.degenRunMax,

@@ -164,26 +164,6 @@ func TestProfileArmedViaRecorder(t *testing.T) {
 	}
 }
 
-// TestProfileRefreshEvery: the configurable refresh cadence is honored
-// and recorded in the profile.
-func TestProfileRefreshEvery(t *testing.T) {
-	p := profAssignment(12, 9)
-	sol, err := Solve(context.Background(), p, Options{Profile: true, RefreshEvery: 2})
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("solve: %v %v", err, sol.Status)
-	}
-	if sol.Profile.RefreshEvery != 2 {
-		t.Fatalf("RefreshEvery = %d, want 2", sol.Profile.RefreshEvery)
-	}
-	if sol.Refreshes == 0 || sol.Profile.Refreshes != sol.Refreshes {
-		t.Fatalf("refreshes: profile %d, solution %d, want >0 and equal",
-			sol.Profile.Refreshes, sol.Refreshes)
-	}
-	if ph := sol.Profile.Phases[flight.PhaseRefresh]; ph == nil || ph.Count == 0 {
-		t.Fatal("refresh phase not recorded despite forced cadence")
-	}
-}
-
 // TestKernelProfilerOverhead is the overhead gate: profiled solves must
 // stay within 1.5x of unprofiled wall-clock (the budget is <2%; the
 // slack absorbs shared-runner noise — the precise number comes from

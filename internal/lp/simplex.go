@@ -42,7 +42,6 @@ type solver struct {
 
 	artStart int // first artificial variable index (== n if none)
 
-	tol     float64
 	maxIter int
 	iters   int
 
@@ -51,10 +50,6 @@ type solver struct {
 	degenTotal  int // all degenerate steps this solve (never resets; health counter)
 	degenRunMax int // longest consecutive degenerate run this solve
 	refreshes   int // primal refreshes / refactorizations this solve
-
-	// refreshEvery is the periodic primal-refresh cadence
-	// (Options.RefreshEvery, default refreshN).
-	refreshEvery int
 
 	// prof is the kernel profiler, nil when profiling is off; the hot
 	// loops pay one nil check per phase.
@@ -69,6 +64,7 @@ type solver struct {
 }
 
 const (
+	feasTol  = 1e-7 // primal feasibility / dual optimality tolerance
 	pivTol   = 1e-8
 	degTol   = 1e-10
 	blandTrg = 2000 // consecutive degenerate iterations before Bland's rule
@@ -101,16 +97,8 @@ func newCore(p *Problem, opt Options) *solver {
 	s := &solver{
 		m:       m,
 		nStruct: nStruct,
-		tol:     opt.Tol,
 		prof:    opt.prof,
 		rowFam:  p.rowFam,
-	}
-	if s.tol <= 0 {
-		s.tol = 1e-7
-	}
-	s.refreshEvery = opt.RefreshEvery
-	if s.refreshEvery <= 0 {
-		s.refreshEvery = refreshN
 	}
 
 	// Structural columns from the row-wise input.
@@ -214,7 +202,7 @@ func newSolver(p *Problem, opt Options) *solver {
 	s.artStart = s.n
 	for i := 0; i < m; i++ {
 		sj := nStruct + i // slack of row i (newCore appends in row order)
-		if resid[i] >= s.lb[sj]-s.tol && resid[i] <= s.ub[sj]+s.tol {
+		if resid[i] >= s.lb[sj]-feasTol && resid[i] <= s.ub[sj]+feasTol {
 			s.basis[i] = sj
 			s.vstat[sj] = basic
 			s.x[sj] = resid[i]
@@ -368,7 +356,7 @@ func (s *solver) iterate(cost []float64) Status {
 		if s.iters%ctxCheckIters == 0 && s.canceled() {
 			return statusCanceled
 		}
-		if s.iters > 0 && s.iters%s.refreshEvery == 0 {
+		if s.iters > 0 && s.iters%refreshN == 0 {
 			s.refresh()
 			s.dualsProfiled(cost, y)
 		}
@@ -387,7 +375,7 @@ func (s *solver) iterate(cost []float64) Status {
 		// Pricing.
 		entering := -1
 		var dir, enterD float64
-		bestViol := s.tol
+		bestViol := feasTol
 		for j := 0; j < s.n; j++ {
 			st := s.vstat[j]
 			if st == basic || s.lb[j] == s.ub[j] {

@@ -224,7 +224,7 @@ func (s *solver) factorize() bool {
 func (s *solver) primalFeasible() bool {
 	for i := 0; i < s.m; i++ {
 		bi := s.basis[i]
-		if s.xB[i] < s.lb[bi]-s.tol || s.xB[i] > s.ub[bi]+s.tol {
+		if s.xB[i] < s.lb[bi]-feasTol || s.xB[i] > s.ub[bi]+feasTol {
 			return false
 		}
 	}
@@ -248,15 +248,15 @@ func (s *solver) dualFeasible(cost []float64) bool {
 		}
 		switch st {
 		case atLower:
-			if d < -s.tol {
+			if d < -feasTol {
 				return false
 			}
 		case atUpper:
-			if d > s.tol {
+			if d > feasTol {
 				return false
 			}
 		case atFree:
-			if math.Abs(d) > s.tol {
+			if math.Abs(d) > feasTol {
 				return false
 			}
 		}
@@ -354,7 +354,7 @@ func (s *solver) dualSimplex(cost []float64) Status {
 
 		// Leaving row: the basic variable with the largest bound
 		// violation; none means primal feasible.
-		r, viol := -1, s.tol
+		r, viol := -1, feasTol
 		var target float64
 		var toLower bool
 		for i := 0; i < m; i++ {

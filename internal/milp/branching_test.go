@@ -3,92 +3,10 @@ package milp
 import (
 	"context"
 	"math"
-	"math/rand"
 	"testing"
 
 	"agingfp/internal/lp"
 )
-
-// assignmentProblem builds an n-op / n-slot assignment feasibility MILP
-// with per-slot budgets — the structure the re-mapping flow produces.
-func assignmentProblem(rng *rand.Rand, n int) (*Problem, []int) {
-	p := lp.NewProblem()
-	var ints []int
-	vars := make([][]int, n)
-	for i := 0; i < n; i++ {
-		vars[i] = make([]int, n)
-		for j := 0; j < n; j++ {
-			vars[i][j] = p.AddVar(rng.Float64()*0.01, 0, 1)
-			ints = append(ints, vars[i][j])
-		}
-		ones := make([]float64, n)
-		for k := range ones {
-			ones[k] = 1
-		}
-		p.MustAddRow(lp.EQ, 1, vars[i], ones)
-	}
-	for j := 0; j < n; j++ {
-		col := make([]int, n)
-		ones := make([]float64, n)
-		for i := 0; i < n; i++ {
-			col[i] = vars[i][j]
-			ones[i] = 1
-		}
-		p.MustAddRow(lp.LE, 1, col, ones)
-	}
-	return &Problem{LP: p, IntVars: ints}, ints
-}
-
-// TestDiveBranchingFindsFeasibleFast: on assignment problems the Dive
-// rule should reach an integral solution in few nodes.
-func TestDiveBranchingFindsFeasibleFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		prob, _ := assignmentProblem(rng, 6)
-		res, err := Solve(context.Background(), prob, Options{Branching: Dive, StopAtFirst: true, MaxNodes: 200})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status != Optimal && res.Status != Feasible {
-			t.Fatalf("trial %d: %v after %d nodes", trial, res.Status, res.Nodes)
-		}
-		// Assignment LPs are integral: the root should already solve it.
-		if res.Nodes > 50 {
-			t.Fatalf("trial %d: %d nodes for an integral-polytope problem", trial, res.Nodes)
-		}
-	}
-}
-
-// TestBranchingRulesAgree: both rules must find the same optimum.
-func TestBranchingRulesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 20; trial++ {
-		n := 4 + rng.Intn(5)
-		p := lp.NewProblem()
-		var ints []int
-		w := make([]float64, n)
-		for j := 0; j < n; j++ {
-			ints = append(ints, p.AddVar(-(1+rng.Float64()*9), 0, 1))
-			w[j] = 1 + rng.Float64()*9
-		}
-		p.MustAddRow(lp.LE, float64(n)*2, ints, w)
-
-		a, err := Solve(context.Background(), &Problem{LP: p, IntVars: ints}, Options{Branching: MostFractional})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Solve(context.Background(), &Problem{LP: p, IntVars: ints}, Options{Branching: Dive})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Status != Optimal || b.Status != Optimal {
-			t.Fatalf("trial %d: statuses %v/%v", trial, a.Status, b.Status)
-		}
-		if math.Abs(a.Obj-b.Obj) > 1e-6 {
-			t.Fatalf("trial %d: objectives differ: %g vs %g", trial, a.Obj, b.Obj)
-		}
-	}
-}
 
 func TestIntegerGeneralVariables(t *testing.T) {
 	// Non-binary integers: maximize x+y, x,y integer, x+y <= 7.3,

@@ -97,11 +97,6 @@ func TestMILPOptionsValidate(t *testing.T) {
 	}
 	for _, bad := range []Options{
 		{MaxNodes: -1},
-		{TimeLimit: -time.Second},
-		{IntTol: -0.1},
-		{IntTol: 0.6},
-		{Branching: Branching(99)},
-		{LP: lp.Options{MaxIter: -3}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("options %+v accepted", bad)

@@ -1,24 +1,24 @@
 // Package milp solves mixed-integer linear programs by LP-based branch
-// and bound over the simplex solver in internal/lp. Together the two
-// packages replace the commercial CPLEX solver used by the paper.
+// and bound over the simplex solver in internal/lp.
+//
+// Production never calls it: the floorplanner uses the paper's two-step
+// LP-relax/round/residual-ILP scheme instead. It exists for the E4
+// ablation, which runs the monolithic ILP of §V.A on the same
+// formulation to show why that scheme is needed.
 //
 // The solver is a depth-first branch-and-bound with most-fractional
-// branching, nearest-value child ordering (a "dive" that finds feasible
-// assignments quickly on the near-integral LPs produced by the paper's
-// formulation), bound-based pruning against the incumbent, and node/time
-// budgets. For pure feasibility problems (zero objective), the search
-// stops at the first integral solution.
+// branching, nearest-value child ordering, bound-based pruning against
+// the incumbent, and a node budget. Each child relaxation is reoptimized
+// from its parent's basis. For pure feasibility problems (zero
+// objective), the search stops at the first integral solution.
 package milp
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
-	"agingfp/internal/flight"
 	"agingfp/internal/lp"
-	"agingfp/internal/obs"
 )
 
 // Problem is a MILP: an LP plus a set of integer-constrained variables.
@@ -34,74 +34,22 @@ type Options struct {
 	// MaxNodes bounds the number of branch-and-bound nodes (LP solves);
 	// 0 selects 100000.
 	MaxNodes int
-	// TimeLimit bounds wall-clock time; 0 means no limit.
-	TimeLimit time.Duration
-	// IntTol is the integrality tolerance; 0 selects 1e-6.
-	IntTol float64
-	// LP tunes the relaxation solves.
-	LP lp.Options
 	// StopAtFirst stops at the first integer-feasible solution even for
 	// problems with a non-zero objective.
 	StopAtFirst bool
-	// Branching selects the branching rule.
-	Branching Branching
-	// NoWarmStart disables basis reuse between parent and child nodes,
-	// forcing every relaxation to a cold two-phase solve. Warm starting
-	// never changes results, so this exists only for the warm-vs-cold
-	// ablation and its regression tests.
-	NoWarmStart bool
-	// RootBasis, when non-nil, seeds the root relaxation with a basis
-	// exported from an earlier solve of a structurally identical
-	// problem (e.g. the same assignment MILP at a different ST_target).
-	// Like all warm starts it is validated against the problem and
-	// silently dropped when stale, so importing a basis across jobs can
-	// change performance but never results. Ignored under NoWarmStart.
-	RootBasis *lp.Basis
-	// Trace observes the search: a "milp.solve" span per Solve (attrs:
-	// vars, int_vars, nodes, status, simplex_iters), a "milp.incumbent"
-	// instant event per improving integer solution, and a node-expansion
-	// counter agingfp_milp_nodes_total when a metrics registry is
-	// attached. nil (the default) costs nothing.
-	Trace *obs.Tracer
-	// Flight, when non-nil, journals the search's decisions — every
-	// branch, incumbent, and prune with its reason — into the per-solve
-	// flight recorder, alongside the coarser Trace events. nil falls
-	// back to the context-carried recorder (flight.WithRecorder).
-	Flight *flight.Recorder
 }
 
 // Validate rejects nonsense option values with a descriptive error.
-// Zero values are valid (they select documented defaults). It also
-// validates the embedded LP options.
+// Zero values are valid (they select documented defaults).
 func (o Options) Validate() error {
 	if o.MaxNodes < 0 {
 		return fmt.Errorf("milp: Options.MaxNodes %d is negative (0 selects the default 100000)", o.MaxNodes)
 	}
-	if o.TimeLimit < 0 {
-		return fmt.Errorf("milp: Options.TimeLimit %v is negative (0 means no limit)", o.TimeLimit)
-	}
-	if math.IsNaN(o.IntTol) || o.IntTol < 0 || o.IntTol >= 0.5 {
-		return fmt.Errorf("milp: Options.IntTol %g outside [0, 0.5) (0 selects the default 1e-6)", o.IntTol)
-	}
-	if o.Branching != MostFractional && o.Branching != Dive {
-		return fmt.Errorf("milp: unknown Branching rule %d", int(o.Branching))
-	}
-	return o.LP.Validate()
+	return nil
 }
 
-// Branching selects how the search picks and orders branches.
-type Branching int
-
-const (
-	// MostFractional branches on the variable farthest from an integer,
-	// nearest-value child first. Good for proving optimality.
-	MostFractional Branching = iota
-	// Dive branches on the fractional variable with the largest value,
-	// rounding it up first. This plunges toward integer-feasible points
-	// quickly and suits the feasibility problems of the re-mapping flow,
-	// whose LP relaxations are near-integral.
-	Dive
-)
+// intTol is the integrality tolerance.
+const intTol = 1e-6
 
 // Status is a search outcome. Outcomes are ordered from strongest to
 // weakest claim: Optimal proves, Feasible exhibits, NodeLimit and
@@ -117,9 +65,9 @@ const (
 	// Feasible: budget exhausted with an incumbent in hand. The
 	// incumbent is integer-feasible but not proven optimal.
 	Feasible
-	// NodeLimit: the node/time budget was exhausted with no incumbent.
-	// This is NOT a proof of infeasibility — a larger budget may still
-	// find a solution — and callers must not treat it as one.
+	// NodeLimit: the node budget was exhausted with no incumbent. This
+	// is NOT a proof of infeasibility — a larger budget may still find a
+	// solution — and callers must not treat it as one.
 	NodeLimit
 	// Canceled: the context was canceled or its deadline passed
 	// mid-search. The Result carries whatever was found so far; Solve
@@ -173,89 +121,13 @@ type searcher struct {
 	base     *lp.Problem
 	intVars  []int
 	opts     Options
-	deadline time.Time
-	hasDL    bool
+	pureFeas bool
 
 	incumbent []float64
 	incObj    float64
 	hasInc    bool
-	nodes     int
-	pureFeas  bool
 
-	simplexIters int
-	warmStarts   int
-	warmRejects  int
-
-	span      obs.Span      // the per-Solve "milp.solve" span
-	nodeCtr   *obs.Counter  // agingfp_milp_nodes_total (nil-safe)
-	rep       *obs.Reporter // ctx-carried live progress; nil when unwatched
-	rootBound float64       // root relaxation objective (NaN until known)
-
-	rec *flight.Recorder // per-solve decision journal (nil-safe)
-	// budgetLogged makes the budget prune a one-shot journal entry: a
-	// hit budget unwinds the whole recursion, and one event per unwound
-	// frame would say nothing new.
-	budgetLogged bool
-
-	// tree collects B&B tree-shape stats (depth histogram, prune
-	// taxonomy, incumbent trajectory) when the recorder armed kernel
-	// profiling; nil otherwise, so unprofiled journals stay
-	// byte-identical. Contributed via NoteTree when the solve ends.
-	tree      *flight.TreeStats
-	treeStart time.Time
-
-	incCtr    *obs.Counter            // agingfp_milp_incumbents_total (nil-safe)
-	pruneCtrs map[string]*obs.Counter // agingfp_milp_prunes_total{reason}, cached per reason
-}
-
-// Tree-shape Prometheus families, alongside agingfp_milp_nodes_total.
-const (
-	// PrunesMetric counts pruned B&B subtrees, labeled
-	// {reason="bound"|"infeasible"|"integral"|"iterlimit"|"budget"}.
-	PrunesMetric = "agingfp_milp_prunes_total"
-	// IncumbentsMetric counts incumbent improvements.
-	IncumbentsMetric = "agingfp_milp_incumbents_total"
-)
-
-// notePrune records one pruned subtree in the tree stats (when
-// profiling) and the per-reason Prometheus counter (always, cached so
-// the hot path pays one map lookup, mirroring nodeCtr).
-func (s *searcher) notePrune(cause string) {
-	s.tree.Prune(cause)
-	c, ok := s.pruneCtrs[cause]
-	if !ok {
-		c = s.opts.Trace.Registry().Counter(obs.Labeled(PrunesMetric, "reason", cause))
-		if s.pruneCtrs == nil {
-			s.pruneCtrs = make(map[string]*obs.Counter, 4)
-		}
-		s.pruneCtrs[cause] = c
-	}
-	c.Inc()
-}
-
-// publishProgress stamps the branch-and-bound group of the job's live
-// progress snapshot (nodes, incumbent, root bound, relative gap). The
-// caller throttles; the update closure reads only locals so a CAS retry
-// under contention re-applies cleanly.
-func (s *searcher) publishProgress() {
-	nodes := int64(s.nodes)
-	hasInc, inc, bound := s.hasInc, s.incObj, s.rootBound
-	gap := 0.0
-	if hasInc && !math.IsNaN(bound) {
-		gap = (inc - bound) / math.Max(1, math.Abs(inc))
-	}
-	s.rep.Update(func(p *obs.Progress) {
-		p.Phase = "bnb"
-		p.Nodes = nodes
-		p.HasIncumbent = hasInc
-		if hasInc {
-			p.Incumbent = inc
-		}
-		if !math.IsNaN(bound) {
-			p.Bound = bound
-		}
-		p.Gap = gap
-	})
+	res Result // counters accumulated as the search runs
 }
 
 // Solve runs branch and bound. The problem's bound arrays are cloned; the
@@ -273,54 +145,18 @@ func Solve(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.MaxNodes <= 0 {
+	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 100000
 	}
-	if opts.IntTol <= 0 {
-		opts.IntTol = 1e-6
-	}
-	if opts.Trace == nil {
-		// Fall back to the context-carried tracer so server-traced jobs
-		// reach this layer; explicit Options.Trace always wins.
-		opts.Trace = obs.TracerFrom(ctx)
-	}
-	if opts.LP.Trace == nil {
-		// Node relaxations report their warm-start events to the same
-		// tracer unless the caller wired the LP layer separately.
-		opts.LP.Trace = opts.Trace
-	}
-	if opts.Flight == nil {
-		opts.Flight = flight.FromContext(ctx)
-	}
-	if opts.LP.Flight == nil {
-		// Node relaxations journal into the same recorder.
-		opts.LP.Flight = opts.Flight
-	}
 	s := &searcher{
-		ctx:     ctx,
-		base:    p.LP.CloneBounds(),
-		intVars: p.IntVars,
-		opts:    opts,
-		incObj:  math.Inf(1),
-		span: opts.Trace.Start("milp.solve",
-			obs.Int("vars", p.LP.NumVars()),
-			obs.Int("int_vars", len(p.IntVars)),
-			obs.Int("rows", p.LP.NumRows())),
-		nodeCtr:   opts.Trace.Registry().Counter("agingfp_milp_nodes_total"),
-		incCtr:    opts.Trace.Registry().Counter(IncumbentsMetric),
-		rep:       obs.ReporterFrom(ctx),
-		rootBound: math.NaN(),
-		rec:       opts.Flight,
+		ctx:      ctx,
+		base:     p.LP.CloneBounds(),
+		intVars:  p.IntVars,
+		opts:     opts,
+		pureFeas: true,
+		incObj:   math.Inf(1),
+		res:      Result{RootObj: math.NaN()},
 	}
-	if _, on := s.rec.KernelProfiling(); on {
-		s.tree = &flight.TreeStats{Solves: 1}
-		s.treeStart = time.Now()
-	}
-	if opts.TimeLimit > 0 {
-		s.deadline = time.Now().Add(opts.TimeLimit)
-		s.hasDL = true
-	}
-	s.pureFeas = true
 	for j := 0; j < p.LP.NumVars(); j++ {
 		if p.LP.Obj(j) != 0 {
 			s.pureFeas = false
@@ -328,54 +164,27 @@ func Solve(ctx context.Context, p *Problem, opts Options) (*Result, error) {
 		}
 	}
 
-	rootObj := math.NaN()
-	st, err := s.dfs(0, &rootObj, opts.RootBasis)
+	st, err := s.dfs(0, nil)
 	if err != nil && st != searchCanceled {
-		s.span.End(obs.String("status", "error"), obs.Int("nodes", s.nodes))
 		return nil, err
 	}
-	res := &Result{
-		Nodes:            s.nodes,
-		RootObj:          rootObj,
-		SimplexIters:     s.simplexIters,
-		WarmStarts:       s.warmStarts,
-		WarmStartRejects: s.warmRejects,
+	res := s.res
+	if s.hasInc {
+		res.Obj, res.X = s.incObj, s.incumbent
 	}
 	switch {
 	case st == searchCanceled:
 		res.Status = Canceled
-		if s.hasInc {
-			res.Obj = s.incObj
-			res.X = s.incumbent
-		}
 	case s.hasInc && (st == searchDone || st == searchExhausted):
 		res.Status = Optimal
-		res.Obj = s.incObj
-		res.X = s.incumbent
 	case s.hasInc:
 		res.Status = Feasible
-		res.Obj = s.incObj
-		res.X = s.incumbent
 	case st == searchExhausted:
 		res.Status = Infeasible
 	default:
 		res.Status = NodeLimit
 	}
-	s.span.End(
-		obs.Int("nodes", res.Nodes),
-		obs.String("status", res.Status.String()),
-		obs.Int("simplex_iters", res.SimplexIters),
-		obs.Int("warm_starts", res.WarmStarts),
-		obs.Int("warm_rejects", res.WarmStartRejects))
-	s.rec.NoteNodes(res.Nodes)
-	if s.tree != nil {
-		s.tree.ElapsedNanos = int64(time.Since(s.treeStart))
-		s.rec.NoteTree(s.tree)
-	}
-	if s.rep != nil {
-		s.publishProgress()
-	}
-	return res, err
+	return &res, err
 }
 
 type searchState int
@@ -383,7 +192,7 @@ type searchState int
 const (
 	searchExhausted searchState = iota // subtree fully explored
 	searchDone                         // stopping condition met (first feasible)
-	searchBudget                       // node/time budget hit
+	searchBudget                       // node budget hit
 	searchCanceled                     // context canceled or deadline passed
 )
 
@@ -391,40 +200,15 @@ const (
 // the root): a child differs from its parent by one bound change, so the
 // relaxation is reoptimized by the LP layer's dual simplex instead of a
 // cold phase-1 restart.
-func (s *searcher) dfs(depth int, rootObj *float64, warm *lp.Basis) (searchState, error) {
+func (s *searcher) dfs(depth int, warm *lp.Basis) (searchState, error) {
 	if err := s.ctx.Err(); err != nil {
 		return searchCanceled, err
 	}
-	if s.nodes >= s.opts.MaxNodes {
-		if !s.budgetLogged {
-			s.budgetLogged = true
-			s.rec.Record(flight.Event{Kind: flight.KindPrune, Node: s.nodes, Depth: depth, Cause: "budget"})
-			s.notePrune(flight.PruneBudget)
-		}
+	if s.res.Nodes >= s.opts.MaxNodes {
 		return searchBudget, nil
 	}
-	if s.hasDL && time.Now().After(s.deadline) {
-		if !s.budgetLogged {
-			s.budgetLogged = true
-			s.rec.Record(flight.Event{Kind: flight.KindPrune, Node: s.nodes, Depth: depth, Cause: "budget"})
-			s.notePrune(flight.PruneBudget)
-		}
-		return searchBudget, nil
-	}
-	s.nodes++
-	s.nodeCtr.Inc()
-	s.tree.Node(depth)
-	if s.rep != nil && s.nodes&63 == 1 {
-		// Throttled heartbeat: every 64th node (and the first), plus the
-		// unthrottled incumbent/root publishes below, keeps the hot loop
-		// cheap while a poller still sees the search moving.
-		s.publishProgress()
-	}
-	lpOpts := s.opts.LP
-	if !s.opts.NoWarmStart {
-		lpOpts.WarmStart = warm
-	}
-	sol, err := lp.Solve(s.ctx, s.base, lpOpts)
+	s.res.Nodes++
+	sol, err := lp.Solve(s.ctx, s.base, lp.Options{WarmStart: warm})
 	if err != nil {
 		// A mid-relaxation cancellation surfaces as the context's error;
 		// anything else is a genuine solver failure.
@@ -433,57 +217,37 @@ func (s *searcher) dfs(depth int, rootObj *float64, warm *lp.Basis) (searchState
 		}
 		return searchExhausted, err
 	}
-	s.simplexIters += sol.Iters
-	if lpOpts.WarmStart != nil {
+	s.res.SimplexIters += sol.Iters
+	if warm != nil {
 		if sol.Warm {
-			s.warmStarts++
+			s.res.WarmStarts++
 		} else {
-			s.warmRejects++
+			s.res.WarmStartRejects++
 		}
 	}
 	if depth == 0 && sol.Status == lp.Optimal {
-		*rootObj = sol.Obj
-		s.rootBound = sol.Obj
-		if s.rep != nil {
-			s.publishProgress()
-		}
+		s.res.RootObj = sol.Obj
 	}
 	switch sol.Status {
 	case lp.Infeasible:
-		s.rec.Record(flight.Event{Kind: flight.KindPrune, Node: s.nodes, Depth: depth, Cause: "infeasible"})
-		s.notePrune(flight.PruneInfeasible)
 		return searchExhausted, nil
 	case lp.Unbounded:
 		return searchExhausted, fmt.Errorf("milp: LP relaxation unbounded at depth %d", depth)
 	case lp.IterLimit:
 		// Treat as unexplorable; conservative (cannot prune optimality
 		// claims below, so report budget).
-		s.rec.Record(flight.Event{Kind: flight.KindPrune, Node: s.nodes, Depth: depth, Cause: "iterlimit"})
-		s.notePrune(flight.PruneIterLimit)
 		return searchBudget, nil
 	}
 	if s.hasInc && sol.Obj >= s.incObj-1e-9 {
-		s.rec.Record(flight.Event{Kind: flight.KindPrune, Node: s.nodes, Depth: depth, Cause: "bound", Obj: sol.Obj})
-		s.notePrune(flight.PruneBound)
 		return searchExhausted, nil // bound-dominated
 	}
 
-	// Pick the branching variable.
+	// Branch on the most fractional variable.
 	branch, score := -1, 0.0
 	for _, j := range s.intVars {
-		v := sol.X[j]
-		f := math.Abs(v - math.Round(v))
-		if f <= s.opts.IntTol {
-			continue
-		}
-		var sc float64
-		if s.opts.Branching == Dive {
-			sc = v - math.Floor(v) // prefer values closest to the ceiling
-		} else {
-			sc = f
-		}
-		if sc > score {
-			branch, score = j, sc
+		f := math.Abs(sol.X[j] - math.Round(sol.X[j]))
+		if f > intTol && f > score {
+			branch, score = j, f
 		}
 	}
 	if branch == -1 {
@@ -491,43 +255,27 @@ func (s *searcher) dfs(depth int, rootObj *float64, warm *lp.Basis) (searchState
 		s.incumbent = roundInts(sol.X, s.intVars)
 		s.incObj = sol.Obj
 		s.hasInc = true
-		s.span.Event("milp.incumbent",
-			obs.Float("obj", sol.Obj),
-			obs.Int("nodes", s.nodes),
-			obs.Int("depth", depth))
-		s.rec.Record(flight.Event{Kind: flight.KindIncumbent, Node: s.nodes, Depth: depth, Obj: sol.Obj})
-		s.incCtr.Inc()
-		s.tree.Incumbent(s.nodes, sol.Obj)
-		s.notePrune(flight.PruneIntegral)
-		if s.rep != nil {
-			s.publishProgress()
-		}
 		if s.pureFeas || s.opts.StopAtFirst {
 			return searchDone, nil
 		}
 		return searchExhausted, nil
 	}
 
+	// Nearest-value child first.
 	v := sol.X[branch]
-	s.rec.Record(flight.Event{Kind: flight.KindBranch, Node: s.nodes, Depth: depth, Var: branch, F: v})
 	lo, hi := s.base.Bounds(branch)
 	floorV, ceilV := math.Floor(v), math.Ceil(v)
-
-	// Child order: dive always rounds up first; otherwise take the
-	// nearest value first.
 	type child struct{ lb, ub float64 }
-	up := child{lb: ceilV, ub: hi}
-	down := child{lb: lo, ub: floorV}
-	order := []child{down, up}
-	if s.opts.Branching == Dive || v-floorV > 0.5 {
-		order = []child{up, down}
+	order := []child{{lo, floorV}, {ceilV, hi}}
+	if v-floorV > 0.5 {
+		order[0], order[1] = order[1], order[0]
 	}
 	for _, ch := range order {
 		if ch.lb > ch.ub {
 			continue
 		}
 		s.base.SetBounds(branch, ch.lb, ch.ub)
-		st, err := s.dfs(depth+1, rootObj, sol.Basis)
+		st, err := s.dfs(depth+1, sol.Basis)
 		s.base.SetBounds(branch, lo, hi)
 		if err != nil {
 			return st, err

@@ -4,7 +4,7 @@ import "context"
 
 // Context propagation. The job server owns the per-request observability
 // state — the tracer, the trace/correlation ID, and the live progress
-// reporter — and the solver layers (core, milp, lp) sit several calls
+// reporter — and the solver layers (core, lp) sit several calls
 // below it behind stable APIs. Rather than threading three extra
 // parameters through every signature, the request-scoped trio rides the
 // context.Context that already flows end to end for cancellation:

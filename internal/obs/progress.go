@@ -8,9 +8,8 @@ import (
 // Progress is a point-in-time snapshot of one job's solver progress —
 // the latest-value record behind the job server's GET /v1/jobs/{id}/progress
 // endpoint and the CLI's -progress status line. Layers overwrite only the
-// fields they own: core stamps the phase/probe/relax-round group, the
-// branch-and-bound solver stamps the node/incumbent group, and the
-// terminal fields are stamped exactly once by whoever owns the job's
+// fields they own: core stamps the phase/probe/relax-round group, and
+// the terminal fields are stamped exactly once by whoever owns the job's
 // lifecycle (the job server, or nobody for library callers).
 //
 // The struct is a value: readers always see a consistent snapshot, never
@@ -20,7 +19,7 @@ type Progress struct {
 	// detect "no news" by comparing sequence numbers.
 	Seq uint64 `json:"seq"`
 	// Phase names the flow stage the job is in: "step1", "rotate",
-	// "probe", "bnb", "done".
+	// "probe", "done".
 	Phase string `json:"phase,omitempty"`
 
 	// STTarget is the stress budget currently being probed (Step 1 binary
@@ -37,16 +36,6 @@ type Progress struct {
 	// "is it moving?" counters.
 	LPSolves     int64 `json:"lp_solves,omitempty"`
 	SimplexIters int64 `json:"simplex_iters,omitempty"`
-
-	// Branch-and-bound progress (non-zero only when the monolithic MILP
-	// solver is exercised): expanded node count, the best integer
-	// incumbent found so far, the root relaxation bound, and the relative
-	// incumbent/bound gap.
-	Nodes        int64   `json:"nodes,omitempty"`
-	HasIncumbent bool    `json:"has_incumbent,omitempty"`
-	Incumbent    float64 `json:"incumbent,omitempty"`
-	Bound        float64 `json:"bound,omitempty"`
-	Gap          float64 `json:"gap,omitempty"`
 
 	// Done marks the terminal update; Status carries the outcome
 	// ("done", "failed", "canceled" for the job server; a solver status

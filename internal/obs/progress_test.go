@@ -77,7 +77,7 @@ func TestReporterNilInert(t *testing.T) {
 func TestReporterNilUpdateZeroAllocs(t *testing.T) {
 	var r *obs.Reporter
 	n := testing.AllocsPerRun(100, func() {
-		r.Update(func(p *obs.Progress) { p.Nodes++ })
+		r.Update(func(p *obs.Progress) { p.LPSolves++ })
 	})
 	if n != 0 {
 		t.Fatalf("nil reporter Update allocates %.1f per op, want 0", n)

@@ -6,7 +6,7 @@
 // The package exists because the context-first solver API makes each
 // job independently cancellable: every queued job carries its own
 // context (deadline included), and the solver layers below — Remap,
-// the branch-and-bound search, the simplex loops — poll it
+// its context batches, the simplex loops — poll it
 // cooperatively, so cancel requests and SIGTERM drains take effect
 // mid-solve rather than at the next job boundary.
 package serve
