@@ -1,0 +1,118 @@
+package core_test
+
+import (
+	"context"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+
+	"agingfp/internal/arch"
+	"agingfp/internal/bench"
+	"agingfp/internal/core"
+	"agingfp/internal/lp"
+	"agingfp/internal/place"
+)
+
+// pivotPin is the fingerprint of one simplex solve: effort counters plus
+// the exact bits of the objective and of the solution vector.
+type pivotPin struct {
+	iters, degenerate int
+	objBits, xHash    uint64
+}
+
+func pinOf(sol *lp.Solution) pivotPin {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range sol.X {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return pivotPin{sol.Iters, sol.Degenerate, math.Float64bits(sol.Obj), h.Sum64()}
+}
+
+// fullProblemLP builds BenchmarkWarmVsColdSimplex's probe LP k for a
+// Table-I instance: default placement, candidate sets drawn from rand
+// seed 11, stress budget base*(1-0.01k).
+func fullProblemLP(t *testing.T, name string, k int) *lp.Problem {
+	t.Helper()
+	spec, ok := bench.SpecByName(name)
+	if !ok {
+		t.Fatalf("unknown benchmark %s", name)
+	}
+	d, err := bench.Synthesize(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m0, err := place.Place(d, place.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := arch.ComputeStress(d, m0).Max()
+	rng := rand.New(rand.NewSource(11))
+	return core.FullProblemLP(d, m0, base*(1-0.01*float64(k)), core.DefaultOptions(), rng)
+}
+
+// TestSimplexPivotPathPinned pins the simplex kernel's pivot path on
+// full-design re-binding LPs from BenchmarkWarmVsColdSimplex's
+// generator, plus one warm re-solve after a branch-style bound
+// tightening. A kernel rewrite that claims to keep the arithmetic
+// unchanged must reproduce every iteration count, degenerate-pivot
+// count, objective bit pattern and solution hash exactly; any drift in
+// pivot choice or rounding shows here.
+func TestSimplexPivotPathPinned(t *testing.T) {
+	cases := []struct {
+		bench string
+		k     int
+		want  pivotPin
+	}{
+		{"B10", 0, pivotPin{174, 114, 0x0, 0x62739c8ec6f314eb}},
+		{"B1", 0, pivotPin{82, 48, 0x0, 0xa8f3b3b0edd56299}},
+		{"B4", 2, pivotPin{247, 153, 0xbc891aaab683b07a, 0x6962bdd60af03b34}},
+		{"B5", 4, pivotPin{1892, 578, 0x3f8205bc01a3678e, 0x77fbf2491103f086}},
+		{"B25", 1, pivotPin{2102, 554, 0x3fa47ae147ae136f, 0x41281d33564c46c}},
+		{"B13", 5, pivotPin{414, 204, 0x3fa9999999999972, 0x76a450b56cfae8b}},
+		{"B19", 8, pivotPin{442, 126, 0xbc7d57dce630d78c, 0x4b5c6c99e47a4b91}},
+	}
+	wantWarm := pivotPin{10, 0, 0x3faa36e2eb1c432c, 0xa2b564724aad7043}
+
+	for _, c := range cases {
+		p := fullProblemLP(t, c.bench, c.k)
+		sol, err := lp.Solve(context.Background(), p, lp.Options{})
+		if err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("%s k=%d: %v %v", c.bench, c.k, err, sol.Status)
+		}
+		if got := pinOf(sol); got != c.want {
+			t.Errorf("%s k=%d (m=%d, n=%d): got %#v, want %#v", c.bench, c.k, p.NumRows(), p.NumVars(), got, c.want)
+		}
+	}
+
+	// Warm re-solve: fix the first fractional variable of the B13 k=5
+	// optimum to zero and reoptimize from its basis.
+	p := fullProblemLP(t, "B13", 5)
+	sol, err := lp.Solve(context.Background(), p, lp.Options{})
+	if err != nil || sol.Status != lp.Optimal {
+		t.Fatalf("B13 k=5: %v %v", err, sol.Status)
+	}
+	q := p.CloneBounds()
+	fixed := -1
+	for j, v := range sol.X {
+		if v > 1e-6 && v < 1-1e-6 {
+			lb, _ := q.Bounds(j)
+			q.SetBounds(j, lb, 0)
+			fixed = j
+			break
+		}
+	}
+	if fixed < 0 {
+		t.Fatal("B13 k=5 optimum has no fractional variable to tighten")
+	}
+	warm, err := lp.Solve(context.Background(), q, lp.Options{WarmStart: sol.Basis})
+	if err != nil || warm.Status != lp.Optimal || !warm.Warm {
+		t.Fatalf("warm re-solve (x%d <= 0): %v %v warm=%v", fixed, err, warm.Status, warm.Warm)
+	}
+	if got := pinOf(warm); got != wantWarm {
+		t.Errorf("warm re-solve (x%d <= 0): got %#v, want %#v", fixed, got, wantWarm)
+	}
+}

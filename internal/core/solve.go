@@ -479,9 +479,14 @@ func batches(numContexts, per int) [][]int {
 // autoBatch picks a contexts-per-batch keeping the expected simplex
 // basis below roughly maxRows rows. Per context the formulation carries
 // an assignment row per op, a capacity row per PE, and roughly 1.5
-// distance/path rows per op; the stress rows are shared. Simplex cost
-// grows with m^2 per iteration and ~m iterations, so halving m is nearly
-// an 8x speedup — small batches beat joint solves on wall-clock.
+// distance/path rows per op; the stress rows are shared. Measured
+// kernel cost, from a traced table1-large run (B25, B2, B5; m <= 404,
+// ~118 pivots per LP) on a 2-vCPU Xeon VM: ~33 µs per pivot, of which
+// pricing (the reduced-cost scan) is 40%, ftran 21%, the binv update
+// (over the pivot row's nonzeros) 20% and per-solve setup 15%. Only
+// setup's zeroed m×m binv and the dual recomputation grow with m^2, so
+// the row cap is a guard rail for memory and setup, not a derived
+// optimum.
 func autoBatch(d *arch.Design, maxRows int) int {
 	opsPerCtx := float64(d.NumOps()) / float64(d.NumContexts)
 	perCtx := opsPerCtx*2.5 + float64(d.Fabric.NumPEs())

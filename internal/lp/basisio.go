@@ -9,9 +9,10 @@ import (
 // it: the serve layer exports bases from a finished job and imports
 // them to seed a later delta re-solve of a near-identical instance.
 // The format is versioned and purely combinatorial, mirroring the
-// in-memory snapshot; a decoded basis goes through the same
-// newWarmSolver validation as a live one, so a corrupt or mismatched
-// import degrades to a cold solve, never a wrong result.
+// in-memory snapshot. The decoder refuses unknown status bytes, and a
+// decoded basis goes through the same newWarmSolver validation as a
+// live one, so a corrupt or mismatched import degrades to a cold solve,
+// never a wrong result.
 
 // basisMagic identifies serialized basis snapshots (format version 1).
 var basisMagic = [4]byte{'L', 'P', 'B', '1'}
@@ -40,8 +41,8 @@ func (b *Basis) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBasis decodes a snapshot produced by MarshalBinary. Shape
-// consistency is checked here; fit against a particular problem is
-// checked at warm-start time.
+// consistency and the status bytes are checked here; fit against a
+// particular problem is checked at warm-start time.
 func UnmarshalBasis(data []byte) (*Basis, error) {
 	if len(data) < 12 || [4]byte(data[:4]) != basisMagic {
 		return nil, fmt.Errorf("lp: basis blob missing LPB1 header")
@@ -69,7 +70,11 @@ func UnmarshalBasis(data []byte) (*Basis, error) {
 		off += 4
 	}
 	for i := range b.vstat {
-		b.vstat[i] = int8(data[off])
+		st := int8(data[off])
+		if !knownStatus(st) {
+			return nil, fmt.Errorf("lp: basis blob variable %d has unknown status %d", i, data[off])
+		}
+		b.vstat[i] = st
 		off++
 	}
 	return b, nil

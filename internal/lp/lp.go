@@ -11,10 +11,14 @@
 // The solver works on the computational standard form Ax + s = b with one
 // slack per row (slack bounds encode the row sense), uses artificial
 // variables only for rows whose initial residual a feasible slack cannot
-// absorb, and runs a textbook two-phase bounded simplex with an explicit
-// basis inverse, eta-style pivot updates, periodic primal refresh for
-// numerical hygiene, and a Bland's-rule fallback that guarantees
-// termination under degeneracy.
+// absorb, and runs a textbook two-phase bounded simplex with a dense
+// explicit basis inverse (one contiguous m×m slab) and a kernel that
+// skips exact zeros without changing any nonzero arithmetic: a rank-1
+// Gauss–Jordan pivot update over the nonzero positions of the scaled
+// pivot row, pricing over an ascending list of the columns that can
+// enter, and a row-by-row FTRAN. Periodic primal refresh keeps the
+// numerics clean, and a Bland's-rule fallback guarantees termination
+// under degeneracy.
 package lp
 
 import (

@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"math"
+	"slices"
 )
 
 // statusCanceled is the internal sentinel the pivot loops return when
@@ -18,10 +19,20 @@ const (
 	basic
 )
 
+// knownStatus reports whether st is one of the variable statuses above.
+func knownStatus(st int8) bool { return st >= atLower && st <= basic }
+
 type colref struct {
 	idx []int32
 	val []float64
 }
+
+// Value storage of the unit columns (slacks and artificials): every such
+// column shares one of these read-only entries.
+var (
+	plusOne  = []float64{1}
+	minusOne = []float64{-1}
+)
 
 type solver struct {
 	m       int // rows
@@ -38,7 +49,18 @@ type solver struct {
 	vstat []int8 // variable -> status
 	x     []float64
 	xB    []float64
-	binv  [][]float64
+	binv  [][]float64 // m row views into one contiguous m×m slab
+
+	// rowIdx holds 0..m-1; unit columns index into it.
+	rowIdx []int32
+	// elig lists, ascending, the columns pricing may enter: nonbasic
+	// with lb != ub. Rebuilt at the start of each pivot loop, kept
+	// current by pivot.
+	elig []int32
+	// nzIdx/nzVal: scratch for the nonzero positions and values of the
+	// scaled pivot row of the last pivot.
+	nzIdx []int32
+	nzVal []float64
 
 	artStart int // first artificial variable index (== n if none)
 
@@ -101,17 +123,41 @@ func newCore(p *Problem, opt Options) *solver {
 		rowFam:  p.rowFam,
 	}
 
-	// Structural columns from the row-wise input.
-	s.cols = make([]colref, nStruct, nStruct+2*m)
-	for i, r := range p.rows {
-		for k, j := range r.Idx {
-			s.cols[j].idx = append(s.cols[j].idx, int32(i))
-			s.cols[j].val = append(s.cols[j].val, r.Val[k])
+	// Structural columns from the row-wise input, in two passes (count,
+	// then fill) into one index slab and one value slab; each column is
+	// a capped sub-slice, entries in row order.
+	start := make([]int, nStruct+1)
+	for _, r := range p.rows {
+		for _, j := range r.Idx {
+			start[j+1]++
 		}
 	}
-	s.cost = append([]float64(nil), p.c...)
-	s.lb = append([]float64(nil), p.lb...)
-	s.ub = append([]float64(nil), p.ub...)
+	for j := 0; j < nStruct; j++ {
+		start[j+1] += start[j]
+	}
+	idx := make([]int32, start[nStruct])
+	val := make([]float64, start[nStruct])
+	fill := append([]int(nil), start[:nStruct]...)
+	for i, r := range p.rows {
+		for k, j := range r.Idx {
+			idx[fill[j]] = int32(i)
+			val[fill[j]] = r.Val[k]
+			fill[j]++
+		}
+	}
+	nCap := nStruct + 2*m // room for the slacks and any artificials
+	s.cols = make([]colref, nStruct, nCap)
+	for j := range s.cols {
+		a, b := start[j], start[j+1]
+		s.cols[j] = colref{idx[a:b:b], val[a:b:b]}
+	}
+	s.rowIdx = make([]int32, m)
+	for i := range s.rowIdx {
+		s.rowIdx[i] = int32(i)
+	}
+	s.cost = append(make([]float64, 0, nCap), p.c...)
+	s.lb = append(make([]float64, 0, nCap), p.lb...)
+	s.ub = append(make([]float64, 0, nCap), p.ub...)
 	s.b = make([]float64, m)
 	for i, r := range p.rows {
 		s.b[i] = r.RHS
@@ -119,8 +165,8 @@ func newCore(p *Problem, opt Options) *solver {
 
 	// Initial nonbasic statuses and values for structurals: the finite
 	// bound nearest zero, or zero for free variables.
-	s.x = make([]float64, nStruct, nStruct+2*m)
-	s.vstat = make([]int8, nStruct, nStruct+2*m)
+	s.x = make([]float64, nStruct, nCap)
+	s.vstat = make([]int8, nStruct, nCap)
 	for j := 0; j < nStruct; j++ {
 		lf, uf := !math.IsInf(s.lb[j], -1), !math.IsInf(s.ub[j], 1)
 		switch {
@@ -155,8 +201,7 @@ func newCore(p *Problem, opt Options) *solver {
 			lo, hi = 0, 0
 		}
 		j := s.addCol(0, lo, hi)
-		s.cols[j].idx = append(s.cols[j].idx, int32(i))
-		s.cols[j].val = append(s.cols[j].val, 1)
+		s.cols[j] = s.unitCol(i, 1)
 	}
 	s.artStart = s.n
 
@@ -197,7 +242,7 @@ func newSolver(p *Problem, opt Options) *solver {
 	// otherwise. Both give a +-1 diagonal basis matrix.
 	s.basis = make([]int, m)
 	s.xB = make([]float64, m)
-	s.binv = make([][]float64, m)
+	s.binv = newSquare(m)
 	diag := make([]float64, m)
 	s.artStart = s.n
 	for i := 0; i < m; i++ {
@@ -222,8 +267,7 @@ func newSolver(p *Problem, opt Options) *solver {
 			coeff = -1
 		}
 		aj := s.addCol(0, 0, Inf)
-		s.cols[aj].idx = append(s.cols[aj].idx, int32(i))
-		s.cols[aj].val = append(s.cols[aj].val, coeff)
+		s.cols[aj] = s.unitCol(i, coeff)
 		s.basis[i] = aj
 		s.vstat[aj] = basic
 		s.x[aj] = math.Abs(resid[i])
@@ -231,7 +275,6 @@ func newSolver(p *Problem, opt Options) *solver {
 		diag[i] = coeff
 	}
 	for i := 0; i < m; i++ {
-		s.binv[i] = make([]float64, m)
 		s.binv[i][i] = diag[i]
 	}
 	if s.prof != nil {
@@ -240,8 +283,29 @@ func newSolver(p *Problem, opt Options) *solver {
 	return s
 }
 
-// addCol appends a variable (column entries added by the caller) and
-// returns its index.
+// newSquare returns a zeroed m×m matrix as m row views into one
+// contiguous slab.
+func newSquare(m int) [][]float64 {
+	slab := make([]float64, m*m)
+	rows := make([][]float64, m)
+	for i := range rows {
+		rows[i] = slab[i*m : (i+1)*m : (i+1)*m]
+	}
+	return rows
+}
+
+// unitCol returns the column coef*e_i (coef is +1 or -1) of a slack or
+// artificial of row i, as views into shared read-only storage.
+func (s *solver) unitCol(i int, coef float64) colref {
+	v := plusOne
+	if coef < 0 {
+		v = minusOne
+	}
+	return colref{s.rowIdx[i : i+1 : i+1], v}
+}
+
+// addCol appends a variable (its column set by the caller) and returns
+// its index.
 func (s *solver) addCol(c, lo, hi float64) int {
 	j := s.n
 	s.n++
@@ -346,6 +410,7 @@ func (s *solver) iterate(cost []float64) Status {
 	y := make([]float64, m)
 	w := make([]float64, m)
 	prof := s.prof
+	s.buildEligible()
 
 	// Duals: y = cB' * Binv, recomputed from scratch here and at
 	// every refresh, and updated incrementally after each pivot via
@@ -372,22 +437,19 @@ func (s *solver) iterate(cost []float64) Status {
 			}
 		}
 
-		// Pricing.
+		// Pricing over the eligible columns in ascending index order.
 		entering := -1
 		var dir, enterD float64
 		bestViol := feasTol
-		for j := 0; j < s.n; j++ {
-			st := s.vstat[j]
-			if st == basic || s.lb[j] == s.ub[j] {
-				continue
-			}
+		for _, j32 := range s.elig {
+			j := int(j32)
 			c := s.cols[j]
 			d := cost[j]
 			for k, i := range c.idx {
 				d -= y[i] * c.val[k]
 			}
 			var viol, dj float64
-			switch st {
+			switch s.vstat[j] {
 			case atLower:
 				if d < -bestViol {
 					viol, dj = -d, 1
@@ -418,17 +480,7 @@ func (s *solver) iterate(cost []float64) Status {
 			return Optimal
 		}
 
-		// FTRAN: w = Binv * A[entering].
-		for i := 0; i < m; i++ {
-			w[i] = 0
-		}
-		ec := s.cols[entering]
-		for k, i := range ec.idx {
-			v := ec.val[k]
-			for r := 0; r < m; r++ {
-				w[r] += s.binv[r][int(i)] * v
-			}
-		}
+		s.ftran(entering, w)
 		if prof != nil {
 			t0 = prof.phase(phFtran, timed, t0)
 		}
@@ -486,16 +538,7 @@ func (s *solver) iterate(cost []float64) Status {
 		}
 		t := tBest
 
-		// Apply the step.
-		if t != 0 {
-			for i := 0; i < m; i++ {
-				if w[i] != 0 {
-					s.xB[i] -= dir * w[i] * t
-					s.x[s.basis[i]] = s.xB[i]
-				}
-			}
-			s.x[entering] += dir * t
-		}
+		s.step(entering, dir, t, w)
 		if t < degTol {
 			s.degenCount++
 			s.degenTotal++
@@ -527,42 +570,15 @@ func (s *solver) iterate(cost []float64) Status {
 			continue
 		}
 
-		// Pivot: entering replaces basis[leaving].
-		lv := s.basis[leaving]
+		leave := atLower
 		if leavingToUpper {
-			s.vstat[lv] = atUpper
-			s.x[lv] = s.ub[lv]
-		} else {
-			s.vstat[lv] = atLower
-			s.x[lv] = s.lb[lv]
+			leave = atUpper
 		}
-		s.vstat[entering] = basic
-		s.basis[leaving] = entering
-		s.xB[leaving] = s.x[entering]
-
-		piv := w[leaving]
-		rowL := s.binv[leaving]
-		invPiv := 1 / piv
-		for k := 0; k < m; k++ {
-			rowL[k] *= invPiv
-		}
-		for i := 0; i < m; i++ {
-			if i == leaving {
-				continue
-			}
-			f := w[i]
-			if f == 0 {
-				continue
-			}
-			row := s.binv[i]
-			for k := 0; k < m; k++ {
-				row[k] -= f * rowL[k]
-			}
-		}
+		s.pivot(leaving, entering, leave, w)
 		// Incremental dual update: y' = y + d_entering * Binv'[leaving,:].
 		if enterD != 0 {
-			for k := 0; k < m; k++ {
-				y[k] += enterD * rowL[k]
+			for q, k := range s.nzIdx {
+				y[k] += enterD * s.nzVal[q]
 			}
 		}
 		if prof != nil {
@@ -571,6 +587,95 @@ func (s *solver) iterate(cost []float64) Status {
 		}
 	}
 	return IterLimit
+}
+
+// buildEligible lists, ascending, the nonbasic columns with lb != ub.
+func (s *solver) buildEligible() {
+	s.elig = s.elig[:0]
+	for j := 0; j < s.n; j++ {
+		if s.vstat[j] != basic && s.lb[j] != s.ub[j] {
+			s.elig = append(s.elig, int32(j))
+		}
+	}
+}
+
+// ftran computes w = Binv * A[j] row by row: w[r] accumulates
+// binv[r][i]*v over column j's entries in entry order, so each binv row
+// is read once and each sum adds the same products in the same order as
+// a column-by-column sweep.
+func (s *solver) ftran(j int, w []float64) {
+	c := s.cols[j]
+	for r, row := range s.binv {
+		acc := 0.0
+		for k, i := range c.idx {
+			acc += row[i] * c.val[k]
+		}
+		w[r] = acc
+	}
+}
+
+// step moves the entering variable by dir*t and every basic variable
+// with a nonzero w entry along -dir*t*w.
+func (s *solver) step(enter int, dir, t float64, w []float64) {
+	if t == 0 {
+		return
+	}
+	for i, wi := range w {
+		if wi != 0 {
+			s.xB[i] -= dir * wi * t
+			s.x[s.basis[i]] = s.xB[i]
+		}
+	}
+	s.x[enter] += dir * t
+}
+
+// pivot makes enter basic in row r, given w = Binv * A[enter]; the
+// leaving variable goes nonbasic at status leave (atLower or atUpper)
+// on that bound. Binv takes the rank-1 update, which touches only the
+// nonzero positions of the scaled pivot row: skipped entries would
+// subtract f*0. Those positions and values are left in nzIdx/nzVal.
+func (s *solver) pivot(r, enter int, leave int8, w []float64) {
+	lv := s.basis[r]
+	s.vstat[lv] = leave
+	if leave == atUpper {
+		s.x[lv] = s.ub[lv]
+	} else {
+		s.x[lv] = s.lb[lv]
+	}
+	s.vstat[enter] = basic
+	s.basis[r] = enter
+	s.xB[r] = s.x[enter]
+
+	// enter leaves the eligible list; lv joins it unless fixed.
+	if at, ok := slices.BinarySearch(s.elig, int32(enter)); ok {
+		s.elig = slices.Delete(s.elig, at, at+1)
+	}
+	if s.lb[lv] != s.ub[lv] {
+		at, _ := slices.BinarySearch(s.elig, int32(lv))
+		s.elig = slices.Insert(s.elig, at, int32(lv))
+	}
+
+	rowR := s.binv[r]
+	invPiv := 1 / w[r]
+	nzIdx, nzVal := s.nzIdx[:0], s.nzVal[:0]
+	for k := range rowR {
+		rowR[k] *= invPiv
+		if v := rowR[k]; v != 0 {
+			nzIdx = append(nzIdx, int32(k))
+			nzVal = append(nzVal, v)
+		}
+	}
+	s.nzIdx, s.nzVal = nzIdx, nzVal
+	nzVal = nzVal[:len(nzIdx)] // lets the compiler drop nzVal's bounds check
+	for i, f := range w {
+		if i == r || f == 0 {
+			continue
+		}
+		row := s.binv[i]
+		for t, k := range nzIdx {
+			row[k] -= f * nzVal[t]
+		}
+	}
 }
 
 // stamp copies the solver's numerical-health counters onto a solution;

@@ -72,10 +72,14 @@ func newWarmSolver(p *Problem, opt Options, ws *Basis) (*solver, string) {
 		return nil, rejectDimMismatch
 	}
 
-	// Statuses from the snapshot; verify the basis set is consistent.
+	// Statuses from the snapshot; verify each is known and the basis set
+	// is consistent.
 	copy(s.vstat, ws.vstat)
 	basicCount := 0
 	for _, st := range s.vstat {
+		if !knownStatus(st) {
+			return nil, rejectStaleBasis
+		}
 		if st == basic {
 			basicCount++
 		}
@@ -154,12 +158,9 @@ func (s *solver) factorize() bool {
 		defer func() { s.prof.direct(phSetup, t0) }()
 	}
 	m := s.m
-	B := make([][]float64, m)
-	R := make([][]float64, m)
+	B, R := newSquare(m), newSquare(m)
 	maxAbs := 0.0
 	for r := 0; r < m; r++ {
-		B[r] = make([]float64, m)
-		R[r] = make([]float64, m)
 		R[r][r] = 1
 	}
 	for k, j := range s.basis {
@@ -174,9 +175,12 @@ func (s *solver) factorize() bool {
 	pivTolAbs := 1e-10 * math.Max(1, maxAbs)
 
 	// Reduce [B | I] -> [P | R] with R*B = P; then Binv = P^T * R, i.e.
-	// Binv[col] = R[perm[col]].
+	// Binv[col] = R[perm[col]]. Each elimination touches only the
+	// nonzero positions of the scaled pivot row: skipped entries would
+	// subtract f*0.
 	perm := make([]int, m)
 	usedRow := make([]bool, m)
+	nzB, nzR := make([]int32, 0, m), make([]int32, 0, m)
 	for col := 0; col < m; col++ {
 		pr, pv := -1, pivTolAbs
 		for r := 0; r < m; r++ {
@@ -194,9 +198,16 @@ func (s *solver) factorize() bool {
 		perm[col] = pr
 		inv := 1 / B[pr][col]
 		rowB, rowR := B[pr], R[pr]
+		nzB, nzR = nzB[:0], nzR[:0]
 		for k := 0; k < m; k++ {
 			rowB[k] *= inv
 			rowR[k] *= inv
+			if rowB[k] != 0 {
+				nzB = append(nzB, int32(k))
+			}
+			if rowR[k] != 0 {
+				nzR = append(nzR, int32(k))
+			}
 		}
 		for r := 0; r < m; r++ {
 			if r == pr {
@@ -207,8 +218,10 @@ func (s *solver) factorize() bool {
 				continue
 			}
 			tb, tr := B[r], R[r]
-			for k := 0; k < m; k++ {
+			for _, k := range nzB {
 				tb[k] -= f * rowB[k]
+			}
+			for _, k := range nzR {
 				tr[k] -= f * rowR[k]
 			}
 		}
@@ -338,6 +351,7 @@ func (s *solver) dualSimplex(cost []float64) Status {
 	y := make([]float64, m)
 	w := make([]float64, m)
 	prof := s.prof
+	s.buildEligible()
 	budget := 1000 + 10*m
 	if budget > s.maxIter {
 		budget = s.maxIter
@@ -384,11 +398,9 @@ func (s *solver) dualSimplex(cost []float64) Status {
 		// |reduced cost| / |alpha| (ties to the larger pivot).
 		rho := s.binv[r]
 		enter, bestRatio, bestAlpha := -1, Inf, 0.0
-		for j := 0; j < s.n; j++ {
+		for _, j32 := range s.elig {
+			j := int(j32)
 			st := s.vstat[j]
-			if st == basic || s.lb[j] == s.ub[j] {
-				continue
-			}
 			c := s.cols[j]
 			alpha := 0.0
 			for k, i := range c.idx {
@@ -434,17 +446,7 @@ func (s *solver) dualSimplex(cost []float64) Status {
 		reverified = false
 		s.iters++
 
-		// FTRAN: w = Binv * A[enter].
-		for i := 0; i < m; i++ {
-			w[i] = 0
-		}
-		ec := s.cols[enter]
-		for k, i := range ec.idx {
-			v := ec.val[k]
-			for q := 0; q < m; q++ {
-				w[q] += s.binv[q][int(i)] * v
-			}
-		}
+		s.ftran(enter, w)
 		if prof != nil {
 			t0 = prof.phase(phFtran, timed, t0)
 		}
@@ -472,49 +474,14 @@ func (s *solver) dualSimplex(cost []float64) Status {
 			t = 0
 		}
 
-		if t != 0 {
-			for i := 0; i < m; i++ {
-				if w[i] != 0 {
-					s.xB[i] -= dir * w[i] * t
-					s.x[s.basis[i]] = s.xB[i]
-				}
-			}
-			s.x[enter] += dir * t
-		}
-
+		s.step(enter, dir, t, w)
 		// Pivot: enter replaces basis[r], which leaves at its violated
 		// bound.
-		lv := s.basis[r]
+		leave := atUpper
 		if toLower {
-			s.vstat[lv] = atLower
-			s.x[lv] = s.lb[lv]
-		} else {
-			s.vstat[lv] = atUpper
-			s.x[lv] = s.ub[lv]
+			leave = atLower
 		}
-		s.vstat[enter] = basic
-		s.basis[r] = enter
-		s.xB[r] = s.x[enter]
-
-		piv := w[r]
-		rowR := s.binv[r]
-		invPiv := 1 / piv
-		for k := 0; k < m; k++ {
-			rowR[k] *= invPiv
-		}
-		for i := 0; i < m; i++ {
-			if i == r {
-				continue
-			}
-			f := w[i]
-			if f == 0 {
-				continue
-			}
-			row := s.binv[i]
-			for k := 0; k < m; k++ {
-				row[k] -= f * rowR[k]
-			}
-		}
+		s.pivot(r, enter, leave, w)
 		if prof != nil {
 			prof.phase(phUpdate, timed, t0)
 			prof.pivotFamily(s.rowFamilyOf(r))

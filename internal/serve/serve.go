@@ -989,11 +989,16 @@ func (s *Server) runJob(j *job) {
 		final = StateFailed
 		j.errText = err.Error()
 	}
+	elapsed := j.finished.Sub(j.started)
+	// The cost block is derived before the terminal state becomes
+	// visible, in the same critical section, so no snapshot reads a
+	// terminal state without its cost.
+	ev := s.solveEvent(j, info, final, elapsed, queueWait, err)
+	j.cost = costFromEvent(ev)
 	j.state = final
 	s.reg.Counter(`agingfp_serve_jobs_total{state="` + string(final) + `"}`).Inc()
 	s.gaugeState(StateRunning, -1)
 	s.gaugeState(final, 1)
-	elapsed := j.finished.Sub(j.started)
 	j.mu.Unlock()
 	if j.capture != nil {
 		j.capture.sink.Flush() //nolint:errcheck // Write never errors
@@ -1005,17 +1010,13 @@ func (s *Server) runJob(j *job) {
 		attrs = append(attrs, slog.String("error", err.Error()))
 	}
 	s.logJob(j, "job finished", attrs...)
-	s.emitSolveEvent(j, info, final, elapsed, queueWait, err)
+	s.emitSolveEvent(j, ev, final, elapsed)
 }
 
-// emitSolveEvent builds the finished job's wide event, derives the
-// job's cost-attribution block from it (the two can never disagree),
-// folds the job into the per-tenant counters, and hands the event to
-// the telemetry pipeline — which, when it flags the solve as a slow
-// outlier for its shape bucket, persists the job's flight journal next
-// to the event store so the decision log is on disk before anyone asks.
-// Cost and tenant accounting happen even with a nil pipeline.
-func (s *Server) emitSolveEvent(j *job, info *solveInfo, final JobState, elapsed, queueWait time.Duration, jobErr error) {
+// solveEvent builds the finished job's wide event; runJob derives the
+// job's cost-attribution block from it, so the two can never disagree.
+// runJob calls it holding j.mu, so it must not take the job lock.
+func (s *Server) solveEvent(j *job, info *solveInfo, final JobState, elapsed, queueWait time.Duration, jobErr error) *telemetry.SolveEvent {
 	mode := j.req.Mode
 	if mode == "" {
 		mode = "rotate"
@@ -1053,10 +1054,16 @@ func (s *Server) emitSolveEvent(j *job, info *solveInfo, final JobState, elapsed
 		ev.WarmRejects = st.WarmStartRejects
 	}
 	ev.FillKernel(j.flight.KernelSnapshot())
+	return ev
+}
 
-	j.mu.Lock()
-	j.cost = costFromEvent(ev)
-	j.mu.Unlock()
+// emitSolveEvent folds the finished job into the per-tenant counters
+// and hands its wide event to the telemetry pipeline — which, when it
+// flags the solve as a slow outlier for its shape bucket, persists the
+// job's flight journal next to the event store so the decision log is
+// on disk before anyone asks. Tenant accounting happens even with a nil
+// pipeline.
+func (s *Server) emitSolveEvent(j *job, ev *telemetry.SolveEvent, final JobState, elapsed time.Duration) {
 	s.accountTenant(ev.Tenant, final, elapsed)
 
 	tp := s.cfg.Telemetry

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,6 +175,96 @@ func TestJobLifecycle(t *testing.T) {
 	} else if apiErr, ok := err.(*client.APIError); !ok || apiErr.Status != http.StatusNotFound || apiErr.Code != serve.CodeNotFound {
 		t.Fatalf("unknown job error: %v", err)
 	}
+}
+
+// finishProbe is a log handler that, when a job logs "job finished"
+// (after its terminal state is published), reads the job's snapshot and
+// sends it on finished.
+type finishProbe struct {
+	srv      atomic.Pointer[serve.Server]
+	finished chan serve.Snapshot
+}
+
+func (h *finishProbe) Enabled(context.Context, slog.Level) bool { return true }
+func (h *finishProbe) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *finishProbe) WithGroup(string) slog.Handler            { return h }
+
+func (h *finishProbe) Handle(_ context.Context, r slog.Record) error {
+	srv := h.srv.Load()
+	if r.Message != "job finished" || srv == nil {
+		return nil
+	}
+	var id string
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "job_id" {
+			id = a.Value.String()
+			return false
+		}
+		return true
+	})
+	snap, _ := srv.Job(id)
+	h.finished <- snap
+	return nil
+}
+
+// TestTerminalSnapshotCarriesCost polls job snapshots as fast as it can
+// while jobs finish: a snapshot that reads a terminal state must already
+// carry the cost block (it used to be set after the state was
+// published). A log handler also reads each snapshot at the moment the
+// job logs its finish, which the old order failed every time. Run it
+// under -race.
+func TestTerminalSnapshotCarriesCost(t *testing.T) {
+	const jobs = 6
+	probe := &finishProbe{finished: make(chan serve.Snapshot, jobs)} // one send per job
+	s, _, _ := testServer(t, serve.Config{Workers: 2, Logger: slog.New(probe)})
+	probe.srv.Store(s)
+	var ids []string
+	for seed := int64(1); seed <= jobs; seed++ {
+		snap, err := s.Submit(&serve.JobRequest{Bench: "B1", Mode: "freeze", Seed: seed})
+		if err != nil {
+			t.Fatalf("submit seed %d: %v", seed, err)
+		}
+		ids = append(ids, snap.ID)
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	pending := append([]string(nil), ids...)
+	polls := 0
+	for len(pending) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs %v not terminal after 2m", pending)
+		}
+		next := pending[:0]
+		for _, id := range pending {
+			snap, err := s.Job(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			polls++
+			switch snap.State {
+			case serve.StateDone, serve.StateFailed, serve.StateCanceled:
+				if snap.Cost == nil {
+					t.Fatalf("job %s snapshot reads %q without a cost block", id, snap.State)
+				}
+			default:
+				next = append(next, id)
+			}
+		}
+		pending = next
+		runtime.Gosched()
+	}
+	// A job logs its finish after its state turns terminal, so the last
+	// records can arrive after the polls end.
+	for range ids {
+		select {
+		case snap := <-probe.finished:
+			if snap.Cost == nil {
+				t.Fatalf("at its finish log, job %s snapshot reads %q without a cost block", snap.ID, snap.State)
+			}
+		case <-time.After(time.Until(deadline)):
+			t.Fatal("jobs did not all log their finish within 2m")
+		}
+	}
+	t.Logf("%d jobs terminal after %d snapshot polls", len(ids), polls)
 }
 
 func TestCacheHitByteIdentical(t *testing.T) {
