@@ -31,8 +31,8 @@ func GreedyLevel(d *arch.Design, frozen map[int]arch.Coord) arch.Mapping {
 	// Frozen ops commit their stress first.
 	for op, pe := range frozen {
 		m[op] = pe
-		acc[f.Index(pe)] += d.StressRate(op)
 	}
+	addStress(d, acc, frozen)
 
 	for c := 0; c < d.NumContexts; c++ {
 		used := make([]bool, n)
@@ -76,4 +76,19 @@ func GreedyLevel(d *arch.Design, frozen map[int]arch.Coord) arch.Mapping {
 func GreedyFeasible(d *arch.Design, frozen map[int]arch.Coord, stBudget float64) bool {
 	m := GreedyLevel(d, frozen)
 	return arch.ComputeStress(d, m).Max() <= stBudget+1e-12
+}
+
+// addStress adds each placed op's stress rate to its PE's entry of acc
+// in ascending op order. Float sums depend on their order and Go's map
+// order is random, so summing in map order would let the same input
+// give right-hand sides a last ulp apart, and different floorplans.
+func addStress(d *arch.Design, acc []float64, placed map[int]arch.Coord) {
+	ops := make([]int, 0, len(placed))
+	for op := range placed {
+		ops = append(ops, op)
+	}
+	sort.Ints(ops)
+	for _, op := range ops {
+		acc[d.Fabric.Index(placed[op])] += d.StressRate(op)
+	}
 }

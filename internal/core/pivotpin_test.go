@@ -54,13 +54,69 @@ func fullProblemLP(t *testing.T, name string, k int) *lp.Problem {
 	return core.FullProblemLP(d, m0, base*(1-0.01*float64(k)), core.DefaultOptions(), rng)
 }
 
+// phase1LP builds a seeded sparse LP that no slack basis fits: rows of
+// every sense around random right-hand sides force artificials of both
+// signs into phase 1 (21 with +1, 18 with -1), and boxed and upper-only
+// columns start at their upper bounds beside columns at zero. It is
+// feasible around a random interior point and bounded because only the
+// upper-only columns can fall without limit, and their costs make that
+// worse.
+func phase1LP() *lp.Problem {
+	rng := rand.New(rand.NewSource(5))
+	const n, m = 90, 60
+	p := lp.NewProblem()
+	x0 := make([]float64, n)
+	for j := 0; j < n; j++ {
+		switch j % 3 {
+		case 0: // boxed, starts at the upper bound nearer zero
+			p.AddVar(rng.NormFloat64(), -4, 3)
+			x0[j] = -4 + 7*rng.Float64()
+		case 1: // upper-only
+			p.AddVar(-1-rng.Float64(), math.Inf(-1), 2)
+			x0[j] = 2 - 3*rng.Float64()
+		default: // boxed, starts at zero
+			p.AddVar(rng.NormFloat64(), 0, 5)
+			x0[j] = 5 * rng.Float64()
+		}
+	}
+	for i := 0; i < m; i++ {
+		var idx []int
+		var val []float64
+		v := 0.0
+		for j := 0; j < n; j++ {
+			if rng.Float64() < 0.08 {
+				c := rng.NormFloat64()
+				idx = append(idx, j)
+				val = append(val, c)
+				v += c * x0[j]
+			}
+		}
+		if len(idx) == 0 {
+			j := rng.Intn(n)
+			idx, val, v = []int{j}, []float64{1}, x0[j]
+		}
+		switch i % 3 {
+		case 0:
+			p.MustAddRow(lp.EQ, v, idx, val)
+		case 1:
+			p.MustAddRow(lp.GE, v-rng.Float64(), idx, val)
+		default:
+			p.MustAddRow(lp.LE, v+rng.Float64(), idx, val)
+		}
+	}
+	return p
+}
+
 // TestSimplexPivotPathPinned pins the simplex kernel's pivot path on
 // full-design re-binding LPs from BenchmarkWarmVsColdSimplex's
-// generator, plus one warm re-solve after a branch-style bound
-// tightening. A kernel rewrite that claims to keep the arithmetic
-// unchanged must reproduce every iteration count, degenerate-pivot
-// count, objective bit pattern and solution hash exactly; any drift in
-// pivot choice or rounding shows here.
+// generator, a seeded LP whose phase 1 carries artificials of both
+// signs, and two warm re-solves: one after a branch-style bound
+// tightening and one after tightening every stress-budget right-hand
+// side, which the dual simplex repairs over several pivots. A kernel
+// rewrite that claims to keep the arithmetic unchanged must reproduce
+// every iteration count, degenerate-pivot count, objective bit pattern
+// and solution hash exactly; any drift in pivot choice or rounding shows
+// here.
 func TestSimplexPivotPathPinned(t *testing.T) {
 	cases := []struct {
 		bench string
@@ -76,6 +132,8 @@ func TestSimplexPivotPathPinned(t *testing.T) {
 		{"B19", 8, pivotPin{442, 126, 0xbc7d57dce630d78c, 0x4b5c6c99e47a4b91}},
 	}
 	wantWarm := pivotPin{10, 0, 0x3faa36e2eb1c432c, 0xa2b564724aad7043}
+	wantPhase1 := pivotPin{142, 0, 0xc06203ab13792907, 0x3eb4fe06d53a845b}
+	wantWarmRHS := pivotPin{12, 0, 0x3fa999999999999a, 0x85af696e63fdf483}
 
 	for _, c := range cases {
 		p := fullProblemLP(t, c.bench, c.k)
@@ -86,6 +144,15 @@ func TestSimplexPivotPathPinned(t *testing.T) {
 		if got := pinOf(sol); got != c.want {
 			t.Errorf("%s k=%d (m=%d, n=%d): got %#v, want %#v", c.bench, c.k, p.NumRows(), p.NumVars(), got, c.want)
 		}
+	}
+
+	p1 := phase1LP()
+	sol1, err := lp.Solve(context.Background(), p1, lp.Options{})
+	if err != nil || sol1.Status != lp.Optimal {
+		t.Fatalf("phase-1 LP: %v %v", err, sol1.Status)
+	}
+	if got := pinOf(sol1); got != wantPhase1 {
+		t.Errorf("phase-1 LP: got %#v, want %#v", got, wantPhase1)
 	}
 
 	// Warm re-solve: fix the first fractional variable of the B13 k=5
@@ -114,5 +181,17 @@ func TestSimplexPivotPathPinned(t *testing.T) {
 	}
 	if got := pinOf(warm); got != wantWarm {
 		t.Errorf("warm re-solve (x%d <= 0): got %#v, want %#v", fixed, got, wantWarm)
+	}
+
+	// Warm re-solve after the stress budget drops from base*0.95 to
+	// base*0.60: the same rows and columns, every stress-budget
+	// right-hand side tightened.
+	tight := fullProblemLP(t, "B13", 40)
+	warmRHS, err := lp.Solve(context.Background(), tight, lp.Options{WarmStart: sol.Basis})
+	if err != nil || warmRHS.Status != lp.Optimal || !warmRHS.Warm {
+		t.Fatalf("warm re-solve (k=40): %v %v warm=%v", err, warmRHS.Status, warmRHS.Warm)
+	}
+	if got := pinOf(warmRHS); got != wantWarmRHS {
+		t.Errorf("warm re-solve (k=40): got %#v, want %#v", got, wantWarmRHS)
 	}
 }

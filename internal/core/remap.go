@@ -238,9 +238,7 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 	// a PE stacked with frozen critical ops in several contexts cannot be
 	// relieved (§V.B.1 — the motivation for rotation). Start there.
 	frozenFloor := make([]float64, d.Fabric.NumPEs())
-	for op, pe := range frozenPos {
-		frozenFloor[d.Fabric.Index(pe)] += d.StressRate(op)
-	}
+	addStress(d, frozenFloor, frozenPos)
 	stStart := stLB
 	for _, v := range frozenFloor {
 		if v > stStart {
@@ -719,8 +717,8 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 	committed := make([]float64, f.NumPEs())
 	for op, pe := range frozenPos {
 		mCur[op] = pe
-		committed[f.Index(pe)] += d.StressRate(op)
 	}
+	addStress(d, committed, frozenPos)
 
 	rep := obs.ReporterFrom(ctx)
 	for bi, bctx := range batchList {
@@ -800,8 +798,8 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 		bsp.End(obs.String("status", "solved"), obs.Int("rows", bp.lp.NumRows()))
 		for op, pe := range asn {
 			mCur[op] = pe
-			committed[f.Index(pe)] += d.StressRate(op)
 		}
+		addStress(d, committed, asn)
 	}
 	if err := arch.ValidateMapping(d, mCur); err != nil {
 		return nil, false, fmt.Errorf("core: batched solution illegal: %w", err)

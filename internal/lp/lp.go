@@ -12,13 +12,17 @@
 // slack per row (slack bounds encode the row sense), uses artificial
 // variables only for rows whose initial residual a feasible slack cannot
 // absorb, and runs a textbook two-phase bounded simplex with a dense
-// explicit basis inverse (one contiguous m×m slab) and a kernel that
-// skips exact zeros without changing any nonzero arithmetic: a rank-1
-// Gauss–Jordan pivot update over the nonzero positions of the scaled
-// pivot row, pricing over an ascending list of the columns that can
-// enter, and a row-by-row FTRAN. Periodic primal refresh keeps the
-// numerics clean, and a Bland's-rule fallback guarantees termination
-// under degeneracy.
+// explicit basis inverse (one contiguous m×m slab). The solver tracks
+// where that inverse may be nonzero, by column and by row, and skips
+// only terms with an exact-zero factor, so every nonzero floating-point
+// operation runs with the same operands in the same order as a dense
+// kernel: FTRAN over the column patterns, pricing by a scatter over the
+// nonzero duals through a row-wise copy of the columns that can enter,
+// duals and the rank-1 Gauss–Jordan pivot update over the row patterns.
+// The column-wise copy of the rows is built once per problem and shared
+// by its CloneBounds copies. Periodic primal refresh keeps the numerics
+// clean, and a Bland's-rule fallback guarantees termination under
+// degeneracy.
 package lp
 
 import (
@@ -26,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"agingfp/internal/flight"
 	"agingfp/internal/obs"
@@ -96,6 +101,47 @@ type Problem struct {
 	// recorder's taxonomy); the kernel profiler attributes pivots to it.
 	// Sparse: shorter than rows means the tail is unlabeled.
 	rowFam []string
+	// csc caches the column-wise copy of rows that every solve starts
+	// from. Built on first use, shared with CloneBounds clones, and
+	// dropped when a variable or row is added.
+	csc atomic.Pointer[sparseLines]
+}
+
+// columns returns the problem's column-wise (CSC) copy of its rows,
+// entries of each column in row order, building it on first use.
+// Concurrent first solves may each build one; the first stored wins and
+// the copies are identical.
+func (p *Problem) columns() *sparseLines {
+	if c := p.csc.Load(); c != nil {
+		return c
+	}
+	n := len(p.c)
+	start := make([]int32, n+1)
+	for _, r := range p.rows {
+		for _, j := range r.Idx {
+			start[j+1]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		start[j+1] += start[j]
+	}
+	c := &sparseLines{
+		start: start,
+		idx:   make([]int32, start[n]),
+		val:   make([]float64, start[n]),
+	}
+	fill := append([]int32(nil), start[:n]...)
+	for i, r := range p.rows {
+		for k, j := range r.Idx {
+			c.idx[fill[j]] = int32(i)
+			c.val[fill[j]] = r.Val[k]
+			fill[j]++
+		}
+	}
+	if !p.csc.CompareAndSwap(nil, c) {
+		return p.csc.Load()
+	}
+	return c
 }
 
 // NewProblem returns an empty problem.
@@ -107,6 +153,7 @@ func (p *Problem) AddVar(c, lb, ub float64) int {
 	p.c = append(p.c, c)
 	p.lb = append(p.lb, lb)
 	p.ub = append(p.ub, ub)
+	p.csc.Store(nil)
 	return len(p.c) - 1
 }
 
@@ -138,6 +185,7 @@ func (p *Problem) AddRow(sense Sense, rhs float64, idx []int, val []float64) err
 		Idx:   append([]int(nil), idx...),
 		Val:   append([]float64(nil), val...),
 	})
+	p.csc.Store(nil)
 	return nil
 }
 
@@ -189,16 +237,19 @@ func (p *Problem) SetBounds(j int, lb, ub float64) {
 }
 
 // CloneBounds returns a copy of the problem that shares the (immutable)
-// rows and objective but owns its bound arrays, so branch-and-bound nodes
-// can tighten bounds independently.
+// rows, objective and column structure but owns its bound arrays, so
+// branch-and-bound nodes and rounding dives can tighten bounds
+// independently without rebuilding the columns per solve.
 func (p *Problem) CloneBounds() *Problem {
-	return &Problem{
+	q := &Problem{
 		c:      p.c,
 		lb:     append([]float64(nil), p.lb...),
 		ub:     append([]float64(nil), p.ub...),
 		rows:   p.rows,
 		rowFam: p.rowFam,
 	}
+	q.csc.Store(p.columns())
+	return q
 }
 
 // Status is a solve outcome.

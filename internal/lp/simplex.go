@@ -22,9 +22,26 @@ const (
 // knownStatus reports whether st is one of the variable statuses above.
 func knownStatus(st int8) bool { return st >= atLower && st <= basic }
 
+// colref views one sparse line: a column's row indices and values in
+// row order, or, from the pricing copy, a row's column indices.
 type colref struct {
 	idx []int32
 	val []float64
+}
+
+// sparseLines is a sparse matrix stored line by line: line k's indices
+// and values are idx/val[start[k]:start[k+1]]. The problem's column copy
+// stores columns; the pricing copy stores rows.
+type sparseLines struct {
+	start []int32
+	idx   []int32
+	val   []float64
+}
+
+// line returns line k as a capped view.
+func (a *sparseLines) line(k int) colref {
+	lo, hi := a.start[k], a.start[k+1]
+	return colref{a.idx[lo:hi:hi], a.val[lo:hi:hi]}
 }
 
 // Value storage of the unit columns (slacks and artificials): every such
@@ -39,11 +56,15 @@ type solver struct {
 	nStruct int // structural variables
 	n       int // total variables (struct + slacks + artificials)
 
-	cols []colref
-	cost []float64 // phase-2 objective, extended with zeros
-	lb   []float64
-	ub   []float64
-	b    []float64
+	// csc holds the structural columns (the problem's shared copy,
+	// read-only); units the slack and artificial columns, variable
+	// nStruct+k at units[k].
+	csc   *sparseLines
+	units []colref
+	cost  []float64 // phase-2 objective, extended with zeros
+	lb    []float64
+	ub    []float64
+	b     []float64
 
 	basis []int  // row -> basic variable
 	vstat []int8 // variable -> status
@@ -51,16 +72,34 @@ type solver struct {
 	xB    []float64
 	binv  [][]float64 // m row views into one contiguous m×m slab
 
+	// colNZ[k] lists the rows where binv column k may be nonzero and
+	// rowNZ[r] the columns where binv row r may be nonzero, in fill
+	// order. Both are supersets: an entry that cancels to exactly zero
+	// stays listed. listed holds one bit per binv position (r*m+k), so
+	// an entry that cancels and later refills is listed once.
+	colNZ, rowNZ [][]int32
+	listed       []uint64
+
+	// priceRows is the row-wise copy of the structural columns with
+	// lb != ub, the only structurals pricing can enter; rc holds one
+	// accumulator per structural column for the scatters over it.
+	priceRows sparseLines
+	rc        []float64
+
 	// rowIdx holds 0..m-1; unit columns index into it.
 	rowIdx []int32
 	// elig lists, ascending, the columns pricing may enter: nonbasic
 	// with lb != ub. Rebuilt at the start of each pivot loop, kept
 	// current by pivot.
 	elig []int32
+	// wNZ lists, ascending, the rows where the last FTRAN's w is nonzero.
+	wNZ []int32
 	// nzIdx/nzVal: scratch for the nonzero positions and values of the
-	// scaled pivot row of the last pivot.
-	nzIdx []int32
-	nzVal []float64
+	// scaled pivot row of the last pivot; rhoIdx: scratch for the
+	// nonzero positions of the dual simplex's pivot row.
+	nzIdx  []int32
+	nzVal  []float64
+	rhoIdx []int32
 
 	artStart int // first artificial variable index (== n if none)
 
@@ -123,34 +162,9 @@ func newCore(p *Problem, opt Options) *solver {
 		rowFam:  p.rowFam,
 	}
 
-	// Structural columns from the row-wise input, in two passes (count,
-	// then fill) into one index slab and one value slab; each column is
-	// a capped sub-slice, entries in row order.
-	start := make([]int, nStruct+1)
-	for _, r := range p.rows {
-		for _, j := range r.Idx {
-			start[j+1]++
-		}
-	}
-	for j := 0; j < nStruct; j++ {
-		start[j+1] += start[j]
-	}
-	idx := make([]int32, start[nStruct])
-	val := make([]float64, start[nStruct])
-	fill := append([]int(nil), start[:nStruct]...)
-	for i, r := range p.rows {
-		for k, j := range r.Idx {
-			idx[fill[j]] = int32(i)
-			val[fill[j]] = r.Val[k]
-			fill[j]++
-		}
-	}
+	s.csc = p.columns()
 	nCap := nStruct + 2*m // room for the slacks and any artificials
-	s.cols = make([]colref, nStruct, nCap)
-	for j := range s.cols {
-		a, b := start[j], start[j+1]
-		s.cols[j] = colref{idx[a:b:b], val[a:b:b]}
-	}
+	s.units = make([]colref, 0, 2*m)
 	s.rowIdx = make([]int32, m)
 	for i := range s.rowIdx {
 		s.rowIdx[i] = int32(i)
@@ -162,6 +176,32 @@ func newCore(p *Problem, opt Options) *solver {
 	for i, r := range p.rows {
 		s.b[i] = r.RHS
 	}
+
+	// Pricing copy: each row's entries in the columns that can enter,
+	// counted first so a dive that has fixed most columns allocates only
+	// what is left. Bounds of structurals never change within a solve.
+	nnz := 0
+	for j := 0; j < nStruct; j++ {
+		if s.lb[j] != s.ub[j] {
+			nnz += int(s.csc.start[j+1] - s.csc.start[j])
+		}
+	}
+	pr := sparseLines{
+		start: make([]int32, m+1),
+		idx:   make([]int32, 0, nnz),
+		val:   make([]float64, 0, nnz),
+	}
+	for i, r := range p.rows {
+		for k, j := range r.Idx {
+			if s.lb[j] != s.ub[j] {
+				pr.idx = append(pr.idx, int32(j))
+				pr.val = append(pr.val, r.Val[k])
+			}
+		}
+		pr.start[i+1] = int32(len(pr.idx))
+	}
+	s.priceRows = pr
+	s.rc = make([]float64, nStruct)
 
 	// Initial nonbasic statuses and values for structurals: the finite
 	// bound nearest zero, or zero for free variables.
@@ -200,8 +240,7 @@ func newCore(p *Problem, opt Options) *solver {
 		default: // EQ
 			lo, hi = 0, 0
 		}
-		j := s.addCol(0, lo, hi)
-		s.cols[j] = s.unitCol(i, 1)
+		s.addCol(0, lo, hi, s.unitCol(i, 1))
 	}
 	s.artStart = s.n
 
@@ -231,7 +270,7 @@ func newSolver(p *Problem, opt Options) *solver {
 	resid := append([]float64(nil), s.b...)
 	for j := 0; j < nStruct; j++ {
 		if s.x[j] != 0 {
-			c := s.cols[j]
+			c := s.col(j)
 			for k, i := range c.idx {
 				resid[i] -= c.val[k] * s.x[j]
 			}
@@ -266,16 +305,17 @@ func newSolver(p *Problem, opt Options) *solver {
 		if resid[i] < 0 {
 			coeff = -1
 		}
-		aj := s.addCol(0, 0, Inf)
-		s.cols[aj] = s.unitCol(i, coeff)
+		aj := s.addCol(0, 0, Inf, s.unitCol(i, coeff))
 		s.basis[i] = aj
 		s.vstat[aj] = basic
 		s.x[aj] = math.Abs(resid[i])
 		s.xB[i] = s.x[aj]
 		diag[i] = coeff
 	}
+	s.newPattern()
 	for i := 0; i < m; i++ {
 		s.binv[i][i] = diag[i]
+		s.list(i, i)
 	}
 	if s.prof != nil {
 		s.prof.direct(phSetup, t0)
@@ -294,6 +334,37 @@ func newSquare(m int) [][]float64 {
 	return rows
 }
 
+// patCap is the room each binv pattern list gets in the shared slab
+// before it grows on its own.
+const patCap = 16
+
+// newPattern allocates empty colNZ/rowNZ lists and the listed bitset.
+func (s *solver) newPattern() {
+	m := s.m
+	s.listed = make([]uint64, (m*m+63)/64)
+	s.colNZ, s.rowNZ = make([][]int32, m), make([][]int32, m)
+	slab := make([]int32, 2*m*patCap)
+	for i := 0; i < m; i++ {
+		a := 2 * i * patCap
+		s.colNZ[i] = slab[a : a : a+patCap]
+		s.rowNZ[i] = slab[a+patCap : a+patCap : a+2*patCap]
+	}
+}
+
+// list records binv position (r, k) in the pattern unless already there.
+// Kept out of line: inlined, it crowds the rank-1 update's inner loop.
+//
+//go:noinline
+func (s *solver) list(r, k int) {
+	b := r*s.m + k
+	if s.listed[b>>6]&(1<<(b&63)) != 0 {
+		return
+	}
+	s.listed[b>>6] |= 1 << (b & 63)
+	s.rowNZ[r] = append(s.rowNZ[r], int32(k))
+	s.colNZ[k] = append(s.colNZ[k], int32(r))
+}
+
 // unitCol returns the column coef*e_i (coef is +1 or -1) of a slack or
 // artificial of row i, as views into shared read-only storage.
 func (s *solver) unitCol(i int, coef float64) colref {
@@ -304,12 +375,20 @@ func (s *solver) unitCol(i int, coef float64) colref {
 	return colref{s.rowIdx[i : i+1 : i+1], v}
 }
 
-// addCol appends a variable (its column set by the caller) and returns
+// col returns column j of the computational form.
+func (s *solver) col(j int) colref {
+	if j < s.nStruct {
+		return s.csc.line(j)
+	}
+	return s.units[j-s.nStruct]
+}
+
+// addCol appends a slack or artificial with unit column col and returns
 // its index.
-func (s *solver) addCol(c, lo, hi float64) int {
+func (s *solver) addCol(c, lo, hi float64, col colref) int {
 	j := s.n
 	s.n++
-	s.cols = append(s.cols, colref{})
+	s.units = append(s.units, col)
 	s.cost = append(s.cost, c)
 	s.lb = append(s.lb, lo)
 	s.ub = append(s.ub, hi)
@@ -373,26 +452,25 @@ func (s *solver) run() (*Solution, error) {
 	return sol, nil
 }
 
-// computeDuals fills y = cB' * Binv for the given cost vector.
+// computeDuals fills y = cB' * Binv for the given cost vector, adding
+// each basic row with nonzero cost over its listed positions: y[k] sums
+// the same nonzero terms in the same row order as a dense sweep.
 func (s *solver) computeDuals(cost, y []float64) {
-	m := s.m
-	for k := 0; k < m; k++ {
-		y[k] = 0
-	}
-	for i := 0; i < m; i++ {
-		cb := cost[s.basis[i]]
+	clear(y)
+	for i, bi := range s.basis {
+		cb := cost[bi]
 		if cb == 0 {
 			continue
 		}
 		row := s.binv[i]
-		for k := 0; k < m; k++ {
+		for _, k := range s.rowNZ[i] {
 			y[k] += cb * row[k]
 		}
 	}
 }
 
-// dualsProfiled is computeDuals with the O(m²) dual recomputation
-// attributed to the pricing phase when profiling is armed.
+// dualsProfiled is computeDuals with the dual recomputation attributed
+// to the pricing phase when profiling is armed.
 func (s *solver) dualsProfiled(cost, y []float64) {
 	if s.prof == nil {
 		s.computeDuals(cost, y)
@@ -437,17 +515,16 @@ func (s *solver) iterate(cost []float64) Status {
 			}
 		}
 
-		// Pricing over the eligible columns in ascending index order.
+		// Pricing over the eligible columns in ascending index order:
+		// structural reduced costs come from one scatter over the nonzero
+		// duals, unit columns are priced directly.
+		s.reducedCosts(cost, y)
 		entering := -1
 		var dir, enterD float64
 		bestViol := feasTol
 		for _, j32 := range s.elig {
 			j := int(j32)
-			c := s.cols[j]
-			d := cost[j]
-			for k, i := range c.idx {
-				d -= y[i] * c.val[k]
-			}
+			d := s.reducedCost(j, cost, y)
 			var viol, dj float64
 			switch s.vstat[j] {
 			case atLower:
@@ -492,7 +569,8 @@ func (s *solver) iterate(cost []float64) Status {
 		}
 		leaving := -1
 		leavingToUpper := false
-		for i := 0; i < m; i++ {
+		for _, i32 := range s.wNZ {
+			i := int(i32)
 			delta := dir * w[i]
 			bi := s.basis[i]
 			var lim float64
@@ -589,6 +667,36 @@ func (s *solver) iterate(cost []float64) Status {
 	return IterLimit
 }
 
+// reducedCosts fills rc[j] = cost[j] - y'A_j for the structural columns
+// that can enter, by a scatter over the rows with y_i != 0 in ascending
+// order: each column subtracts the same nonzero terms in the same row
+// order as a gather down the column. Skipped terms have y_i = 0, which
+// can only change the sign of a zero reduced cost, never a choice.
+func (s *solver) reducedCosts(cost, y []float64) {
+	rc := s.rc
+	copy(rc, cost[:s.nStruct])
+	for i, yi := range y {
+		if yi == 0 {
+			continue
+		}
+		r := s.priceRows.line(i)
+		val := r.val[:len(r.idx)]
+		for t, j := range r.idx {
+			rc[j] -= yi * val[t]
+		}
+	}
+}
+
+// reducedCost returns column j's reduced cost after reducedCosts: the
+// scattered value for a structural, computed directly for a unit column.
+func (s *solver) reducedCost(j int, cost, y []float64) float64 {
+	if j < s.nStruct {
+		return s.rc[j]
+	}
+	c := s.units[j-s.nStruct]
+	return cost[j] - y[c.idx[0]]*c.val[0]
+}
+
 // buildEligible lists, ascending, the nonbasic columns with lb != ub.
 func (s *solver) buildEligible() {
 	s.elig = s.elig[:0]
@@ -599,19 +707,26 @@ func (s *solver) buildEligible() {
 	}
 }
 
-// ftran computes w = Binv * A[j] row by row: w[r] accumulates
-// binv[r][i]*v over column j's entries in entry order, so each binv row
-// is read once and each sum adds the same products in the same order as
-// a column-by-column sweep.
+// ftran computes w = Binv * A[j]: for each entry i of column j in
+// entry order, w[r] += binv[r][i]*v over the rows listed for binv column
+// i. Each w[r] adds the same nonzero products in the same order as a
+// dense sweep. The nonzero rows of w are then left, ascending, in wNZ.
 func (s *solver) ftran(j int, w []float64) {
-	c := s.cols[j]
-	for r, row := range s.binv {
-		acc := 0.0
-		for k, i := range c.idx {
-			acc += row[i] * c.val[k]
+	clear(w)
+	c := s.col(j)
+	for k, i := range c.idx {
+		v := c.val[k]
+		for _, r := range s.colNZ[i] {
+			w[r] += s.binv[r][i] * v
 		}
-		w[r] = acc
 	}
+	nz := s.wNZ[:0]
+	for r, v := range w {
+		if v != 0 {
+			nz = append(nz, int32(r))
+		}
+	}
+	s.wNZ = nz
 }
 
 // step moves the entering variable by dir*t and every basic variable
@@ -620,20 +735,19 @@ func (s *solver) step(enter int, dir, t float64, w []float64) {
 	if t == 0 {
 		return
 	}
-	for i, wi := range w {
-		if wi != 0 {
-			s.xB[i] -= dir * wi * t
-			s.x[s.basis[i]] = s.xB[i]
-		}
+	for _, i := range s.wNZ {
+		s.xB[i] -= dir * w[i] * t
+		s.x[s.basis[i]] = s.xB[i]
 	}
 	s.x[enter] += dir * t
 }
 
-// pivot makes enter basic in row r, given w = Binv * A[enter]; the
-// leaving variable goes nonbasic at status leave (atLower or atUpper)
-// on that bound. Binv takes the rank-1 update, which touches only the
-// nonzero positions of the scaled pivot row: skipped entries would
-// subtract f*0. Those positions and values are left in nzIdx/nzVal.
+// pivot makes enter basic in row r, given w = Binv * A[enter] and its
+// pattern wNZ; the leaving variable goes nonbasic at status leave
+// (atLower or atUpper) on that bound. Binv takes the rank-1 update over
+// the nonzero rows of w and the nonzero positions of the scaled pivot
+// row: skipped entries would subtract f*0. Those positions and values
+// are left in nzIdx/nzVal; positions the update fills in are listed.
 func (s *solver) pivot(r, enter int, leave int8, w []float64) {
 	lv := s.basis[r]
 	s.vstat[lv] = leave
@@ -658,21 +772,26 @@ func (s *solver) pivot(r, enter int, leave int8, w []float64) {
 	rowR := s.binv[r]
 	invPiv := 1 / w[r]
 	nzIdx, nzVal := s.nzIdx[:0], s.nzVal[:0]
-	for k := range rowR {
+	for _, k := range s.rowNZ[r] {
 		rowR[k] *= invPiv
 		if v := rowR[k]; v != 0 {
-			nzIdx = append(nzIdx, int32(k))
+			nzIdx = append(nzIdx, k)
 			nzVal = append(nzVal, v)
 		}
 	}
 	s.nzIdx, s.nzVal = nzIdx, nzVal
 	nzVal = nzVal[:len(nzIdx)] // lets the compiler drop nzVal's bounds check
-	for i, f := range w {
-		if i == r || f == 0 {
+	for _, i32 := range s.wNZ {
+		i := int(i32)
+		if i == r {
 			continue
 		}
+		f := w[i]
 		row := s.binv[i]
 		for t, k := range nzIdx {
+			if row[k] == 0 {
+				s.list(i, int(k)) // fill-in (or a cancelled entry refilling)
+			}
 			row[k] -= f * nzVal[t]
 		}
 	}
@@ -701,7 +820,7 @@ func (s *solver) refresh() {
 		if s.vstat[j] == basic || s.x[j] == 0 {
 			continue
 		}
-		c := s.cols[j]
+		c := s.col(j)
 		for k, i := range c.idx {
 			r[i] -= c.val[k] * s.x[j]
 		}

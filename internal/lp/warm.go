@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Basis is an opaque snapshot of an optimal simplex basis, suitable for
 // warm-starting a later solve of a structurally identical problem (same
@@ -38,7 +41,7 @@ func (s *solver) snapshot() *Basis {
 	copy(b.vstat, s.vstat[:nb])
 	for i, bi := range s.basis {
 		if bi >= s.artStart {
-			row := int(s.cols[bi].idx[0])
+			row := int(s.units[bi-s.nStruct].idx[0])
 			bi = s.nStruct + row
 			b.vstat[bi] = basic
 		}
@@ -149,8 +152,8 @@ func newWarmSolver(p *Problem, opt Options, ws *Basis) (*solver, string) {
 }
 
 // factorize computes the explicit basis inverse for the current basis
-// assignment by Gauss-Jordan elimination with partial pivoting, reporting
-// false on a (near-)singular basis.
+// assignment by Gauss-Jordan elimination with partial pivoting, and
+// lists its nonzero pattern, reporting false on a (near-)singular basis.
 func (s *solver) factorize() bool {
 	var t0 int64
 	if s.prof != nil {
@@ -164,7 +167,7 @@ func (s *solver) factorize() bool {
 		R[r][r] = 1
 	}
 	for k, j := range s.basis {
-		c := s.cols[j]
+		c := s.col(j)
 		for t, i := range c.idx {
 			B[i][k] = c.val[t]
 			if a := math.Abs(c.val[t]); a > maxAbs {
@@ -227,8 +230,14 @@ func (s *solver) factorize() bool {
 		}
 	}
 	s.binv = make([][]float64, m)
+	s.newPattern()
 	for col := 0; col < m; col++ {
 		s.binv[col] = R[perm[col]]
+		for k, v := range s.binv[col] {
+			if v != 0 {
+				s.list(col, k)
+			}
+		}
 	}
 	return true
 }
@@ -249,16 +258,13 @@ func (s *solver) primalFeasible() bool {
 func (s *solver) dualFeasible(cost []float64) bool {
 	y := make([]float64, s.m)
 	s.computeDuals(cost, y)
+	s.reducedCosts(cost, y)
 	for j := 0; j < s.n; j++ {
 		st := s.vstat[j]
 		if st == basic || s.lb[j] == s.ub[j] {
 			continue
 		}
-		c := s.cols[j]
-		d := cost[j]
-		for k, i := range c.idx {
-			d -= y[i] * c.val[k]
-		}
+		d := s.reducedCost(j, cost, y)
 		switch st {
 		case atLower:
 			if d < -feasTol {
@@ -339,6 +345,32 @@ func (s *solver) runWarm() (*Solution, bool, error) {
 	return sol, true, nil
 }
 
+// pivotRowAlphas fills rc[j] = rho'A_j, rho = Binv[r,:], for the
+// structural columns that can enter, by a scatter over rho's nonzero
+// positions in ascending order: each column adds the same nonzero terms
+// in the same row order as a gather down the column.
+func (s *solver) pivotRowAlphas(r int) {
+	rho := s.binv[r]
+	nz := s.rhoIdx[:0]
+	for _, k := range s.rowNZ[r] {
+		if rho[k] != 0 {
+			nz = append(nz, k)
+		}
+	}
+	slices.Sort(nz)
+	s.rhoIdx = nz
+	rc := s.rc
+	clear(rc)
+	for _, i := range nz {
+		ri := rho[i]
+		pr := s.priceRows.line(int(i))
+		val := pr.val[:len(pr.idx)]
+		for t, j := range pr.idx {
+			rc[j] += ri * val[t]
+		}
+	}
+}
+
 // dualSimplex restores primal feasibility from a dual-feasible basis,
 // pivoting on the most-violated basic variable. Returns Optimal when
 // primal feasibility is reached (dual feasibility is maintained, so the
@@ -397,14 +429,17 @@ func (s *solver) dualSimplex(cost []float64) Status {
 		// xB[r] toward its violated bound, pick the smallest
 		// |reduced cost| / |alpha| (ties to the larger pivot).
 		rho := s.binv[r]
+		s.pivotRowAlphas(r)
 		enter, bestRatio, bestAlpha := -1, Inf, 0.0
 		for _, j32 := range s.elig {
 			j := int(j32)
 			st := s.vstat[j]
-			c := s.cols[j]
-			alpha := 0.0
-			for k, i := range c.idx {
-				alpha += rho[i] * c.val[k]
+			c := s.col(j)
+			var alpha float64
+			if j < s.nStruct {
+				alpha = s.rc[j]
+			} else {
+				alpha = rho[c.idx[0]] * c.val[0]
 			}
 			if math.Abs(alpha) <= pivTol {
 				continue

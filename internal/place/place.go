@@ -13,6 +13,7 @@
 package place
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -36,12 +37,24 @@ func DefaultConfig() Config {
 	return Config{Seed: 1, RefinePasses: 3, MaxRepairRounds: 20}
 }
 
+// ctxCheckMoves is how many annealing moves run between polls of the
+// context: a move re-costs every op, so a canceled placement stops
+// within a few milliseconds.
+const ctxCheckMoves = 64
+
 // Place computes the aging-unaware baseline floorplan for d: a mapping
 // that meets the clock period with a minimal packed bounding box.
 //
 // It returns an error if no legal placement meeting the clock period is
 // found even with the region grown to the full fabric.
 func Place(d *arch.Design, cfg Config) (arch.Mapping, error) {
+	return PlaceContext(context.Background(), d, cfg)
+}
+
+// PlaceContext is Place with cooperative cancellation: it polls ctx
+// before each region size and every ctxCheckMoves annealing moves, and
+// returns ctx.Err() once ctx is done.
+func PlaceContext(ctx context.Context, d *arch.Design, cfg Config) (arch.Mapping, error) {
 	if cfg.RefinePasses == 0 {
 		cfg.RefinePasses = 3
 	}
@@ -56,6 +69,9 @@ func Place(d *arch.Design, cfg Config) (arch.Mapping, error) {
 		side++
 	}
 	for ; side <= max(d.Fabric.W, d.Fabric.H); side++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		w, h := side, side
 		if w > d.Fabric.W {
 			w = d.Fabric.W
@@ -72,7 +88,10 @@ func Place(d *arch.Design, cfg Config) (arch.Mapping, error) {
 		if !ok && w >= d.Fabric.W && h >= d.Fabric.H {
 			// Last resort at full fabric size: annealing repair escapes
 			// the greedy repair's local optima on dense designs.
-			ok = annealRepairTiming(d, m, rng, 300*d.NumOps())
+			var err error
+			if ok, err = annealRepairTiming(ctx, d, m, rng, 300*d.NumOps()); err != nil {
+				return nil, err
+			}
 		}
 		if ok {
 			if err := arch.ValidateMapping(d, m); err != nil {
@@ -87,8 +106,8 @@ func Place(d *arch.Design, cfg Config) (arch.Mapping, error) {
 
 // annealRepairTiming runs a Metropolis walk on CPD overage (with a small
 // wirelength tie-break), mutating m in place. Returns true once the
-// design meets its clock period.
-func annealRepairTiming(d *arch.Design, m arch.Mapping, rng *rand.Rand, moves int) bool {
+// design meets its clock period, or ctx.Err() once ctx is done.
+func annealRepairTiming(ctx context.Context, d *arch.Design, m arch.Mapping, rng *rand.Rand, moves int) (bool, error) {
 	inc := timing.NewIncremental(d, m)
 	occ := make([]map[arch.Coord]int, d.NumContexts)
 	for c := range occ {
@@ -115,6 +134,11 @@ func annealRepairTiming(d *arch.Design, m arch.Mapping, rng *rand.Rand, moves in
 	cool := math.Pow(0.005/temp, 1/math.Max(1, float64(moves)))
 	n := d.Fabric.NumPEs()
 	for i := 0; i < moves && cur > 0; i++ {
+		if i%ctxCheckMoves == 0 {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+		}
 		op := rng.Intn(d.NumOps())
 		c := d.Ctx[op]
 		from := inc.Mapping()[op]
@@ -145,10 +169,10 @@ func annealRepairTiming(d *arch.Design, m arch.Mapping, rng *rand.Rand, moves in
 		temp *= cool
 	}
 	if cur > 0 {
-		return false
+		return false, nil
 	}
 	copy(m, inc.Mapping())
-	return true
+	return true, nil
 }
 
 // greedySeed places each context's ops into the w x h corner region in

@@ -393,7 +393,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, err
 			return nil, nil, err
 		}
 		info := &solveInfo{design: d.Name, ops: d.NumOps(), contexts: d.NumContexts}
-		m0, err := place.Place(d, place.DefaultConfig())
+		m0, err := place.PlaceContext(ctx, d, place.DefaultConfig())
 		if err != nil {
 			return nil, info, err
 		}
@@ -442,7 +442,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, err
 		// place.Place is deterministic for a fixed seed, and the
 		// canonical design is identical across isomorphic submissions,
 		// so every one of them gets the same starting floorplan.
-		m0, err = place.Place(d, place.DefaultConfig())
+		m0, err = place.PlaceContext(ctx, d, place.DefaultConfig())
 		if err != nil {
 			return nil, info, err
 		}

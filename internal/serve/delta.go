@@ -124,14 +124,14 @@ const (
 
 // coldPlan prepares a from-scratch solve of the delta design in its own
 // numbering — the fallback when the base's artifacts cannot seed it.
-func coldPlan(doc *arch.Document, reason string, diff DeltaDiff) (*deltaPlan, error) {
+func coldPlan(ctx context.Context, doc *arch.Document, reason string, diff DeltaDiff) (*deltaPlan, error) {
 	d, mappings, err := arch.FromDocument(doc)
 	if err != nil {
 		return nil, badRequest("serve: bad design: %v", err)
 	}
 	m0 := mappings[canon.BaselineMapping]
 	if m0 == nil {
-		m0, err = place.Place(d, place.DefaultConfig())
+		m0, err = place.PlaceContext(ctx, d, place.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -145,27 +145,27 @@ func coldPlan(doc *arch.Document, reason string, diff DeltaDiff) (*deltaPlan, er
 // ops changed or added) that the prior plausibly still helps; anything
 // that breaks the numbering alignment demotes to cold with a reason
 // instead of failing.
-func (s *Server) planDelta(j *job) (*deltaPlan, error) {
+func (s *Server) planDelta(ctx context.Context, j *job) (*deltaPlan, error) {
 	doc := j.req.Design
 	art := j.baseArtifacts
 	if art == nil || art.clientDoc == nil {
-		return coldPlan(doc, fallbackNoArtifacts, DeltaDiff{})
+		return coldPlan(ctx, doc, fallbackNoArtifacts, DeltaDiff{})
 	}
 	diff := computeDiff(art.clientDoc, doc)
 	switch {
 	case diff.FabricChanged:
-		return coldPlan(doc, fallbackFabricChanged, diff)
+		return coldPlan(ctx, doc, fallbackFabricChanged, diff)
 	case diff.OpsRemoved > 0:
-		return coldPlan(doc, fallbackOpsRemoved, diff)
+		return coldPlan(ctx, doc, fallbackOpsRemoved, diff)
 	case diff.ContextsRemoved > 0:
-		return coldPlan(doc, fallbackContextsRemoved, diff)
+		return coldPlan(ctx, doc, fallbackContextsRemoved, diff)
 	case 2*(diff.OpsModified+diff.OpsAdded) > len(art.clientDoc.Ops):
-		return coldPlan(doc, fallbackTooLarge, diff)
+		return coldPlan(ctx, doc, fallbackTooLarge, diff)
 	}
 
 	plan, ok := s.alignDelta(doc, art, diff)
 	if !ok {
-		return coldPlan(doc, fallbackAlignment, diff)
+		return coldPlan(ctx, doc, fallbackAlignment, diff)
 	}
 	return plan, nil
 }
@@ -314,7 +314,7 @@ func identityPerm(n int) []int {
 // in the delta client's numbering, and export fresh artifacts so delta
 // jobs can chain.
 func (s *Server) executeDelta(ctx context.Context, j *job) (*execOut, *solveInfo, error) {
-	plan, err := s.planDelta(j)
+	plan, err := s.planDelta(ctx, j)
 	if err != nil {
 		return nil, nil, err
 	}
