@@ -235,7 +235,6 @@ func run() int {
 
 	opts := core.DefaultOptions()
 	opts.Seed = *seed
-	opts.Debug = *debug
 	opts.WarmHeuristics = *warmH
 	opts.Trace = tracer
 	switch *mode {
@@ -335,28 +334,17 @@ func run() int {
 		if p, err := telemetry.Open(telemetry.Config{Dir: *telemDir}); err != nil {
 			fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
 		} else {
-			ms := func(dur time.Duration) float64 { return float64(dur) / float64(time.Millisecond) }
 			ev := &telemetry.SolveEvent{
-				Time:          time.Now(),
-				Source:        telemetry.SourceCLI,
-				Bench:         d.Name,
-				Ops:           d.NumOps(),
-				Contexts:      d.NumContexts,
-				Mode:          *mode,
-				Status:        r.Status.String(),
-				ElapsedMs:     ms(r.Stats.Elapsed),
-				Step1Ms:       ms(r.Stats.Step1Time),
-				RotateMs:      ms(r.Stats.RotateTime),
-				Step2Ms:       ms(r.Stats.Step2Time),
-				TimingMs:      ms(r.Stats.TimingTime),
-				LPSolves:      r.Stats.LPSolves,
-				SimplexIters:  r.Stats.SimplexIters,
-				ILPNodes:      r.Stats.ILPNodes,
-				STProbes:      r.Stats.STProbes,
-				ProbeTimeouts: r.Stats.ProbeTimeouts,
-				WarmStarts:    r.Stats.WarmStarts,
-				WarmRejects:   r.Stats.WarmStartRejects,
+				Time:      time.Now(),
+				Source:    telemetry.SourceCLI,
+				Bench:     d.Name,
+				Ops:       d.NumOps(),
+				Contexts:  d.NumContexts,
+				Mode:      *mode,
+				Status:    r.Status.String(),
+				ElapsedMs: float64(r.Stats.Elapsed) / float64(time.Millisecond),
 			}
+			ev.FillStats(r.Stats)
 			ev.FillKernel(rec.KernelSnapshot())
 			p.Record(ev)
 			if err := p.Close(); err != nil {

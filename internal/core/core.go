@@ -100,16 +100,10 @@ type Options struct {
 	RotationRestarts int
 	// CritEpsNs is the slack tolerance identifying critical ops.
 	CritEpsNs float64
-	// Debug prints per-iteration progress of Algorithm 1 to stdout.
-	// It is sugar for a Trace carrying a stdout obs.DebugSink: when
-	// Trace is nil and Debug is set, Remap installs exactly that, so
-	// debug output and trace events come from the same span stream and
-	// cannot drift apart. With Trace set, Debug is ignored — attach a
-	// DebugSink to the tracer instead.
-	Debug bool
 	// Trace receives structured spans, instant events, and (when a
 	// registry is attached) metrics for the whole flow; see
-	// internal/obs for the span taxonomy. nil — the default — disables
+	// internal/obs for the span taxonomy. nil falls back to the
+	// context-carried tracer (obs.WithTracer); nil both ways disables
 	// all instrumentation at zero cost, including zero allocations on
 	// the solver hot paths.
 	Trace *obs.Tracer
@@ -120,11 +114,12 @@ type Options struct {
 	TraceParent obs.Span
 	// Flight, when non-nil, journals every decision Algorithm 1 makes —
 	// Step-1 probes, relaxations, rotation scoring, pre-maps, warm-start
-	// outcomes, infeasibility attributions — into the per-solve flight
-	// recorder (internal/flight); Remap also threads it onto the context
-	// so the lp layer underneath journals into the same recorder. nil
-	// falls back to the context-carried recorder (flight.WithRecorder);
-	// nil both ways disables journaling at zero cost. Note: under RemapBoth the two concurrent arms interleave
+	// outcomes, infeasibility attributions, LP effort — into the
+	// per-solve flight recorder (internal/flight). nil falls back to the
+	// context-carried recorder (flight.WithRecorder); nil both ways
+	// disables journaling at zero cost. A recorder armed with
+	// EnableKernel turns on the LP kernel profiler for every solve of
+	// the flow. Note: under RemapBoth the two concurrent arms interleave
 	// their events in one journal; attach a recorder per Remap call when
 	// per-arm ordering matters.
 	Flight *flight.Recorder
@@ -293,29 +288,6 @@ type Stats struct {
 	// the duration convention above: unlike the phase fields it is not
 	// aggregated by add).
 	Elapsed time.Duration
-}
-
-// noteLP folds one LP solve into the counters and mirrors it into the
-// tracer's metrics registry (no-op without one). warmTried reports
-// whether a warm-start basis was offered to the solver.
-func (st *Stats) noteLP(tr *obs.Tracer, sol *lp.Solution, warmTried bool) {
-	st.LPSolves++
-	st.SimplexIters += sol.Iters
-	reg := tr.Registry()
-	reg.Counter("agingfp_lp_solves_total").Inc()
-	reg.Counter("agingfp_simplex_iters_total").Add(int64(sol.Iters))
-	if warmTried {
-		if sol.Warm {
-			st.WarmStarts++
-			reg.Counter("agingfp_warm_starts_total").Inc()
-		} else {
-			// The reject itself is counted by the LP layer's labeled
-			// agingfp_lp_warmstart_rejects_total{reason=...} counter at
-			// the point where the reason is known; here only the Stats
-			// field advances.
-			st.WarmStartRejects++
-		}
-	}
 }
 
 // add accumulates other into st. Every counter and every per-phase

@@ -99,8 +99,8 @@ func TestOriginalAssignmentSatisfiesFormulation(t *testing.T) {
 	}
 
 	// And the solver must find some solution at this budget.
-	stats := &Stats{}
-	asn, ok, _, err := solveBatch(context.Background(), bp, DefaultOptions(), stats, rand.New(rand.NewSource(9)), time.Time{}, nil, 0, obs.Span{})
+	f := newFold(context.Background(), DefaultOptions()).run(&Stats{})
+	asn, ok, _, err := solveBatch(context.Background(), bp, DefaultOptions(), f, rand.New(rand.NewSource(9)), time.Time{}, nil, 0, obs.Span{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"agingfp/internal/dfg"
-	"agingfp/internal/lp"
 	"agingfp/internal/obs"
 )
 
@@ -128,16 +127,15 @@ func TestRemapObservability(t *testing.T) {
 		}
 	}
 
-	// Warm-start rejects are counted per reason (in the LP layer, where
-	// the reason is known); the labeled family must sum to the Stats
-	// total.
+	// Warm-start rejects are counted per reason (from the reason the LP
+	// solution reports); the labeled family must sum to the Stats total.
 	var rejects int64
 	for _, reason := range []string{"dim_mismatch", "stale_basis", "singular"} {
-		rejects += reg.Counter(obs.Labeled(lp.WarmRejectsMetric, "reason", reason)).Value()
+		rejects += reg.Counter(obs.Labeled(WarmRejectsMetric, "reason", reason)).Value()
 	}
 	if rejects != int64(r.Stats.WarmStartRejects) {
 		t.Errorf("%s (summed over reasons) = %d, want %d (Stats)",
-			lp.WarmRejectsMetric, rejects, r.Stats.WarmStartRejects)
+			WarmRejectsMetric, rejects, r.Stats.WarmStartRejects)
 	}
 
 	// Phase gauges mirror the Stats phase durations (same run, same

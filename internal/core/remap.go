@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"time"
 
@@ -32,10 +31,16 @@ import (
 // alongside ctx.Err(); existing synchronous callers pass
 // context.Background().
 func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (*Result, error) {
-	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return remap(ctx, d, m0, opts, newFold(ctx, opts))
+}
+
+// remap is one Remap run writing its work through the job's shared
+// sinks (see fold).
+func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, sinks *fold) (*Result, error) {
+	start := time.Now()
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -45,30 +50,6 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-
-	// Observability: explicit Options.Trace wins; otherwise fall back to
-	// the context-carried tracer (how server-traced jobs reach this layer),
-	// and only then to the opts.Debug sugar that installs a stdout debug
-	// sink, so the historical -debug trace and the span stream are one and
-	// the same.
-	if opts.Trace == nil {
-		opts.Trace = obs.TracerFrom(ctx)
-	}
-	if opts.Trace == nil && opts.Debug {
-		opts.Trace = obs.New(obs.NewDebugSink(os.Stdout))
-	}
-	tr := opts.Trace
-	reg := tr.Registry()
-	rep := obs.ReporterFrom(ctx)
-
-	// The flight recorder follows the same precedence (explicit option,
-	// then context), and the context is re-wrapped with the resolved
-	// recorder so the lp layer underneath journals into it without
-	// per-call wiring.
-	if opts.Flight == nil {
-		opts.Flight = flight.FromContext(ctx)
-	}
-	ctx = flight.WithRecorder(ctx, opts.Flight)
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	staT := time.Now()
@@ -95,6 +76,7 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 		STLowerBound:  stLow,
 	}
 	result.Stats.TimingTime += staDur
+	f := sinks.run(&result.Stats)
 
 	// The run's root span; nested under TraceParent when the caller
 	// provided one (RemapBoth arms, bench runs, the freeze fallback).
@@ -102,37 +84,23 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 	// root so the span stream joins against the server's request log.
 	rootAttrs := []obs.Attr{obs.String("mode", opts.Mode.String()),
 		obs.Int64("seed", opts.Seed), obs.Int("ops", d.NumOps()), obs.Int("contexts", d.NumContexts)}
-	if id := obs.TraceIDFrom(ctx); id != "" {
-		rootAttrs = append(rootAttrs, obs.String("trace_id", id))
+	if f.traceID != "" {
+		rootAttrs = append(rootAttrs, obs.String("trace_id", f.traceID))
 	}
-	var root obs.Span
-	if opts.TraceParent.Active() {
-		root = opts.TraceParent.Child("core.remap", rootAttrs...)
-	} else {
-		root = tr.Start("core.remap", rootAttrs...)
-	}
+	root := f.span(opts.TraceParent, "core.remap", rootAttrs...)
+	// fallback is the work of a nested Freeze run whose floorplan lost to
+	// this run's; it joins the returned Stats after this run's own
+	// accounting, so the returned totals cover both runs.
+	var fallback Stats
 	defer func() {
 		result.Stats.Elapsed = time.Since(start)
-		// Phase gauges accumulate across runs sharing the registry
-		// (both RemapBoth arms, fallback runs); they are cumulative
-		// wall-clock seconds per phase, mirroring the Stats fields.
-		reg.Gauge(`agingfp_phase_seconds{phase="step1"}`).Add(result.Stats.Step1Time.Seconds())
-		reg.Gauge(`agingfp_phase_seconds{phase="rotate"}`).Add(result.Stats.RotateTime.Seconds())
-		reg.Gauge(`agingfp_phase_seconds{phase="step2"}`).Add(result.Stats.Step2Time.Seconds())
-		reg.Gauge(`agingfp_phase_seconds{phase="timing"}`).Add(result.Stats.TimingTime.Seconds())
-		// Distribution counterparts of the cumulative gauges: one
-		// observation per Remap run, so operators get latency quantiles
-		// per phase and for whole runs, not just totals.
-		reg.Histogram(`agingfp_phase_duration_seconds{phase="step1"}`).Observe(result.Stats.Step1Time)
-		reg.Histogram(`agingfp_phase_duration_seconds{phase="rotate"}`).Observe(result.Stats.RotateTime)
-		reg.Histogram(`agingfp_phase_duration_seconds{phase="step2"}`).Observe(result.Stats.Step2Time)
-		reg.Histogram(`agingfp_phase_duration_seconds{phase="timing"}`).Observe(result.Stats.TimingTime)
-		reg.Histogram("agingfp_remap_seconds").Observe(result.Stats.Elapsed)
+		f.end()
 		root.End(
 			obs.Bool("improved", result.Improved),
 			obs.Float("st_target", result.STTarget),
 			obs.Float("new_max_stress", result.NewMaxStress),
 			obs.Int("outer_iterations", result.Stats.OuterIterations))
+		result.Stats.add(fallback)
 	}()
 
 	if stUp-stLow < 1e-12 {
@@ -165,11 +133,11 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 	// the paper's binary-search MILP instead.
 	s1T := time.Now()
 	s1 := root.Child("core.step1", obs.Bool("milp", opts.Step1MILP))
-	rep.Update(func(p *obs.Progress) { p.Phase = "step1" })
+	f.phase("step1", 0)
 	var stLB float64
 	if opts.Step1MILP {
 		var err error
-		stLB, err = stressLowerBound(ctx, d, m0, stress0, stLow, stUp, batchList, opts, rng, &result.Stats, s1)
+		stLB, err = stressLowerBound(ctx, d, m0, stress0, stLow, stUp, batchList, opts, rng, f, s1)
 		if err != nil {
 			s1.End(obs.String("status", "error"))
 			return fail(err)
@@ -179,9 +147,7 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 		if stLB < stLow {
 			stLB = stLow
 		}
-		result.Stats.STProbes++
-		reg.Counter("agingfp_st_probes_total").Inc()
-		opts.Flight.Record(flight.Event{Kind: flight.KindStep1Probe,
+		f.event(flight.Event{Kind: flight.KindStep1Probe,
 			ST: stLB, Status: "feasible", Cause: "greedy"})
 	}
 	result.STLowerBound = stLB
@@ -196,7 +162,7 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 	}
 	rotT := time.Now()
 	rsp := root.Child("core.rotate", obs.String("mode", opts.Mode.String()), obs.Int("critical_ops", len(crit)))
-	rep.Update(func(p *obs.Progress) { p.Phase = "rotate" })
+	f.phase("rotate", 0)
 	if opts.prior != nil {
 		result.Resume = &ResumeInfo{}
 	}
@@ -214,7 +180,7 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 		}
 	}
 	if frozenPos == nil {
-		frozenPos = rotateFrozen(ctx, d, m0, crit, opts, rng, rsp)
+		frozenPos = rotateFrozen(ctx, d, m0, crit, opts, rng, f, rsp)
 	}
 	result.Stats.RotateTime += time.Since(rotT)
 	rsp.End(obs.Int("frozen_ops", len(frozenPos)))
@@ -278,35 +244,21 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 	// runs under a wall-clock budget (Options.TimeLimit) so a single
 	// pathological budget cannot stall the whole search — on timeout the
 	// probe counts as infeasible and the schedule moves on.
-	probeHist := reg.Histogram("agingfp_probe_seconds")
-	outerCtr := reg.Counter("agingfp_outer_iterations_total")
 	// lastProbeStatus feeds the relax events' Cause: a relaxation is
 	// triggered by whatever the previous probe concluded (infeasible,
 	// cpd_regressed, timeout).
 	lastProbeStatus := ""
 	probe := func(st float64) (m arch.Mapping, cpd float64, feasible bool, err error) {
-		result.Stats.OuterIterations++
-		outerRound := result.Stats.OuterIterations
-		outerCtr.Inc()
-		pT := time.Now()
+		f.phase("probe", st)
 		psp := root.Child("core.probe", obs.Float("st", st))
-		rep.Update(func(p *obs.Progress) {
-			p.Phase = "probe"
-			p.STTarget = st
-			p.RelaxRounds = result.Stats.OuterIterations
-			p.LPSolves = int64(result.Stats.LPSolves)
-			p.SimplexIters = int64(result.Stats.SimplexIters)
-		})
 		status := "infeasible"
 		defer func() {
-			probeHist.Observe(time.Since(pT))
 			psp.End(obs.String("status", status))
 			lastProbeStatus = status
-			// Exactly one probe event per OuterIterations increment (this
-			// closure is the only place either happens), so the report's
-			// RelaxIterations always equals Stats.OuterIterations.
-			opts.Flight.Record(flight.Event{Kind: flight.KindProbe,
-				Round: outerRound, ST: st, Status: status, Obj: cpd})
+			// The fold counts the outer iteration from this one event, so
+			// the report's RelaxIterations always equals
+			// Stats.OuterIterations.
+			f.event(flight.Event{Kind: flight.KindProbe, ST: st, Status: status, Obj: cpd})
 		}()
 		var deadline time.Time
 		if opts.TimeLimit > 0 {
@@ -319,11 +271,10 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 			}
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				status = "timeout"
-				result.Stats.ProbeTimeouts++
 				return nil, 0, false, nil
 			}
 			s2T := time.Now()
-			mNew, ok, err := solveAllBatches(ctx, d, m0, frozenPos, paths, st, budget, stress0, batchList, opts, rng, &result.Stats, deadline, probeCache, psp)
+			mNew, ok, err := solveAllBatches(ctx, d, m0, frozenPos, paths, st, budget, stress0, batchList, opts, rng, f, deadline, probeCache, psp)
 			result.Stats.Step2Time += time.Since(s2T)
 			if err != nil {
 				status = "error"
@@ -334,9 +285,6 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 					// The batch loop bailed on the probe deadline, not on
 					// a proven infeasibility.
 					status = "timeout"
-					result.Stats.ProbeTimeouts++
-					psp.Event("core.probe.round", obs.Int("round", round), obs.Bool("solved", false))
-					return nil, 0, false, nil
 				}
 				psp.Event("core.probe.round", obs.Int("round", round), obs.Bool("solved", false))
 				return nil, 0, false, nil
@@ -384,25 +332,7 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 		result.NewMaxStress = sm.Max()
 		result.NewCPD = cpd
 		result.Improved = result.NewMaxStress < stUp-1e-12
-		if opts.Flight != nil {
-			// Per-PE stress attribution for the report's heatmap: the
-			// final accumulated stress, and the share the frozen critical
-			// ops contribute (the part re-mapping could not move).
-			f := d.Fabric
-			total := make([][]float64, f.H)
-			for y := range total {
-				total[y] = append([]float64(nil), sm[y]...)
-			}
-			frozen := make([][]float64, f.H)
-			for y := range frozen {
-				frozen[y] = make([]float64, f.W)
-			}
-			for op, pe := range frozenPos {
-				frozen[pe.Y][pe.X] += d.StressRate(op)
-			}
-			opts.Flight.SetStress(&flight.StressAttribution{
-				W: f.W, H: f.H, Total: total, Frozen: frozen})
-		}
+		f.stress(d, sm, frozenPos)
 		return result
 	}
 
@@ -440,8 +370,8 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 			result.Stats.TimingTime += time.Since(vT)
 			if pres.CPD <= budget+1e-9 {
 				m, cpd, ok = pm, pres.CPD, true
-				opts.Flight.Record(flight.Event{Kind: flight.KindProbe,
-					Round: result.Stats.OuterIterations, ST: st1, Status: "prior_validated", Obj: cpd})
+				f.event(flight.Event{Kind: flight.KindProbe,
+					Round: result.Stats.OuterIterations, ST: st1, Status: probePriorValidated, Obj: cpd})
 			}
 		}
 		if !ok {
@@ -486,7 +416,7 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 		// The jump from the failed stStart probe to ST_up is the
 		// bisection's (single, coarse) relaxation; the interior
 		// probes below refine it and appear in the probe table.
-		opts.Flight.Record(flight.Event{Kind: flight.KindRelax,
+		f.event(flight.Event{Kind: flight.KindRelax,
 			Round: result.Stats.OuterIterations, ST: stUp, F: stUp - stStart, Cause: lastProbeStatus})
 		if m, cpd, ok, err := probe(stUp); err != nil {
 			return fail(err)
@@ -526,7 +456,7 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 				if k > 0 {
 					// Algorithm 1's `ST_target += Δ`, caused by
 					// whatever the previous probe concluded.
-					opts.Flight.Record(flight.Event{Kind: flight.KindRelax,
+					f.event(flight.Event{Kind: flight.KindRelax,
 						Round: result.Stats.OuterIterations, ST: st, F: delta, Cause: lastProbeStatus})
 				}
 				m, cpd, ok, err := probe(st)
@@ -578,15 +508,19 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 		fo := opts
 		fo.Mode = Freeze
 		fo.TraceParent = root // nest the fallback run under this one
-		fr, err := Remap(ctx, d, m0, fo)
+		fr, err := remap(ctx, d, m0, fo, sinks)
 		if err != nil {
+			if fr != nil {
+				fallback = fr.Stats
+			}
 			return fail(err)
 		}
-		fr.Stats.add(result.Stats)
 		if betterResult(fr, result) {
+			fr.Stats.add(result.Stats)
 			fr.FallbackToFreeze = true
 			return fr, nil
 		}
+		fallback = fr.Stats
 		return result, nil
 	}
 	return result, nil
@@ -611,27 +545,14 @@ func RemapBoth(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Option
 	// Precompute the design's lazily-built caches before the arms fork so
 	// both reuse one copy instead of racing to build their own.
 	d.Precompute()
+	if ctx == nil {
+		ctx = context.Background()
+	}
 
-	// Resolve the tracer once here (ctx fallback, then the Debug sugar) so
-	// both arms share one sink (and one span-ID space) instead of each
-	// Remap creating its own.
-	if opts.Trace == nil {
-		opts.Trace = obs.TracerFrom(ctx)
-	}
-	if opts.Trace == nil && opts.Debug {
-		opts.Trace = obs.New(obs.NewDebugSink(os.Stdout))
-	}
-	// Resolve the flight recorder once too, so both arms journal into the
-	// same recorder (see Options.Flight for the interleaving caveat).
-	if opts.Flight == nil {
-		opts.Flight = flight.FromContext(ctx)
-	}
-	var both obs.Span
-	if opts.TraceParent.Active() {
-		both = opts.TraceParent.Child("core.remap_both")
-	} else {
-		both = opts.Trace.Start("core.remap_both")
-	}
+	// Both arms write into one set of sinks (one span-ID space, one
+	// journal; see Options.Flight for the interleaving caveat).
+	sinks := newFold(ctx, opts)
+	both := sinks.span(opts.TraceParent, "core.remap_both")
 
 	var (
 		wg                sync.WaitGroup
@@ -643,14 +564,14 @@ func RemapBoth(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Option
 		fo := opts
 		fo.Mode = Freeze
 		fo.TraceParent = both
-		freeze, freezeErr = Remap(ctx, d, m0, fo)
+		freeze, freezeErr = remap(ctx, d, m0, fo, sinks)
 	}()
 	go func() {
 		defer wg.Done()
 		ro := opts
 		ro.Mode = Rotate
 		ro.TraceParent = both
-		rotate, rotErr = Remap(ctx, d, m0, ro)
+		rotate, rotErr = remap(ctx, d, m0, ro, sinks)
 	}()
 	wg.Wait()
 	if freezeErr != nil {
@@ -709,18 +630,16 @@ func violatedPaths(d *arch.Design, m arch.Mapping, res *timing.Result, origCPD f
 // early).
 func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, frozenPos map[int]arch.Coord,
 	paths []*timing.Path, st, cpd float64, stress0 arch.StressMap,
-	batchList [][]int, opts Options, rng *rand.Rand, stats *Stats, deadline time.Time,
+	batchList [][]int, opts Options, rng *rand.Rand, f *fold, deadline time.Time,
 	cache *warmCache, parent obs.Span) (arch.Mapping, bool, error) {
 
-	f := d.Fabric
 	mCur := m0.Clone()
-	committed := make([]float64, f.NumPEs())
+	committed := make([]float64, d.Fabric.NumPEs())
 	for op, pe := range frozenPos {
 		mCur[op] = pe
 	}
 	addStress(d, committed, frozenPos)
 
-	rep := obs.ReporterFrom(ctx)
 	for bi, bctx := range batchList {
 		inBatch := make(map[int]bool, len(bctx))
 		for _, c := range bctx {
@@ -738,18 +657,10 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 		}
 		bsp := parent.Child("core.batch",
 			obs.Int("batch", bi), obs.Int("contexts", len(bctx)), obs.Int("movable", len(movable)))
-		if rep != nil {
-			b, n := bi+1, len(batchList)
-			rep.Update(func(p *obs.Progress) {
-				p.Batch = b
-				p.Batches = n
-				p.LPSolves = int64(stats.LPSolves)
-				p.SimplexIters = int64(stats.SimplexIters)
-			})
-		}
+		f.batch(bi, len(batchList))
 		if err := ctx.Err(); err != nil {
 			bsp.End(obs.String("status", "canceled"))
-			opts.Flight.Record(flight.Event{Kind: flight.KindBatch,
+			f.event(flight.Event{Kind: flight.KindBatch,
 				Batch: bi, N: len(movable), Status: "canceled"})
 			return nil, false, err
 		}
@@ -760,11 +671,11 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			bsp.End(obs.String("status", "timeout"))
-			opts.Flight.Record(flight.Event{Kind: flight.KindBatch,
+			f.event(flight.Event{Kind: flight.KindBatch,
 				Batch: bi, N: len(movable), M: bp.lp.NumRows(), Status: "timeout"})
 			return nil, false, nil // probe budget exhausted
 		}
-		asn, ok, outcome, err := solveBatch(ctx, bp, opts, stats, rng, deadline, cache, bi, bsp)
+		asn, ok, outcome, err := solveBatch(ctx, bp, opts, f, rng, deadline, cache, bi, bsp)
 		if err != nil {
 			bsp.End(obs.String("status", "error"))
 			return nil, false, err
@@ -785,15 +696,12 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 				// exists (or was found): an assignment/integrality failure.
 				family = flight.FamilyAssignment
 			}
-			opts.Flight.Record(flight.Event{Kind: flight.KindBatch,
+			f.event(flight.Event{Kind: flight.KindBatch,
 				Batch: bi, N: len(movable), M: bp.lp.NumRows(), Status: status, Cause: family})
-			if family != "" {
-				opts.Flight.NoteInfeasible(family)
-			}
 			bsp.End(obs.String("status", "infeasible"), obs.Int("rows", bp.lp.NumRows()))
 			return nil, false, nil
 		}
-		opts.Flight.Record(flight.Event{Kind: flight.KindBatch,
+		f.event(flight.Event{Kind: flight.KindBatch,
 			Batch: bi, N: len(movable), M: bp.lp.NumRows(), Status: "solved"})
 		bsp.End(obs.String("status", "solved"), obs.Int("rows", bp.lp.NumRows()))
 		for op, pe := range asn {
@@ -812,7 +720,7 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 // floorplan's mean (ST_low) and max (ST_up) accumulated stress. Each
 // budget probe is traced as a "core.step1.probe" span under parent.
 func stressLowerBound(ctx context.Context, d *arch.Design, m0 arch.Mapping, stress0 arch.StressMap,
-	lo, hi float64, batchList [][]int, opts Options, rng *rand.Rand, stats *Stats, parent obs.Span) (float64, error) {
+	lo, hi float64, batchList [][]int, opts Options, rng *rand.Rand, f *fold, parent obs.Span) (float64, error) {
 
 	// The LPT level is a fast sufficient certificate: any budget at or
 	// above it is feasible without solving a MILP.
@@ -823,40 +731,26 @@ func stressLowerBound(ctx context.Context, d *arch.Design, m0 arch.Mapping, stre
 	// previous probe's basis (see the option's caveats).
 	cache := newWarmCache(len(batchList), opts.WarmHeuristics)
 
-	probeCtr := opts.Trace.Registry().Counter("agingfp_st_probes_total")
-	rep := obs.ReporterFrom(ctx)
 	feasible := func(st float64) (bool, error) {
-		stats.STProbes++
-		probeCtr.Inc()
 		psp := parent.Child("core.step1.probe", obs.Float("st_target", st))
-		rep.Update(func(p *obs.Progress) {
-			p.Phase = "step1"
-			p.STTarget = st
-			p.STProbes = stats.STProbes
-			p.LPSolves = int64(stats.LPSolves)
-			p.SimplexIters = int64(stats.SimplexIters)
-		})
+		f.phase("step1", st)
 		if greedyMax <= st+1e-12 {
 			psp.End(obs.Bool("feasible", true), obs.String("certificate", "greedy"), obs.Int("simplex_iters", 0))
-			opts.Flight.Record(flight.Event{Kind: flight.KindStep1Probe,
+			f.event(flight.Event{Kind: flight.KindStep1Probe,
 				ST: st, Status: "feasible", Cause: "greedy"})
 			return true, nil
 		}
-		itersBefore := stats.SimplexIters
-		m, ok, err := solveAllBatches(ctx, d, m0, nil, nil, st, 0, stress0, batchList, opts, rng, stats, time.Time{}, cache, psp)
+		itersBefore := f.st.SimplexIters
+		_, ok, err := solveAllBatches(ctx, d, m0, nil, nil, st, 0, stress0, batchList, opts, rng, f, time.Time{}, cache, psp)
 		psp.End(obs.Bool("feasible", err == nil && ok), obs.String("certificate", "milp"),
-			obs.Int("simplex_iters", stats.SimplexIters-itersBefore))
+			obs.Int("simplex_iters", f.st.SimplexIters-itersBefore))
 		verdict := "infeasible"
 		if err == nil && ok {
 			verdict = "feasible"
 		}
-		opts.Flight.Record(flight.Event{Kind: flight.KindStep1Probe,
+		f.event(flight.Event{Kind: flight.KindStep1Probe,
 			ST: st, Status: verdict, Cause: "milp"})
-		if err != nil || !ok {
-			return false, err
-		}
-		_ = m
-		return true, nil
+		return err == nil && ok, err
 	}
 
 	steps := opts.BinarySearchSteps

@@ -93,7 +93,7 @@ func orientationPool(orients []int, numContexts int, rng *rand.Rand) []int {
 // Cancellation: a canceled ctx makes the scoring workers stop early and
 // the identity assignment (all ops at their original PEs) is returned;
 // the caller notices ctx.Err() itself and discards the run.
-func rotateFrozen(ctx context.Context, d *arch.Design, m arch.Mapping, frozen map[int]bool, opts Options, rng *rand.Rand, sp obs.Span) map[int]arch.Coord {
+func rotateFrozen(ctx context.Context, d *arch.Design, m arch.Mapping, frozen map[int]bool, opts Options, rng *rand.Rand, f *fold, sp obs.Span) map[int]arch.Coord {
 	out := make(map[int]arch.Coord, len(frozen))
 	if opts.Mode == Freeze || ctx.Err() != nil {
 		for op := range frozen {
@@ -200,7 +200,7 @@ func rotateFrozen(ctx context.Context, d *arch.Design, m arch.Mapping, frozen ma
 	// Journal the restart scores serially in index order (the workers
 	// above stored them by index, so the journal stays deterministic).
 	for r := 0; r < restarts; r++ {
-		opts.Flight.Record(flight.Event{Kind: flight.KindRotateScore,
+		f.event(flight.Event{Kind: flight.KindRotateScore,
 			Round: r, Obj: scores[r], N: len(crossArcs)})
 	}
 
@@ -215,10 +215,10 @@ func rotateFrozen(ctx context.Context, d *arch.Design, m arch.Mapping, frozen ma
 	sp.Event("core.rotate.select",
 		obs.Int("restarts", restarts), obs.Int("winner", bestR),
 		obs.Float("score", bestScore), obs.Int("cross_arcs", len(crossArcs)))
-	opts.Flight.Record(flight.Event{Kind: flight.KindRotate,
+	f.event(flight.Event{Kind: flight.KindRotate,
 		Round: bestR, Obj: bestScore, N: len(crossArcs)})
 	for c := 0; c < d.NumContexts; c++ {
-		opts.Flight.Record(flight.Event{Kind: flight.KindRotateCtx, Ctx: c, Var: best[c]})
+		f.event(flight.Event{Kind: flight.KindRotateCtx, Ctx: c, Var: best[c]})
 	}
 	for op := range frozen {
 		out[op] = orient(m[op], best[d.Ctx[op]], d.Fabric)

@@ -95,7 +95,7 @@ func (c *warmCache) export() []*lp.Basis {
 // DESIGN.md §4b.4 for how this implements the paper's LP-relax /
 // round>0.95 / residual-ILP loop. The relaxation and each dive restart
 // are traced as "core.relax" / "core.dive" spans under parent.
-func solveBatch(ctx context.Context, bp *batchProblem, opts Options, stats *Stats, rng *rand.Rand, deadline time.Time, cache *warmCache, slot int, parent obs.Span) (map[int]arch.Coord, bool, string, error) {
+func solveBatch(ctx context.Context, bp *batchProblem, opts Options, f *fold, rng *rand.Rand, deadline time.Time, cache *warmCache, slot int, parent obs.Span) (map[int]arch.Coord, bool, string, error) {
 	if bp.infeasibleReason != "" {
 		return nil, false, "construction", nil
 	}
@@ -105,14 +105,12 @@ func solveBatch(ctx context.Context, bp *batchProblem, opts Options, stats *Stat
 
 	// Step A: LP relaxation, warm-started from the previous probe's
 	// optimal basis for this batch when one is cached.
-	relOpts := lp.Options{WarmStart: cache.get(slot), Trace: opts.Trace}
 	rsp := parent.Child("core.relax", obs.Int("vars", bp.lp.NumVars()), obs.Int("rows", bp.lp.NumRows()))
-	rel, err := lp.Solve(ctx, bp.lp, relOpts)
+	rel, err := f.solve(ctx, bp.lp, cache.get(slot))
 	if err != nil {
 		rsp.End(obs.String("status", "error"))
 		return nil, false, "", fmt.Errorf("core: relaxation: %w", err)
 	}
-	stats.noteLP(opts.Trace, rel, relOpts.WarmStart != nil)
 	rsp.End(obs.String("status", rel.Status.String()), obs.Int("iters", rel.Iters), obs.Bool("warm", rel.Warm))
 	switch rel.Status {
 	case lp.Infeasible:
@@ -144,7 +142,7 @@ func solveBatch(ctx context.Context, bp *batchProblem, opts Options, stats *Stat
 			warm = rel.Basis
 		}
 		dsp := parent.Child("core.dive", obs.Int("restart", r), obs.Int("movable", len(bp.movable)))
-		asn, ok, frac, err := roundingDive(ctx, bp, rel.X, warm, opts, stats, rng, r > 0, deadline, slot, r, dsp)
+		asn, ok, frac, err := roundingDive(ctx, bp, rel.X, warm, opts, f, rng, r > 0, deadline, slot, r, dsp)
 		if err != nil {
 			return nil, false, "", err
 		}
@@ -183,7 +181,7 @@ type softFix struct {
 // it with the outcome: ok, the pinned fraction reached, LP re-solve and
 // backjump counts. batch and restart locate the dive in the flight
 // journal (one "dive" event per call, one "premap" event per pin round).
-func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBasis *lp.Basis, opts Options, stats *Stats, rng *rand.Rand, perturb bool, deadline time.Time, batch, restart int, dsp obs.Span) (asnOut map[int]arch.Coord, okOut bool, fracOut float64, errOut error) {
+func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBasis *lp.Basis, opts Options, f *fold, rng *rand.Rand, perturb bool, deadline time.Time, batch, restart int, dsp obs.Span) (asnOut map[int]arch.Coord, okOut bool, fracOut float64, errOut error) {
 	prob := bp.lp.CloneBounds()
 	useWarm := rootBasis != nil
 	warm := rootBasis
@@ -193,7 +191,6 @@ func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBa
 	frac := func() float64 { return float64(len(decided)) / float64(len(bp.movable)) }
 
 	lpSolves, backjumps := 0, 0
-	bjCtr := opts.Trace.Registry().Counter("agingfp_dive_backjumps_total")
 	defer func() {
 		dsp.End(obs.Bool("ok", okOut), obs.Float("frac", fracOut),
 			obs.Int("lp_solves", lpSolves), obs.Int("backjumps", backjumps))
@@ -201,7 +198,7 @@ func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBa
 		if okOut {
 			status = "integral"
 		}
-		opts.Flight.Record(flight.Event{Kind: flight.KindDive,
+		f.event(flight.Event{Kind: flight.KindDive,
 			Batch: batch, Round: restart, Status: status, N: len(decided)})
 	}()
 
@@ -241,13 +238,11 @@ func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBa
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				return nil, false, frac(), nil
 			}
-			wopts := lp.Options{WarmStart: warm, Trace: opts.Trace}
-			sol, err := lp.Solve(ctx, prob, wopts)
+			sol, err := f.solve(ctx, prob, warm)
 			if err != nil {
 				return nil, false, frac(), err
 			}
 			lpSolves++
-			stats.noteLP(opts.Trace, sol, wopts.WarmStart != nil)
 			if sol.Status == lp.Optimal {
 				x = sol.X
 				if useWarm {
@@ -260,7 +255,7 @@ func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBa
 				return nil, false, frac(), nil // infeasible at this budget
 			}
 			backjumps++
-			bjCtr.Inc()
+			f.backjump()
 		}
 		if len(decided) == len(bp.movable) {
 			// All ops pinned under a feasible LP: done.
@@ -337,7 +332,7 @@ func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBa
 				pinned++
 			}
 		}
-		opts.Flight.Record(flight.Event{Kind: flight.KindPremap,
+		f.event(flight.Event{Kind: flight.KindPremap,
 			Batch: batch, Round: restart, N: bulkPins, M: len(bp.movable) - len(decided)})
 		fresh = false
 	}
@@ -415,11 +410,9 @@ const diagRelaxedRHS = 1e9
 // severity order: feasible with the stress budgets lifted means the
 // stress budget was the blocker; feasible only with the wire budgets
 // lifted too means path delay; otherwise the assignment/capacity
-// structure itself admits no solution. The diagnosis solves run with the
-// context's flight recorder shadowed so they never pollute the journal's
-// LP-effort aggregates.
+// structure itself admits no solution. The diagnosis solves bypass the
+// fold, so they stay out of every view of the run's LP effort.
 func diagnoseInfeasible(ctx context.Context, bp *batchProblem) string {
-	dctx := flight.WithRecorder(ctx, nil)
 	feasibleWithout := func(rowSets ...[]int) bool {
 		relaxed := make(map[int]bool)
 		for _, rows := range rowSets {
@@ -439,7 +432,7 @@ func diagnoseInfeasible(ctx context.Context, bp *batchProblem) string {
 			}
 			q.MustAddRow(r.Sense, rhs, r.Idx, r.Val)
 		}
-		sol, err := lp.Solve(dctx, q, lp.Options{})
+		sol, err := lp.Solve(ctx, q, lp.Options{})
 		return err == nil && sol.Status == lp.Optimal
 	}
 	if len(bp.stressRows) > 0 && feasibleWithout(bp.stressRows) {

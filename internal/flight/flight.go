@@ -305,9 +305,7 @@ func copyCounts(m map[string]int64) map[string]int64 {
 type ctxKey struct{}
 
 // WithRecorder returns a context carrying r. Attaching a nil recorder
-// is meaningful: it shadows any recorder further up, which the
-// infeasibility-diagnosis LP solves use so their probing does not
-// pollute the journal they are diagnosing for.
+// shadows any recorder further up.
 func WithRecorder(ctx context.Context, r *Recorder) context.Context {
 	if ctx == nil {
 		ctx = context.Background()

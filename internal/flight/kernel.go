@@ -1,6 +1,7 @@
 // Solver-kernel profile types: the phase-attributed simplex effort a
 // recorder accumulates when kernel profiling is armed (EnableKernel).
-// The lp layer measures per solve and contributes via NoteKernel. The
+// The lp layer measures per solve; the solver (internal/core) arms it
+// from KernelProfiling and contributes each profile via NoteKernel. The
 // section is strictly opt-in — an unarmed recorder journals none of it,
 // so existing journals stay byte-identical.
 package flight
@@ -142,11 +143,11 @@ func (k *Kernel) clone() *Kernel {
 	return &out
 }
 
-// EnableKernel arms kernel profiling on the recorder: LP solves that
-// fall back to this recorder (explicitly or via the context) profile
-// themselves at the given sampling rate (0 selects the lp default) and
-// contribute via NoteKernel. Nil-safe; unarmed recorders cost the
-// solvers one atomic load per solve.
+// EnableKernel arms kernel profiling on the recorder: every LP solve
+// of a flow journaling into this recorder (explicitly or via the
+// context) is profiled at the given sampling rate (0 selects the lp
+// default) and contributed via NoteKernel. Arm before the flow starts:
+// the solver reads the setting once per job. Nil-safe.
 func (r *Recorder) EnableKernel(rate int) {
 	if r == nil {
 		return

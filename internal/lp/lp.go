@@ -23,6 +23,13 @@
 // by its CloneBounds copies. Periodic primal refresh keeps the numerics
 // clean, and a Bland's-rule fallback guarantees termination under
 // degeneracy.
+//
+// The package records nothing about its own work: it reads no tracer,
+// metrics registry or flight recorder, from its options or from the
+// context. A Solution carries everything a caller needs to account for
+// the solve — iterations, degenerate pivots, refreshes, the warm-start
+// outcome and reject reason, and the kernel Profile when Options.Profile
+// armed it — and the caller (internal/core) folds that into its views.
 package lp
 
 import (
@@ -31,29 +38,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-
-	"agingfp/internal/flight"
-	"agingfp/internal/obs"
-)
-
-// WarmRejectsMetric is the labeled counter family counting refused warm
-// starts; each increment carries a reason label (dim_mismatch,
-// stale_basis, singular) via obs.Labeled.
-const WarmRejectsMetric = "agingfp_lp_warmstart_rejects_total"
-
-// Prometheus families for the solver's numerical-health counters and
-// the kernel profiler's phase attribution, named consistently with
-// WarmRejectsMetric.
-const (
-	// DegeneratePivotsMetric counts degenerate (zero-step) pivots across
-	// all solves reaching one registry.
-	DegeneratePivotsMetric = "agingfp_lp_degenerate_pivots_total"
-	// RefactorizationsMetric counts primal refreshes / basis
-	// refactorizations.
-	RefactorizationsMetric = "agingfp_lp_refactorizations_total"
-	// PhaseSecondsMetric accumulates profiled wall-clock per simplex
-	// phase, labeled {phase="pricing"|...}; only profiled solves feed it.
-	PhaseSecondsMetric = "agingfp_lp_phase_seconds_total"
 )
 
 // Sense is a row's comparison sense.
@@ -301,6 +285,9 @@ type Solution struct {
 	// with a non-nil WarmStart means the snapshot was rejected and the
 	// solver fell back to the cold two-phase path.
 	Warm bool
+	// WarmReject is why a WarmStart snapshot was rejected (dim_mismatch,
+	// stale_basis, singular); empty when none was offered or it was used.
+	WarmReject string
 	// Degenerate counts degenerate (zero-step) pivots across the solve —
 	// a numerical-health signal: a high share of degenerate pivots means
 	// the solver is cycling near a degenerate vertex.
@@ -309,8 +296,7 @@ type Solution struct {
 	// solve performed (periodic hygiene plus warm-start installs).
 	Refreshes int
 	// Profile is the kernel profile (phase-attributed wall-clock and
-	// basis-health stats); non-nil only when Options.Profile was set or
-	// a flight recorder armed kernel profiling.
+	// basis-health stats); non-nil only when Options.Profile was set.
 	Profile *Profile
 }
 
@@ -326,19 +312,9 @@ type Options struct {
 	// unusable snapshots are rejected and the solve proceeds cold, so a
 	// warm start never changes the result, only the work to reach it.
 	WarmStart *Basis
-	// Trace receives an "lp.warm_start" instant event for every solve
-	// that was offered a WarmStart basis (attrs: hit, iters), the raw
-	// feed behind the warm-start health counters upstream. nil (the
-	// default) costs nothing.
-	Trace *obs.Tracer
-	// Flight, when non-nil, journals this solve's effort and warm-start
-	// outcome into the per-solve flight recorder. nil falls back to the
-	// context-carried recorder (flight.WithRecorder), mirroring Trace.
-	Flight *flight.Recorder
 	// Profile enables the kernel profiler: the Solution carries a Profile
-	// attributing wall-clock to simplex phases. When false, a flight
-	// recorder with kernel profiling armed (Recorder.EnableKernel) turns
-	// it on too. Profiler-off solves pay only nil checks.
+	// attributing wall-clock to simplex phases. Profiler-off solves pay
+	// only nil checks.
 	Profile bool
 	// ProfileRate is the iteration-sampling stride (time one in N
 	// iterations, extrapolate); 0 selects DefaultProfileRate.
@@ -380,32 +356,11 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.Trace == nil {
-		// Fall back to the context-carried tracer so server-traced jobs
-		// reach this layer without explicit per-call wiring; explicit
-		// Options.Trace always wins.
-		opt.Trace = obs.TracerFrom(ctx)
-	}
-	if opt.Flight == nil {
-		// Same fallback for the flight recorder: jobs attach one to the
-		// context once and every LP solve underneath journals into it.
-		opt.Flight = flight.FromContext(ctx)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if err := opt.Validate(); err != nil {
 		return nil, err
-	}
-	// Arm the kernel profiler: explicitly via Options.Profile, or because
-	// the attached flight recorder asked for it (Recorder.EnableKernel).
-	if !opt.Profile {
-		if rate, on := opt.Flight.KernelProfiling(); on {
-			opt.Profile = true
-			if opt.ProfileRate == 0 {
-				opt.ProfileRate = rate
-			}
-		}
 	}
 	var tStart int64
 	if opt.Profile {
@@ -422,6 +377,7 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	} else if err := validate(p); err != nil {
 		return nil, err
 	}
+	reject := ""
 	if opt.WarmStart != nil {
 		ws, reason := newWarmSolver(p, opt, opt.WarmStart)
 		if reason == "" {
@@ -432,8 +388,6 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 			}
 			if ok {
 				sol.Warm = true
-				opt.Trace.Event("lp.warm_start", obs.Bool("hit", true), obs.Int("iters", sol.Iters))
-				opt.Flight.NoteWarm(true, "")
 				finishSolve(opt, ws, sol, tStart)
 				return sol, nil
 			}
@@ -442,10 +396,8 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 			// had gone stale.
 			reason = rejectStaleBasis
 		}
-		// Snapshot rejected: fall back to a cold solve, recording why.
-		opt.Trace.Event("lp.warm_start", obs.Bool("hit", false), obs.String("reason", reason))
-		opt.Trace.Registry().Counter(obs.Labeled(WarmRejectsMetric, "reason", reason)).Inc()
-		opt.Flight.NoteWarm(false, reason)
+		// Snapshot rejected: fall back to a cold solve that reports why.
+		reject = reason
 	}
 	s := newSolver(p, opt)
 	s.ctx = ctx
@@ -453,32 +405,16 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	sol.WarmReject = reject
 	finishSolve(opt, s, sol, tStart)
 	return sol, nil
 }
 
-// finishSolve runs the common completion path: flight accounting, the
-// numerical-health Prometheus counters, and — when profiling — building
-// the Profile, exporting per-phase seconds, and contributing the kernel
-// section to the flight journal.
+// finishSolve builds the Profile when the solve was profiled.
 func finishSolve(opt Options, s *solver, sol *Solution, tStart int64) {
-	opt.Flight.NoteLP(sol.Iters, sol.Degenerate, sol.Refreshes)
-	reg := opt.Trace.Registry()
-	if sol.Degenerate > 0 {
-		reg.Counter(DegeneratePivotsMetric).Add(int64(sol.Degenerate))
+	if prof := opt.prof; prof != nil {
+		sol.Profile = prof.build(s, prof.clock()-tStart)
 	}
-	if sol.Refreshes > 0 {
-		reg.Counter(RefactorizationsMetric).Add(int64(sol.Refreshes))
-	}
-	prof := opt.prof
-	if prof == nil {
-		return
-	}
-	sol.Profile = prof.build(s, prof.clock()-tStart)
-	for name, ph := range sol.Profile.Phases {
-		reg.Gauge(obs.Labeled(PhaseSecondsMetric, "phase", name)).Add(float64(ph.Nanos) / 1e9)
-	}
-	opt.Flight.NoteKernel(sol.Profile.Kernel())
 }
 
 func validate(p *Problem) error {

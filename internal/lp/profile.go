@@ -6,17 +6,6 @@ import (
 	"agingfp/internal/flight"
 )
 
-// Simplex phase names, re-exported from the flight taxonomy so callers
-// of the lp package need not import flight to read a Profile.
-const (
-	PhaseSetup   = flight.PhaseSetup
-	PhasePricing = flight.PhasePricing
-	PhaseFtran   = flight.PhaseFtran
-	PhaseRatio   = flight.PhaseRatio
-	PhaseUpdate  = flight.PhaseUpdate
-	PhaseRefresh = flight.PhaseRefresh
-)
-
 // Internal phase indices; the hot loop indexes fixed arrays, names are
 // applied only when the Profile is built.
 const (
@@ -29,7 +18,7 @@ const (
 	numPhases
 )
 
-var phaseNames = [numPhases]string{PhaseSetup, PhasePricing, PhaseFtran, PhaseRatio, PhaseUpdate, PhaseRefresh}
+var phaseNames = [numPhases]string{flight.PhaseSetup, flight.PhasePricing, flight.PhaseFtran, flight.PhaseRatio, flight.PhaseUpdate, flight.PhaseRefresh}
 
 // DefaultProfileRate is the default iteration-sampling stride: one in
 // every N simplex iterations is wall-clock timed and the per-phase
@@ -50,8 +39,7 @@ type PhaseStat struct {
 }
 
 // Profile is the kernel profile of one LP solve, attached to
-// Solution.Profile when Options.Profile is set (or a context-carried
-// flight recorder armed kernel profiling). It attributes the solve's
+// Solution.Profile when Options.Profile is set. It attributes the solve's
 // wall-clock to the named simplex phases and carries the basis-health
 // stats the sparse-LU rework will be judged against.
 type Profile struct {

@@ -129,41 +129,6 @@ func TestProfileStructure(t *testing.T) {
 	}
 }
 
-// TestProfileArmedViaRecorder: an armed flight recorder turns profiling
-// on without the caller touching Options.Profile, and the per-solve
-// profile is merged into the recorder's kernel aggregate; an unarmed
-// recorder leaves the solve unprofiled.
-func TestProfileArmedViaRecorder(t *testing.T) {
-	rec := flight.NewRecorder(16)
-	rec.EnableKernel(4)
-	sol, err := Solve(context.Background(), profAssignment(8, 5), Options{Flight: rec})
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("solve: %v %v", err, sol.Status)
-	}
-	if sol.Profile == nil {
-		t.Fatal("armed recorder did not enable profiling")
-	}
-	if sol.Profile.SampleRate != 4 {
-		t.Fatalf("SampleRate = %d, want the recorder's 4", sol.Profile.SampleRate)
-	}
-	k := rec.KernelSnapshot()
-	if k == nil || k.Solves != 1 || k.Iters != int64(sol.Iters) {
-		t.Fatalf("kernel aggregate = %+v, want 1 solve with %d iters", k, sol.Iters)
-	}
-
-	cold := flight.NewRecorder(16)
-	sol2, err := Solve(context.Background(), profAssignment(8, 5), Options{Flight: cold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol2.Profile != nil {
-		t.Fatal("unarmed recorder enabled profiling")
-	}
-	if cold.KernelSnapshot() != nil {
-		t.Fatal("unarmed recorder accumulated a kernel aggregate")
-	}
-}
-
 // TestKernelProfilerOverhead is the overhead gate: profiled solves must
 // stay within 1.5x of unprofiled wall-clock (the budget is <2%; the
 // slack absorbs shared-runner noise — the precise number comes from

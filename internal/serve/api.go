@@ -277,14 +277,9 @@ type execOut struct {
 // prior solves cold; a non-nil one seeds the re-solve from it. info is
 // updated in place as facts become available.
 func (s *Server) solveInstance(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts core.Options, prior *core.Prior, info *solveInfo) (*canonResult, *core.Result, error) {
-	// The per-job tracer (process sinks + this job's capture buffer)
-	// rides the context from runJob; falling back through it here keeps
-	// explicit-wiring callers (tests) working unchanged.
-	opts.Trace = obs.TracerFrom(ctx)
-	if opts.Trace == nil {
-		opts.Trace = s.cfg.Trace
-	}
-
+	// The per-job tracer (process sinks + this job's capture buffer),
+	// reporter and recorder ride the context from runJob; the solver
+	// resolves them there.
 	var (
 		res *core.Result
 		err error

@@ -1040,18 +1040,7 @@ func (s *Server) solveEvent(j *job, info *solveInfo, final JobState, elapsed, qu
 		ev.Bench = info.design
 		ev.Ops = info.ops
 		ev.Contexts = info.contexts
-		st := info.stats
-		ev.Step1Ms = durMs(st.Step1Time)
-		ev.RotateMs = durMs(st.RotateTime)
-		ev.Step2Ms = durMs(st.Step2Time)
-		ev.TimingMs = durMs(st.TimingTime)
-		ev.LPSolves = st.LPSolves
-		ev.SimplexIters = st.SimplexIters
-		ev.ILPNodes = st.ILPNodes
-		ev.STProbes = st.STProbes
-		ev.ProbeTimeouts = st.ProbeTimeouts
-		ev.WarmStarts = st.WarmStarts
-		ev.WarmRejects = st.WarmStartRejects
+		ev.FillStats(info.stats)
 	}
 	ev.FillKernel(j.flight.KernelSnapshot())
 	return ev

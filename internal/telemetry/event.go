@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"time"
 
+	"agingfp/internal/core"
 	"agingfp/internal/flight"
 )
 
@@ -102,6 +103,24 @@ type SolveEvent struct {
 	LPRatioMs   float64 `json:"lp_ratio_ms,omitempty"`
 	LPUpdateMs  float64 `json:"lp_update_ms,omitempty"`
 	LPRefreshMs float64 `json:"lp_refresh_ms,omitempty"`
+}
+
+// FillStats copies a solve's per-phase wall-clock and effort counters
+// into the event's solver fields. ElapsedMs is left to the caller: a
+// served job times its whole execution, a CLI run its solve.
+func (e *SolveEvent) FillStats(st core.Stats) {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	e.Step1Ms = ms(st.Step1Time)
+	e.RotateMs = ms(st.RotateTime)
+	e.Step2Ms = ms(st.Step2Time)
+	e.TimingMs = ms(st.TimingTime)
+	e.LPSolves = st.LPSolves
+	e.SimplexIters = st.SimplexIters
+	e.ILPNodes = st.ILPNodes
+	e.STProbes = st.STProbes
+	e.ProbeTimeouts = st.ProbeTimeouts
+	e.WarmStarts = st.WarmStarts
+	e.WarmRejects = st.WarmStartRejects
 }
 
 // FillKernel copies one kernel snapshot's per-phase extrapolated
