@@ -19,9 +19,11 @@
 //
 // -telemetry-dir enables the longitudinal telemetry pipeline: one
 // durable wide event per job, windowed percentiles behind GET
-// /v1/stats, the operator dashboard at GET /debug/dash, drift detection
-// against -telemetry-baseline, and automatic flight-journal capture of
-// slow-outlier solves (-slow-percentile) under <dir>/slow/.
+// /v1/stats, the operator dashboard at GET /debug/dash, automatic
+// flight-journal capture of slow-outlier solves (-slow-percentile) under
+// <dir>/slow/, and the SLO engine behind GET /v1/slo: availability plus
+// one latency objective per shape bucket, each bucket's reference worst
+// solve time (slo.ReferenceWorstMs) scaled by -slo-latency-factor.
 //
 // SIGTERM (or Ctrl-C) drains gracefully: intake stops with 503, queued
 // and running jobs finish (bounded by -drain-timeout), buffered trace
@@ -40,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"agingfp/internal/bench"
 	"agingfp/internal/buildinfo"
 	"agingfp/internal/obs"
 	"agingfp/internal/serve"
@@ -66,8 +67,6 @@ func run() int {
 		quietLog     = flag.Bool("no-log", false, "disable request and lifecycle logging")
 		flightEvs    = flag.Int("flight-events", 0, "bound each job's flight journal (0 = default, negative disables GET /v1/jobs/{id}/report)")
 		telemDir     = flag.String("telemetry-dir", "", "durable solve-telemetry directory; enables GET /v1/stats and GET /debug/dash (empty disables)")
-		telemBase    = flag.String("telemetry-baseline", "", "perf baseline JSON (e.g. BENCH_baseline.json) to arm drift detection against")
-		driftFactor  = flag.Float64("drift-factor", 2.0, "tolerated slowdown factor before a benchmark is flagged as drifted (mirrors CI's perf gate)")
 		slowPct      = flag.Float64("slow-percentile", 0.99, "auto-capture the flight journal of solves beyond this latency percentile of their shape bucket (<=0 disables)")
 		kernelProf   = flag.Bool("kernel-profile", false, "arm the LP kernel profiler on every job: phase-attributed solver time in journals, reports, metrics, /v1/stats, and /debug/dash")
 		profRingDir  = flag.String("profile-ring", "", "continuous CPU profiling: keep rolling fixed-window pprof captures in this directory (empty disables)")
@@ -76,7 +75,7 @@ func run() int {
 		tenantCap    = flag.Int("tenant-cap", 0, "distinct tenant labels in metrics/telemetry before rollup into \"other\" (0 = default 32)")
 		sloOn        = flag.Bool("slo", true, "run the SLO engine behind GET /v1/slo (requires -telemetry-dir)")
 		sloAvail     = flag.Float64("slo-availability", 0.99, "availability objective: target fraction of non-canceled jobs that do not fail")
-		sloLatFactor = flag.Float64("slo-latency-factor", 4.0, "latency objectives: P90 under (baseline worst elapsed x this factor) per shape bucket (needs -telemetry-baseline)")
+		sloLatFactor = flag.Float64("slo-latency-factor", 4.0, "latency objectives: P90 under (reference worst solve time x this factor) per shape bucket (<=0 disables)")
 		version      = flag.Bool("version", false, "print build identity (VCS revision, Go version) and exit")
 	)
 	flag.Parse()
@@ -134,7 +133,6 @@ func run() int {
 	if *telemDir != "" {
 		tcfg := telemetry.Config{
 			Dir:            *telemDir,
-			DriftFactor:    *driftFactor,
 			SlowPercentile: *slowPct,
 			TenantCap:      *tenantCap,
 			Registry:       reg,
@@ -143,28 +141,13 @@ func run() int {
 		if *slowPct <= 0 {
 			tcfg.SlowPercentile = -1 // zero means "default"; force off
 		}
-		if *telemBase != "" {
-			f, err := os.Open(*telemBase)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "agingfloord: %v\n", err)
-				return 1
-			}
-			base, err := bench.ReadPerfReport(f)
-			f.Close() //nolint:errcheck // read-only
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "agingfloord: %v\n", err)
-				return 1
-			}
-			tcfg.Baseline = base
-		}
 		// The SLO engine must exist before Open: it subscribes through the
 		// observer hook, and Open replays the durable event history through
 		// the same hook — that replay is what lets error budgets survive a
-		// restart. The latency objectives are seeded from the same perf
-		// baseline drift detection uses (none without -telemetry-baseline).
+		// restart.
 		if *sloOn {
 			sloEngine = slo.New(
-				slo.DefaultObjectives(*sloAvail, tcfg.Baseline, *sloLatFactor),
+				slo.DefaultObjectives(*sloAvail, slo.ReferenceWorstMs, *sloLatFactor),
 				slo.Config{Registry: reg, Logger: logger},
 			)
 			tcfg.Observers = append(tcfg.Observers, sloEngine.Record)

@@ -12,6 +12,10 @@
 // 0.5, i.e. they run as 8x8 with proportionally fewer ops, preserving
 // context counts and utilization bands). -scale 1 runs the full paper
 // sizes; budget hours on one core.
+//
+// This command reports quality (MTTF gain, CPD), not speed: the
+// benchmark in benchmark/ (bash benchmark/run.sh) measures the solver's
+// time and effort.
 package main
 
 import (
@@ -41,20 +45,14 @@ func main() {
 		quiet   = flag.Bool("q", false, "suppress per-benchmark progress")
 		csvOut  = flag.String("csv", "", "also write Table-I results as CSV to this file")
 		par     = flag.Int("parallel", 1, "run this many benchmarks concurrently")
-
-		kernProf   = flag.Bool("kernel-profile", false, "arm the LP kernel profiler per benchmark; phase medians land in the perf report")
-		perfOut    = flag.String("perf", "", "write a perf trajectory report (per-benchmark phase wall-clock, simplex iterations, warm-start hits) as JSON to this file")
-		perfBase   = flag.String("perf-baseline", "", "compare the perf run against this baseline report and fail on a median solve-time regression")
-		perfFactor = flag.Float64("perf-factor", 2.0, "tolerated median solve-time factor vs the baseline")
-		version    = flag.Bool("version", false, "print build identity (VCS revision, Go version) and exit")
+		version = flag.Bool("version", false, "print build identity (VCS revision, Go version) and exit")
 	)
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.Get())
 		return
 	}
-	perfRun := *perfOut != "" || *perfBase != ""
-	if !*table1 && !*fig5 && !*fig2b && !*scaling && !*greedy && !*budget && !*wear && !*all && !perfRun {
+	if !*table1 && !*fig5 && !*fig2b && !*scaling && !*greedy && !*budget && !*wear && !*all {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -62,7 +60,6 @@ func main() {
 	cfg := bench.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Parallel = *par
-	cfg.KernelProfile = *kernProf
 	if !*quiet {
 		cfg.Progress = func(s string) { fmt.Println(s) }
 	}
@@ -95,52 +92,6 @@ func main() {
 		fmt.Printf("\nsuite completed in %v\n\n", time.Since(start).Round(time.Second))
 	}
 
-	if perfRun {
-		runSuite()
-		suiteName := "all27"
-		if *subset != "" {
-			var names []string
-			for _, s := range specs {
-				names = append(names, s.Name)
-			}
-			suiteName = strings.Join(names, ",")
-		}
-		rep := bench.NewPerfReport(suiteName, results)
-		if *perfOut != "" {
-			f, err := os.Create(*perfOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := rep.WriteJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				f.Close()
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote perf report to %s (median solve %.0fms over %d benchmarks)\n",
-				*perfOut, rep.MedianSolveMs, len(rep.Records))
-		}
-		if *perfBase != "" {
-			f, err := os.Open(*perfBase)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			base, err := bench.ReadPerfReport(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := bench.Compare(rep, base, *perfFactor); err != nil {
-				fmt.Fprintf(os.Stderr, "perf regression gate: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("perf gate ok: median %.0fms vs baseline %.0fms, effort medians within %.1fx\n",
-				rep.MedianSolveMs, base.MedianSolveMs, *perfFactor)
-		}
-	}
 	if *table1 || *all {
 		runSuite()
 		fmt.Println("==== Table I — MTTF increase (measured vs paper) ====")

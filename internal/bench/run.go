@@ -10,7 +10,6 @@ import (
 
 	"agingfp/internal/arch"
 	"agingfp/internal/core"
-	"agingfp/internal/flight"
 	"agingfp/internal/milp"
 	"agingfp/internal/nbti"
 	"agingfp/internal/obs"
@@ -49,10 +48,6 @@ type Config struct {
 	// into Remap.Trace unless the caller set that separately. nil (the
 	// default) costs nothing.
 	Trace *obs.Tracer
-	// KernelProfile arms the LP kernel profiler for each benchmark run
-	// (on a per-run recorder unless the caller supplied Remap.Flight
-	// themselves); the aggregated profile lands in Result.Kernel.
-	KernelProfile bool
 }
 
 // DefaultConfig returns the standard experiment configuration.
@@ -91,9 +86,6 @@ type Result struct {
 	FreezeStatus, RotateStatus milp.Status
 	// Stats from the two re-mapping runs.
 	FreezeStats, RotateStats core.Stats
-	// Kernel is the aggregated LP kernel profile across both re-mapping
-	// arms; nil unless Config.KernelProfile armed the profiler.
-	Kernel *flight.Kernel
 	// Elapsed is the wall-clock time for the whole benchmark.
 	Elapsed time.Duration
 }
@@ -129,15 +121,6 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 	if cfg.Remap.Trace == nil {
 		cfg.Remap.Trace = cfg.Trace
 	}
-	// Kernel profiling: one recorder spans both re-mapping arms (and any
-	// retry), so the profile aggregates the benchmark's whole LP effort.
-	if cfg.KernelProfile && cfg.Remap.Flight == nil {
-		cfg.Remap.Flight = flight.NewRecorder(1)
-	}
-	if cfg.KernelProfile {
-		cfg.Remap.Flight.EnableKernel(0)
-	}
-
 	start := time.Now()
 	bsp := cfg.Remap.Trace.Start("bench.run",
 		obs.String("name", spec.Name), obs.Int("contexts", spec.Contexts),
@@ -228,7 +211,6 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 		OrigMTTFHours:   before.Hours,
 		FreezeStats:     fr.Stats,
 		RotateStats:     ro.Stats,
-		Kernel:          cfg.Remap.Flight.KernelSnapshot(),
 		Elapsed:         time.Since(start),
 	}
 	if cfg.Progress != nil {

@@ -846,9 +846,9 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsWindow resolves the ?window= query (default: the pipeline's
-// drift window, the horizon operators usually care about first).
+// Window, the horizon slow-solve capture also compares over).
 func (s *Server) statsWindow(r *http.Request) (time.Duration, error) {
-	window := s.cfg.Telemetry.DriftWindow()
+	window := s.cfg.Telemetry.Window()
 	q := r.URL.Query().Get("window")
 	if q == "" {
 		return window, nil
@@ -864,8 +864,8 @@ func (s *Server) statsWindow(r *http.Request) (time.Duration, error) {
 }
 
 // handleStats serves the windowed telemetry summary: percentiles per
-// shape bucket, benchmark, and tenant, throughput, cache hit rate, and
-// drift findings. ?tenant=NAME narrows the response to one tenant's
+// shape bucket, benchmark, and tenant, throughput, and cache hit rate.
+// ?tenant=NAME narrows the response to one tenant's
 // accounting view (look up "other" for identities past the cardinality
 // cap — a rolled-up tenant's own name reports zero traffic, honestly).
 // 404 when no telemetry pipeline is configured.

@@ -565,7 +565,7 @@ func (s *Server) accountTenant(label string, final JobState, solveElapsed time.D
 // 2s per job — a deliberate overestimate for an idle-history server.
 func (s *Server) retryAfterSeconds() int {
 	const defaultSolveMs = 2000
-	medianMs := s.cfg.Telemetry.MedianSolveMs(s.cfg.Telemetry.DriftWindow())
+	medianMs := s.cfg.Telemetry.MedianSolveMs(s.cfg.Telemetry.Window())
 	if medianMs <= 0 {
 		medianMs = defaultSolveMs
 	}

@@ -45,14 +45,14 @@ func PanelHTML(st *Status) string {
 		`</tr></thead><tbody>`)
 	for _, o := range st.Objectives {
 		alert := "ok"
-		cls := "drift-ok"
+		cls := "alert-ok"
 		switch {
 		case o.FastAlert && o.SlowAlert:
-			alert, cls = "fast+slow", "drift-bad"
+			alert, cls = "fast+slow", "alert-bad"
 		case o.FastAlert:
-			alert, cls = "fast", "drift-bad"
+			alert, cls = "fast", "alert-bad"
 		case o.SlowAlert:
-			alert, cls = "slow", "drift-bad"
+			alert, cls = "slow", "alert-bad"
 		}
 		fmt.Fprintf(&b,
 			`<tr><td>%s</td><td>%s</td><td>%.4g</td><td>%.4g</td>`+

@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"agingfp/internal/bench"
 	"agingfp/internal/obs"
 	"agingfp/internal/telemetry"
 )
@@ -60,7 +59,7 @@ type Objective struct {
 	Target float64 `json:"target"`
 
 	// Shape scopes a latency objective to one telemetry shape bucket
-	// (telemetry.ShapeBucketFor); LatencyTargetMs is its per-job bound.
+	// (telemetry.SolveEvent.ShapeBucket); LatencyTargetMs is its per-job bound.
 	// Both are ignored for availability objectives.
 	Shape           string  `json:"shape,omitempty"`
 	LatencyTargetMs float64 `json:"latency_target_ms,omitempty"`
@@ -463,33 +462,40 @@ func Availability(target float64) Objective {
 	}
 }
 
-// FromBaseline derives one latency objective per shape bucket present
-// in the perf baseline: the target is the bucket's worst baseline
-// elapsed time × factor (live solves share hardware with other jobs,
-// so the bound is deliberately loose), and the objective asks that 90%
-// of solved jobs in the bucket finish under it.
-func FromBaseline(rep *bench.PerfReport, factor float64) []Objective {
-	if rep == nil || factor <= 0 {
-		return nil
+// ReferenceWorstMs is each shape bucket's worst whole-benchmark time,
+// both re-mapping arms, in ms, over Table-I's B1, B4, B7, B10 and B13:
+// the last perf baseline the repo recorded (B1, B10, B4 and B7 set the
+// four buckets). agingfloord scales it by -slo-latency-factor into its
+// latency objectives.
+var ReferenceWorstMs = map[string]float64{
+	"ops<=32,ctx<=4":   18,
+	"ops<=64,ctx<=4":   44,
+	"ops<=64,ctx<=8":   348,
+	"ops<=128,ctx<=16": 615,
+}
+
+// DefaultObjectives is the daemon's stock objective set: availability
+// at availTarget plus one latency objective per shape bucket of
+// worstMs. A latency target is the bucket's worst time × latencyFactor
+// (live solves share hardware with other jobs, so the bound is
+// deliberately loose), and the objective asks that 90% of solved jobs
+// in the bucket finish under it. A nil worstMs or a non-positive factor
+// yields availability only.
+func DefaultObjectives(availTarget float64, worstMs map[string]float64, latencyFactor float64) []Objective {
+	objs := []Objective{Availability(availTarget)}
+	if latencyFactor <= 0 {
+		return objs
 	}
-	worst := map[string]float64{}
-	for _, r := range rep.Records {
-		bucket := telemetry.ShapeBucketFor(r.Ops, r.Contexts)
-		if r.ElapsedMs > worst[bucket] {
-			worst[bucket] = r.ElapsedMs
-		}
-	}
-	buckets := make([]string, 0, len(worst))
-	for b := range worst {
+	buckets := make([]string, 0, len(worstMs))
+	for b := range worstMs {
 		buckets = append(buckets, b)
 	}
 	sort.Strings(buckets)
-	objs := make([]Objective, 0, len(buckets))
 	for _, b := range buckets {
-		target := worst[b] * factor
+		target := worstMs[b] * latencyFactor
 		objs = append(objs, Objective{
 			Name:            "latency-" + b,
-			Description:     fmt.Sprintf("90%% of %s solves finish under %.0fms (baseline worst × %.2g)", b, target, factor),
+			Description:     fmt.Sprintf("90%% of %s solves finish under %.0fms (reference worst × %.2g)", b, target, latencyFactor),
 			Kind:            KindLatency,
 			Target:          0.90,
 			Shape:           b,
@@ -497,12 +503,4 @@ func FromBaseline(rep *bench.PerfReport, factor float64) []Objective {
 		})
 	}
 	return objs
-}
-
-// DefaultObjectives is the daemon's stock objective set: availability
-// at availTarget plus baseline-seeded latency objectives (none when
-// rep is nil).
-func DefaultObjectives(availTarget float64, rep *bench.PerfReport, latencyFactor float64) []Objective {
-	objs := []Objective{Availability(availTarget)}
-	return append(objs, FromBaseline(rep, latencyFactor)...)
 }

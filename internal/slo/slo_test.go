@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"agingfp/internal/bench"
 	"agingfp/internal/obs"
 	"agingfp/internal/telemetry"
 )
@@ -186,7 +185,7 @@ func TestBurnAlertClearsAndLogsRecovery(t *testing.T) {
 // solved jobs against the per-job bound.
 func TestLatencyObjectiveClassification(t *testing.T) {
 	now := time.Date(2026, 1, 2, 12, 0, 30, 0, time.UTC)
-	bucket := telemetry.ShapeBucketFor(24, 4)
+	bucket := (&telemetry.SolveEvent{Ops: 24, Contexts: 4}).ShapeBucket()
 	obj := Objective{
 		Name: "latency-small", Kind: KindLatency, Target: 0.90,
 		Shape: bucket, LatencyTargetMs: 500,
@@ -255,36 +254,41 @@ func TestGaugesFollowBudget(t *testing.T) {
 	}
 }
 
-// FromBaseline seeds one latency objective per shape bucket, bounded
-// by the bucket's worst baseline time scaled by the factor.
-func TestFromBaseline(t *testing.T) {
-	rep := &bench.PerfReport{Records: []bench.PerfRecord{
-		{Name: "B1", Ops: 24, Contexts: 4, ElapsedMs: 40},
-		{Name: "B1b", Ops: 30, Contexts: 4, ElapsedMs: 60}, // same bucket, worse
-		{Name: "B7", Ops: 88, Contexts: 16, ElapsedMs: 900},
-	}, MedianSolveMs: 60}
-
-	objs := FromBaseline(rep, 4)
-	if len(objs) != 2 {
-		t.Fatalf("objectives = %d, want 2 (one per bucket)", len(objs))
-	}
-	byShape := map[string]Objective{}
-	for _, o := range objs {
-		if o.Kind != KindLatency || o.Target != 0.90 {
-			t.Fatalf("objective %q kind/target = %v/%v", o.Name, o.Kind, o.Target)
+// DefaultObjectives over ReferenceWorstMs yields the daemon's four
+// latency objectives: one per bucket, P90 under the worst time × 4.
+// Without worst times it yields availability only.
+func TestDefaultObjectivesReference(t *testing.T) {
+	// The keys are the buckets B7, B1, B10 and B4 solve events land in.
+	for _, ev := range []telemetry.SolveEvent{{Ops: 88, Contexts: 16}, {Ops: 24, Contexts: 4}, {Ops: 35, Contexts: 4}, {Ops: 44, Contexts: 8}} {
+		if _, ok := ReferenceWorstMs[ev.ShapeBucket()]; !ok {
+			t.Fatalf("no reference time for ops=%d ctx=%d", ev.Ops, ev.Contexts)
 		}
-		byShape[o.Shape] = o
 	}
-	small := byShape[telemetry.ShapeBucketFor(24, 4)]
-	if small.LatencyTargetMs != 240 { // worst 60ms × 4
-		t.Fatalf("small-bucket target = %v, want 240", small.LatencyTargetMs)
+	objs := DefaultObjectives(0.99, ReferenceWorstMs, 4)
+	want := []struct {
+		shape    string
+		targetMs float64
+	}{
+		{"ops<=128,ctx<=16", 2460},
+		{"ops<=32,ctx<=4", 72},
+		{"ops<=64,ctx<=4", 176},
+		{"ops<=64,ctx<=8", 1392},
 	}
-	big := byShape[telemetry.ShapeBucketFor(88, 16)]
-	if big.LatencyTargetMs != 3600 {
-		t.Fatalf("big-bucket target = %v, want 3600", big.LatencyTargetMs)
+	if len(objs) != 1+len(want) {
+		t.Fatalf("objectives = %d, want availability + %d latency", len(objs), len(want))
 	}
-	if FromBaseline(nil, 4) != nil {
-		t.Fatal("nil report must yield no objectives")
+	if objs[0].Kind != KindAvailability || objs[0].Target != 0.99 {
+		t.Fatalf("first objective = %+v, want availability at 0.99", objs[0])
+	}
+	for i, w := range want {
+		o := objs[1+i]
+		if o.Name != "latency-"+w.shape || o.Shape != w.shape || o.Kind != KindLatency ||
+			o.Target != 0.90 || o.LatencyTargetMs != w.targetMs {
+			t.Fatalf("objective %d = %+v, want latency-%s P90 under %vms", 1+i, o, w.shape, w.targetMs)
+		}
+	}
+	if objs := DefaultObjectives(0.99, nil, 4); len(objs) != 1 || objs[0].Kind != KindAvailability {
+		t.Fatalf("nil worst times: objectives = %+v, want availability only", objs)
 	}
 }
 

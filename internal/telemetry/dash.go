@@ -83,8 +83,8 @@ func Dashboard(p *Pipeline, window time.Duration, service string, extra ...strin
   th { color: var(--text-secondary); font-weight: 500; font-size: 12px; }
   th:first-child, td:first-child { text-align: left; }
   tr + tr td { border-top: 1px solid var(--surface-2); }
-  .drift-bad { color: var(--status-critical); font-weight: 600; }
-  .drift-ok { color: var(--status-good); }
+  .alert-bad { color: var(--status-critical); font-weight: 600; }
+  .alert-ok { color: var(--status-good); }
   .spark { display: inline-block; vertical-align: middle; }
   .note { color: var(--text-secondary); font-size: 12px; margin-top: 6px; }
 </style></head><body>
@@ -183,20 +183,6 @@ func Dashboard(p *Pipeline, window time.Duration, service string, extra ...strin
 				html.EscapeString(name), s.Jobs, fmtMs(s.P50Ms), fmtMs(s.P99Ms), s.SimplexItersP50, s.LPSolvesP50)
 		}
 		b.WriteString("</table>\n")
-	}
-
-	if len(st.Drift) > 0 {
-		b.WriteString("<h2>Baseline drift</h2>\n<table><tr><th>benchmark</th><th>metric</th><th>baseline</th><th>current p50</th><th>ratio</th><th>samples</th><th>status</th></tr>\n")
-		for _, f := range st.Drift {
-			cls, txt := "drift-ok", "✓ within gate"
-			if f.Exceeded {
-				cls, txt = "drift-bad", "⚠ drifted"
-			}
-			fmt.Fprintf(&b, `<tr><td>%s</td><td>%s</td><td>%.0f</td><td>%.0f</td><td>%.2f×</td><td>%d</td><td class="%s">%s</td></tr>`+"\n",
-				html.EscapeString(f.Benchmark), html.EscapeString(f.Metric), f.Baseline, f.Current, f.Ratio, f.Samples, cls, txt)
-		}
-		b.WriteString("</table>\n")
-		b.WriteString(`<div class="note">ratio = windowed p50 over BENCH_baseline.json; the gate factor mirrors CI's perf gate</div>` + "\n")
 	}
 
 	for _, frag := range extra {

@@ -1,8 +1,8 @@
 // Package telemetry is the longitudinal solve-observability layer: one
 // wide event per completed job (CLI run or agingfloord submission),
-// appended to a durable size-rotated JSONL store, aggregated into
-// time-windowed percentile summaries, and compared against the committed
-// perf baseline for drift.
+// appended to a durable size-rotated JSONL store, and aggregated into
+// time-windowed percentile summaries that also pick out slow-outlier
+// solves.
 //
 // Where internal/obs answers "how is the process doing right now?" with
 // live counters and spans, and internal/flight answers "why did THIS
@@ -188,15 +188,7 @@ func (e *SolveEvent) Canceled() bool { return e.Status == "canceled" }
 // distinction is noise). A B7-sized job (88 ops, 16 contexts) lands in
 // "ops<=128,ctx<=16" alongside every similarly sized submission.
 func (e *SolveEvent) ShapeBucket() string {
-	return ShapeBucketFor(e.Ops, e.Contexts)
-}
-
-// ShapeBucketFor is the bucketing function itself, exported so other
-// layers (the SLO engine seeding latency targets from the perf
-// baseline's record shapes) land in exactly the buckets live traffic
-// lands in.
-func ShapeBucketFor(ops, contexts int) string {
-	return fmt.Sprintf("ops<=%d,ctx<=%d", ceilPow2(ops, 16), ceilPow2(contexts, 4))
+	return fmt.Sprintf("ops<=%d,ctx<=%d", ceilPow2(e.Ops, 16), ceilPow2(e.Contexts, 4))
 }
 
 // ceilPow2 rounds n up to the next power of two, at least floor.

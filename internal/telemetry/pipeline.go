@@ -10,7 +10,6 @@ import (
 	"sort"
 	"time"
 
-	"agingfp/internal/bench"
 	"agingfp/internal/obs"
 )
 
@@ -31,20 +30,13 @@ type Config struct {
 	// (default DefaultAccuracy = 2%).
 	SketchAccuracy float64
 
-	// Baseline enables drift detection against a perf report (typically
-	// the committed BENCH_baseline.json). DriftFactor mirrors the CI
-	// perf gate's tolerated factor (default 2.0); DriftMinSamples is
-	// the fewest solved jobs of a benchmark in DriftWindow before its
-	// ratio is trusted (default 3); DriftWindow the comparison window
-	// (default 15m).
-	Baseline        *bench.PerfReport
-	DriftFactor     float64
-	DriftMinSamples int64
-	DriftWindow     time.Duration
+	// Window is the trailing window slow-solve capture compares a solve
+	// against, and the default window of GET /v1/stats (default 15m).
+	Window time.Duration
 
 	// SlowPercentile arms adaptive slow-solve capture: a solve slower
 	// than this latency percentile of its shape bucket (over
-	// DriftWindow, needing SlowMinSamples solved jobs) is an outlier
+	// Window, needing SlowMinSamples solved jobs) is an outlier
 	// and its flight journal is written to Dir/slow/ at completion.
 	// Default 0.99; zero or negative disables capture. SlowKeep bounds
 	// the captured journals (default 32, oldest pruned).
@@ -64,8 +56,8 @@ type Config struct {
 	// call back into the pipeline.
 	Observers []func(*SolveEvent)
 
-	// Registry receives the drift gauges and pipeline counters; Logger
-	// the drift and slow-solve alerts. Both may be nil.
+	// Registry receives the pipeline counters; Logger the store-recovery
+	// and slow-solve records. Both may be nil.
 	Registry *obs.Registry
 	Logger   *slog.Logger
 
@@ -83,14 +75,8 @@ func (c Config) withDefaults() Config {
 	if c.SketchAccuracy <= 0 {
 		c.SketchAccuracy = DefaultAccuracy
 	}
-	if c.DriftFactor <= 1 {
-		c.DriftFactor = 2.0
-	}
-	if c.DriftMinSamples < 1 {
-		c.DriftMinSamples = 3
-	}
-	if c.DriftWindow <= 0 {
-		c.DriftWindow = 15 * time.Minute
+	if c.Window <= 0 {
+		c.Window = 15 * time.Minute
 	}
 	if c.SlowPercentile == 0 {
 		c.SlowPercentile = 0.99
@@ -112,22 +98,20 @@ func (c Config) withDefaults() Config {
 
 // Outcome is what Record reports back about one event: whether the
 // solve was a slow outlier for its shape (the caller should capture its
-// flight journal) and any drift findings the event's benchmark tripped.
+// flight journal).
 type Outcome struct {
 	Slow          bool
 	SlowThreshold float64 // ms; the percentile the solve exceeded
-	Drift         []DriftFinding
 }
 
 // Pipeline is the assembled telemetry flow: durable store + windowed
-// aggregator + drift detector + slow-solve capture directory. A nil
+// aggregator + slow-solve capture directory. A nil
 // *Pipeline is a no-op on every method, so callers wire it
 // unconditionally.
 type Pipeline struct {
 	cfg   Config
 	store *Store
 	agg   *Aggregator
-	drift *driftDetector
 	reg   *obs.Registry
 	// replaySkipped counts malformed store lines dropped during the
 	// open-time replay; surfaced in WindowStats and as
@@ -137,8 +121,7 @@ type Pipeline struct {
 
 // Open builds the pipeline: opens (or creates) the durable store under
 // cfg.Dir, replays its history into the aggregation ring so windowed
-// statistics survive restarts, and arms drift detection when a baseline
-// is configured.
+// statistics survive restarts.
 func Open(cfg Config) (*Pipeline, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("telemetry: Config.Dir is required")
@@ -152,7 +135,6 @@ func Open(cfg Config) (*Pipeline, error) {
 		cfg:   cfg,
 		store: store,
 		agg:   NewAggregator(cfg.Step, cfg.Cells, cfg.SketchAccuracy, cfg.Now),
-		drift: newDriftDetector(cfg.Baseline, cfg.DriftFactor, cfg.DriftMinSamples, cfg.Registry, cfg.Logger),
 		reg:   cfg.Registry,
 	}
 	p.agg.tenants = NewTenantTracker(cfg.TenantCap)
@@ -187,7 +169,7 @@ func (p *Pipeline) Enabled() bool { return p != nil }
 // Record appends ev to the durable store and folds it into the
 // windowed aggregates, then evaluates slow-solve capture (against the
 // shape bucket's percentile as it stood BEFORE this event, so the
-// outlier cannot raise its own bar) and the event benchmark's drift.
+// outlier cannot raise its own bar).
 // Store failures are counted, logged, and swallowed — telemetry never
 // fails the job that emitted the event.
 func (p *Pipeline) Record(ev *SolveEvent) Outcome {
@@ -200,7 +182,7 @@ func (p *Pipeline) Record(ev *SolveEvent) Outcome {
 
 	var out Outcome
 	if p.cfg.SlowPercentile > 0 && ev.Solved() {
-		threshold, samples := p.agg.ShapeQuantile(ev.ShapeBucket(), p.cfg.SlowPercentile, p.cfg.DriftWindow)
+		threshold, samples := p.agg.ShapeQuantile(ev.ShapeBucket(), p.cfg.SlowPercentile, p.cfg.Window)
 		if samples >= p.cfg.SlowMinSamples && ev.ElapsedMs > threshold {
 			out.Slow, out.SlowThreshold = true, threshold
 		}
@@ -217,24 +199,16 @@ func (p *Pipeline) Record(ev *SolveEvent) Outcome {
 	for _, fn := range p.cfg.Observers {
 		fn(ev)
 	}
-
-	if ev.Bench != "" && p.drift != nil {
-		if s, ok := p.agg.BenchStats(ev.Bench, p.cfg.DriftWindow); ok {
-			out.Drift = p.drift.check(ev.Bench, s)
-		}
-	}
 	return out
 }
 
-// Stats summarizes the trailing window, drift findings included when a
-// baseline is armed. Nil on a nil pipeline.
+// Stats summarizes the trailing window. Nil on a nil pipeline.
 func (p *Pipeline) Stats(window time.Duration) *WindowStats {
 	if p == nil {
 		return nil
 	}
 	st := p.agg.Stats(window)
 	st.ReplaySkipped = p.replaySkipped
-	st.Drift = p.DriftFindings(p.cfg.DriftWindow)
 	return st
 }
 
@@ -257,21 +231,6 @@ func (p *Pipeline) MedianSolveMs(window time.Duration) float64 {
 	return p.agg.Stats(window).Total.P50Ms
 }
 
-// DriftFindings evaluates every baseline benchmark against the trailing
-// window (gauges updated as a side effect). Nil without a baseline.
-func (p *Pipeline) DriftFindings(window time.Duration) []DriftFinding {
-	if p == nil || p.drift == nil {
-		return nil
-	}
-	var out []DriftFinding
-	for _, name := range p.drift.benchNames() {
-		if s, ok := p.agg.BenchStats(name, window); ok {
-			out = append(out, p.drift.check(name, s)...)
-		}
-	}
-	return out
-}
-
 // Series exposes the aggregator's per-cell time series for dashboards.
 func (p *Pipeline) Series(window time.Duration) []SeriesPoint {
 	if p == nil {
@@ -288,12 +247,13 @@ func (p *Pipeline) Span() time.Duration {
 	return p.agg.Span()
 }
 
-// DriftWindow is the configured drift/slow-capture comparison window.
-func (p *Pipeline) DriftWindow() time.Duration {
+// Window is the configured slow-capture comparison window, also the
+// default window of GET /v1/stats.
+func (p *Pipeline) Window() time.Duration {
 	if p == nil {
 		return 0
 	}
-	return p.cfg.DriftWindow
+	return p.cfg.Window
 }
 
 // Dir returns the store directory ("" on a nil pipeline).

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"agingfp/internal/bench"
 	"agingfp/internal/obs"
 )
 
@@ -105,75 +103,6 @@ func TestPipelineBurstAndRestart(t *testing.T) {
 	}
 }
 
-func TestPipelineDriftDetection(t *testing.T) {
-	baseline := &bench.PerfReport{
-		Schema: bench.PerfSchema,
-		Suite:  "B1",
-		Records: []bench.PerfRecord{
-			{Name: "B1", ElapsedMs: 100, SimplexIters: 1000, LPSolves: 50},
-		},
-	}
-	var logBuf strings.Builder
-	reg := obs.NewRegistry()
-	p := testPipeline(t, Config{
-		Baseline:        baseline,
-		DriftFactor:     2.0,
-		DriftMinSamples: 3,
-		Registry:        reg,
-		Logger:          slog.New(slog.NewTextHandler(&logBuf, nil)),
-	})
-
-	// Live traffic 3.5x slower than baseline wall-clock, but with LESS
-	// solver effort — only solve_ms must trip.
-	var out Outcome
-	for i := 0; i < 5; i++ {
-		ev := solvedEvent(testBase, "B1", 88, 16, 350)
-		ev.SimplexIters, ev.LPSolves = 900, 40
-		out = p.Record(ev)
-	}
-	byMetric := map[string]DriftFinding{}
-	for _, f := range out.Drift {
-		byMetric[f.Metric] = f
-	}
-	solve, ok := byMetric[DriftSolveMs]
-	if !ok || !solve.Exceeded {
-		t.Fatalf("solve_ms drift not flagged: %+v", out.Drift)
-	}
-	if math.Abs(solve.Ratio-3.5) > 3.5*DefaultAccuracy*1.01 {
-		t.Fatalf("solve_ms ratio %g, want ~3.5", solve.Ratio)
-	}
-	if byMetric[DriftSimplexIters].Exceeded || byMetric[DriftLPSolves].Exceeded {
-		t.Fatalf("effort metrics below baseline must not be flagged: %+v", out.Drift)
-	}
-
-	// The gauge carries the live ratio and the alert names the benchmark.
-	g := reg.Gauge(`agingfp_telemetry_drift{metric="solve_ms",benchmark="B1"}`)
-	if g.Value() <= 2 {
-		t.Fatalf("drift gauge = %g, want > factor", g.Value())
-	}
-	if !strings.Contains(logBuf.String(), "solver performance drift") {
-		t.Fatalf("no drift alert logged:\n%s", logBuf.String())
-	}
-
-	// Stats folds the findings in for /v1/stats.
-	if st := p.Stats(15 * time.Minute); len(st.Drift) == 0 {
-		t.Fatal("WindowStats.Drift empty with an armed baseline")
-	}
-}
-
-func TestPipelineDriftNeedsSamples(t *testing.T) {
-	baseline := &bench.PerfReport{
-		Schema:  bench.PerfSchema,
-		Suite:   "B1",
-		Records: []bench.PerfRecord{{Name: "B1", ElapsedMs: 100}},
-	}
-	p := testPipeline(t, Config{Baseline: baseline, DriftMinSamples: 5})
-	out := p.Record(solvedEvent(testBase, "B1", 88, 16, 1000))
-	if len(out.Drift) != 0 {
-		t.Fatalf("one sample must not produce findings: %+v", out.Drift)
-	}
-}
-
 func TestPipelineSlowCapture(t *testing.T) {
 	dir := t.TempDir()
 	p := testPipeline(t, Config{
@@ -227,10 +156,10 @@ func TestPipelineNilSafe(t *testing.T) {
 	if p.Enabled() {
 		t.Fatal("nil pipeline reports enabled")
 	}
-	if out := p.Record(solvedEvent(testBase, "B1", 8, 2, 1)); out.Slow || out.Drift != nil {
+	if out := p.Record(solvedEvent(testBase, "B1", 8, 2, 1)); out.Slow {
 		t.Fatal("nil Record must return a zero outcome")
 	}
-	if p.Stats(time.Minute) != nil || p.Series(time.Minute) != nil || p.DriftFindings(time.Minute) != nil {
+	if p.Stats(time.Minute) != nil || p.Series(time.Minute) != nil {
 		t.Fatal("nil accessors must return nil")
 	}
 	if p.CaptureSlow("x", func(io.Writer) error { return nil }) != "" {
@@ -242,12 +171,7 @@ func TestPipelineNilSafe(t *testing.T) {
 }
 
 func TestDashboardRenders(t *testing.T) {
-	baseline := &bench.PerfReport{
-		Schema:  bench.PerfSchema,
-		Suite:   "B1",
-		Records: []bench.PerfRecord{{Name: "B1", ElapsedMs: 100}},
-	}
-	p := testPipeline(t, Config{Baseline: baseline})
+	p := testPipeline(t, Config{})
 	for i := 0; i < 10; i++ {
 		p.Record(solvedEvent(testBase.Add(-time.Duration(i)*time.Minute), "B1", 88, 16, 300))
 	}
@@ -260,7 +184,6 @@ func TestDashboardRenders(t *testing.T) {
 		"B1",
 		"<svg",                       // sparklines and heatmap inline
 		"prefers-color-scheme: dark", // selected dark mode
-		"Baseline drift",
 	} {
 		if !strings.Contains(html, want) {
 			t.Errorf("dashboard missing %q", want)

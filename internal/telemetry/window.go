@@ -367,10 +367,6 @@ type WindowStats struct {
 	// pipeline replayed its durable history at open — nonzero means the
 	// windowed statistics are missing events a past process wrote.
 	ReplaySkipped int64 `json:"replay_skipped,omitempty"`
-
-	// Drift carries the latest baseline comparison (nil without a
-	// baseline); see DriftFinding.
-	Drift []DriftFinding `json:"drift,omitempty"`
 }
 
 // Stats merges every cell inside the trailing window (clamped to the
@@ -496,35 +492,6 @@ func (a *Aggregator) TenantStats(tenant string, window time.Duration) *TenantWin
 		Until:   now,
 		Summary: summarize(merged),
 	}
-}
-
-// BenchStats summarizes one benchmark over the trailing window —
-// the drift detector's unit of comparison.
-func (a *Aggregator) BenchStats(name string, window time.Duration) (BucketSummary, bool) {
-	if window <= 0 || window > a.Span() {
-		window = a.Span()
-	}
-	now := a.now()
-	since := now.Add(-window).Truncate(a.step)
-	merged := newBucketStats(a.alpha)
-	found := false
-	a.lock()
-	for i := range a.cells {
-		c := &a.cells[i]
-		if c.start == 0 {
-			continue
-		}
-		start := time.Unix(0, c.start)
-		if start.Before(since) || start.After(now) {
-			continue
-		}
-		if b := c.benches[name]; b != nil {
-			merged.merge(b)
-			found = true
-		}
-	}
-	a.unlock()
-	return summarize(merged), found
 }
 
 // ShapeQuantile returns the q-th solve-time quantile (ms) for one shape

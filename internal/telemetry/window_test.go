@@ -86,12 +86,9 @@ func TestAggregatorShapeAndBenchBreakdowns(t *testing.T) {
 	if big.P50Ms < 390 || big.P50Ms > 410 {
 		t.Fatalf("big-shape p50 = %g, want ~400", big.P50Ms)
 	}
-	b1, ok := a.BenchStats("B1", 10*time.Minute)
-	if !ok || b1.Jobs != 10 {
-		t.Fatalf("BenchStats B1: ok=%v %+v", ok, b1)
-	}
-	if _, ok := a.BenchStats("B99", 10*time.Minute); ok {
-		t.Fatal("BenchStats for an unseen benchmark must report not-found")
+
+	if b1, ok := st.Benchmarks["B1"]; !ok || b1.Jobs != 10 {
+		t.Fatalf("benchmark B1: ok=%v %+v", ok, b1)
 	}
 
 	ms, samples := a.ShapeQuantile("ops<=128,ctx<=16", 0.5, 10*time.Minute)
