@@ -61,7 +61,9 @@ const (
 	roleRegistered = 1
 )
 
-// Canonicalize validates doc and computes its canonical form.
+// Canonicalize validates doc and computes its canonical form. A
+// document that does not decode returns arch.FromDocument's error
+// unwrapped: it already names the fault, so callers can relay it as is.
 //
 // The renumbering is deterministic and isomorphism-invariant up to WL
 // ties: ops are colored by Weisfeiler–Leman refinement over op kinds,
@@ -73,7 +75,7 @@ const (
 func Canonicalize(doc *arch.Document) (*Form, error) {
 	d, mappings, err := arch.FromDocument(doc)
 	if err != nil {
-		return nil, fmt.Errorf("canon: %w", err)
+		return nil, err
 	}
 	n := d.NumOps()
 	baseline := mappings[BaselineMapping]

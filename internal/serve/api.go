@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -93,36 +95,38 @@ func (r *JobRequest) options() (core.Options, error) {
 	return opts, nil
 }
 
-// canonicalize validates the request and returns its canonical bytes —
-// the content-cache identity. Marshaling the parsed struct (rather than
+// exactKey validates the request's choice of workload and its options
+// and returns the exact-tier cache key: the SHA-256 of the parsed
+// request re-marshaled. Marshaling the parsed struct (rather than
 // hashing the client's raw body) normalizes field order, whitespace and
 // defaulted fields, so semantically identical submissions collide in
-// the cache on purpose. DeadlineMs is omitted: it decides whether a run
-// finishes, never what it computes.
-func (r *JobRequest) canonicalize() ([]byte, error) {
+// the cache on purpose. DeadlineMs and Tenant are omitted: they decide
+// whether and for whom a run finishes, never what it computes. The
+// design document is not decoded here; Submit decodes it only when the
+// exact tier misses.
+func (r *JobRequest) exactKey() (string, error) {
 	if (r.Bench == "") == (r.Design == nil) {
-		return nil, badRequest("serve: submit exactly one of bench, design")
+		return "", badRequest("serve: submit exactly one of bench, design")
 	}
 	if r.Bench != "" {
 		if _, ok := bench.SpecByName(r.Bench); !ok {
-			return nil, badRequest("serve: unknown benchmark %q (want B1..B27)", r.Bench)
-		}
-	}
-	if r.Design != nil {
-		if _, _, err := arch.FromDocument(r.Design); err != nil {
-			return nil, badRequest("serve: bad design: %v", err)
+			return "", badRequest("serve: unknown benchmark %q (want B1..B27)", r.Bench)
 		}
 	}
 	if _, err := r.options(); err != nil {
-		return nil, err
+		return "", err
 	}
-	return json.Marshal(struct {
+	h := sha256.New()
+	if err := json.NewEncoder(h).Encode(struct {
 		Bench       string         `json:"bench,omitempty"`
 		Design      *arch.Document `json:"design,omitempty"`
 		Mode        string         `json:"mode,omitempty"`
 		Seed        int64          `json:"seed,omitempty"`
 		TimeLimitMs int64          `json:"time_limit_ms,omitempty"`
-	}{r.Bench, r.Design, r.Mode, r.Seed, r.TimeLimitMs})
+	}{r.Bench, r.Design, r.Mode, r.Seed, r.TimeLimitMs}); err != nil {
+		return "", fmt.Errorf("serve: cache key: %w", err)
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // MTTFSummary is the reliability section of a result document.
@@ -418,15 +422,8 @@ func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, err
 		}, info, nil
 	}
 
-	// Design submission: solve the canonical instance.
+	// Design submission: solve the canonical instance Submit computed.
 	form := j.canonForm
-	if form == nil {
-		var err error
-		form, err = canon.Canonicalize(req.Design)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
 	d, mappings, err := arch.FromDocument(form.Doc)
 	if err != nil {
 		return nil, nil, err

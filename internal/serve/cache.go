@@ -34,14 +34,38 @@ import (
 // submissions also solve the canonical instance and render the same
 // way. Semantic entries additionally carry the solve's artifact set
 // (frozen rotations, ST bracket, LP bases) for the delta API.
+//
+// Submit looks the exact tier up before it decodes or canonicalizes
+// anything, so an exact entry holds everything a hit needs (see
+// exactEntry) and skipping validation on a hit rests on one invariant:
+// a key enters the exact tier only after its request validated and
+// solved, or after a semantic hit that validated it promoted it. The
+// same key means the same parsed request document, so it would validate
+// again.
 type resultCache struct {
 	mu      sync.Mutex
-	entries map[string][]byte
+	entries map[string]*exactEntry
 	order   []string // insertion order, for FIFO eviction
 	sem     map[string]*semanticEntry
 	semOrd  []string
 	cap     int
 	reg     *obs.Registry
+}
+
+// exactEntry is one exact-tier record: the result bytes plus what a hit
+// needs besides them — the semantic key and op/context permutations
+// that rebind the semantic tier's delta artifacts to this numbering,
+// and the workload identity the hit's wide event reports. It is written
+// whole in one put and never changed, so no hit sees a partial entry.
+type exactEntry struct {
+	result  []byte
+	semKey  string // "" for bench workloads
+	opPerm  []int  // client op index -> solved index; nil = identity
+	ctxPerm []int
+	// Workload identity: the result document's design name and shape.
+	design   string
+	ops      int
+	contexts int
 }
 
 // semanticEntry is one semantic-tier record: the rendering-agnostic
@@ -56,35 +80,34 @@ func newResultCache(capacity int, reg *obs.Registry) *resultCache {
 		capacity = 1
 	}
 	return &resultCache{
-		entries: make(map[string][]byte),
+		entries: make(map[string]*exactEntry),
 		sem:     make(map[string]*semanticEntry),
 		cap:     capacity,
 		reg:     reg,
 	}
 }
 
-// requestKey derives the cache key from the canonical request bytes.
-// Callers pass the re-marshaled (not raw client) JSON: encoding/json
-// emits struct fields in declaration order and map keys sorted, so two
-// semantically identical submissions hash alike regardless of the
-// client's field order or whitespace.
-func requestKey(canonical []byte) string {
-	sum := sha256.Sum256(canonical)
-	return hex.EncodeToString(sum[:])
-}
-
-func (c *resultCache) get(key string) ([]byte, bool) {
+func (c *resultCache) get(key string) (*exactEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b, ok := c.entries[key]
-	return b, ok
+	e, ok := c.entries[key]
+	return e, ok
 }
 
-func (c *resultCache) put(key string, val []byte) {
+// put stores e under key and, when sem is non-nil, the semantic entry
+// under e.semKey, both under one lock: a Submit that finds the exact
+// entry also finds the delta artifacts its semantic key names, and one
+// that finds the semantic entry finds the exact entry too. The first
+// writer of a key wins, so replays stay byte-identical; put returns the
+// stored exact entry and whether it is e.
+func (c *resultCache) put(key string, e *exactEntry, sem *semanticEntry) (*exactEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.entries[key]; exists {
-		return // first result wins; replays must stay byte-identical
+	if sem != nil {
+		c.putSemantic(e.semKey, sem)
+	}
+	if old, exists := c.entries[key]; exists {
+		return old, false
 	}
 	for len(c.entries) >= c.cap && len(c.order) > 0 {
 		oldest := c.order[0]
@@ -92,9 +115,10 @@ func (c *resultCache) put(key string, val []byte) {
 		delete(c.entries, oldest)
 		c.reg.Counter(`agingfp_serve_cache_evictions_total`).Inc()
 	}
-	c.entries[key] = val
+	c.entries[key] = e
 	c.order = append(c.order, key)
 	c.reg.Gauge(`agingfp_serve_cache_entries`).Set(float64(len(c.entries)))
+	return e, true
 }
 
 // semanticKey derives the semantic-tier key: the canonical design hash
@@ -115,9 +139,8 @@ func (c *resultCache) getSemantic(key string) (*semanticEntry, bool) {
 	return e, ok
 }
 
+// putSemantic stores a semantic entry; put calls it holding c.mu.
 func (c *resultCache) putSemantic(key string, e *semanticEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, exists := c.sem[key]; exists {
 		return // first result wins, mirroring the exact tier
 	}

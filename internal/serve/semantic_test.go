@@ -17,7 +17,7 @@ import (
 
 // designDoc synthesizes a small design and packages it as a document
 // with a baseline mapping — the shape a real client submits.
-func designDoc(t *testing.T, name string, totalOps, contexts, w, h int, seed int64) *arch.Document {
+func designDoc(t testing.TB, name string, totalOps, contexts, w, h int, seed int64) *arch.Document {
 	t.Helper()
 	d, err := bench.Synthesize(bench.Spec{
 		Name: name, Contexts: contexts, Fabric: arch.Fabric{W: w, H: h},

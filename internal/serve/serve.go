@@ -16,7 +16,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -184,7 +183,7 @@ type job struct {
 	traceID   string // correlation ID across logs, spans, and the API
 	tenant    string // validated accounting identity (raw, pre-rollup)
 	req       *JobRequest
-	canonForm *canon.Form // canonical form of a design submission; nil otherwise
+	canonForm *canon.Form // queued design jobs: the canonical instance to solve; nil otherwise and once run
 	ctx       context.Context
 	cancel    context.CancelFunc
 	submitted time.Time
@@ -431,7 +430,7 @@ func New(cfg Config) *Server {
 
 // Submit validates, caches or enqueues a request and returns the job's
 // id. Two cache tiers answer without solver work: an exact tier keyed
-// by the canonical request bytes (replays are byte-identical to the
+// by the re-marshaled request (replays are byte-identical to the
 // original run), and under it a semantic tier keyed by the design's
 // isomorphism hash — a renumbered-but-structurally-equal resubmission
 // misses on bytes but hits on structure, and the stored canonical
@@ -443,16 +442,21 @@ func (s *Server) Submit(req *JobRequest) (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, err
 	}
-	canonical, err := req.canonicalize()
+	key, err := req.exactKey()
 	if err != nil {
 		return Snapshot{}, err
 	}
-	key := requestKey(canonical)
+	// The exact tier is looked up before the design is decoded: an entry
+	// exists only for a request that already validated (see resultCache),
+	// so a hit skips decoding, validation and canonicalization alike.
+	hit, _ := s.cache.get(key)
 	var (
 		form   *canon.Form
 		semKey string
 	)
-	if req.Design != nil {
+	if hit == nil && req.Design != nil {
+		// The one decode of a missed design: canon validates it, and its
+		// error is arch's own.
 		form, err = canon.Canonicalize(req.Design)
 		if err != nil {
 			return Snapshot{}, badRequest("serve: bad design: %v", err)
@@ -473,7 +477,6 @@ func (s *Server) Submit(req *JobRequest) (Snapshot, error) {
 		traceID:   newTraceID(),
 		tenant:    tenant,
 		req:       req,
-		canonForm: form,
 		solveKind: solveKindCold,
 		submitted: time.Now(),
 		state:     StateQueued,
@@ -484,35 +487,26 @@ func (s *Server) Submit(req *JobRequest) (Snapshot, error) {
 	}
 	s.reg.Counter(`agingfp_serve_jobs_submitted_total`).Inc()
 
-	if cached, ok := s.cache.get(key); ok {
-		s.reg.Counter(`agingfp_serve_cache_hits_total`).Inc()
-		s.reg.Counter(`agingfp_serve_cache_tier_hits_total{tier="exact"}`).Inc()
+	if hit != nil {
 		j.solveKind = solveKindExact
-		s.finishFromCache(j, cached)
-		return j.snapshot(), nil
-	}
-	if semKey != "" {
+	} else if semKey != "" {
 		if e, ok := s.cache.getSemantic(semKey); ok {
-			out, rerr := renderResult(req.Design.Name, form.OpPerm, e.result)
-			if rerr == nil {
-				s.reg.Counter(`agingfp_cache_semantic_hits_total`).Inc()
-				s.reg.Counter(`agingfp_serve_cache_tier_hits_total{tier="semantic"}`).Inc()
-				// Promote into the exact tier so the next identical
-				// resubmission short-circuits even earlier — and serve
-				// the tier's stored slice so replays stay one allocation.
-				s.cache.put(key, out)
-				if cached, ok := s.cache.get(key); ok {
-					out = cached
-				}
-				j.solveKind = solveKindSemantic
-				s.finishFromCache(j, out)
-				return j.snapshot(), nil
-			}
-			// An unrenderable semantic entry means corrupted state;
-			// fall through to a cold solve rather than failing the job.
+			hit = s.promote(j, form, e)
 		}
 	}
+	if hit != nil {
+		if j.solveKind == solveKindSemantic {
+			s.reg.Counter(`agingfp_cache_semantic_hits_total`).Inc()
+			s.reg.Counter(`agingfp_serve_cache_tier_hits_total{tier="semantic"}`).Inc()
+		} else {
+			s.reg.Counter(`agingfp_serve_cache_hits_total`).Inc()
+			s.reg.Counter(`agingfp_serve_cache_tier_hits_total{tier="exact"}`).Inc()
+		}
+		s.finishFromCache(j, hit)
+		return j.snapshot(), nil
+	}
 	s.reg.Counter(`agingfp_serve_cache_misses_total`).Inc()
+	j.canonForm = form
 	// Only jobs that actually run the solver get a flight recorder: a
 	// cache hit replays stored bytes, so there are no decisions to
 	// journal and the report endpoint answers 404 for it.
@@ -544,6 +538,36 @@ func (s *Server) Submit(req *JobRequest) (Snapshot, error) {
 	s.reg.Gauge(`agingfp_serve_queue_depth`).Set(float64(len(s.queue)))
 	s.logJob(j, "job submitted", slog.String("bench", req.Bench), slog.String("mode", req.Mode))
 	return j.snapshot(), nil
+}
+
+// promote answers a design job from its semantic entry e: it renders
+// the stored canonical result through the op permutation of form, the
+// job's canonical form, and stores that in the exact tier, so the next
+// identical resubmission hits there. It returns the stored exact entry
+// and marks the job a semantic hit — or an exact hit when another
+// writer stored the key first (a cold solve of the same bytes that
+// finished after Submit's exact lookup). nil means the entry did not
+// render — corrupt state, left for a cold solve rather than a failed
+// job.
+func (s *Server) promote(j *job, form *canon.Form, e *semanticEntry) *exactEntry {
+	out, err := renderResult(j.req.Design.Name, form.OpPerm, e.result)
+	if err != nil {
+		return nil
+	}
+	stored, fresh := s.cache.put(j.key, &exactEntry{
+		result:   out,
+		semKey:   j.semKey,
+		opPerm:   form.OpPerm,
+		ctxPerm:  form.CtxPerm,
+		design:   j.req.Design.Name,
+		ops:      e.result.ops,
+		contexts: e.result.contexts,
+	}, nil)
+	j.solveKind = solveKindExact
+	if fresh {
+		j.solveKind = solveKindSemantic
+	}
+	return stored
 }
 
 // tenantLabel is the metric/telemetry label for a job's tenant: the raw
@@ -581,19 +605,19 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // finishFromCache completes a cache-answered job at submission time:
-// the stored bytes become the result, the job is terminal immediately,
+// the entry's bytes become the result, the job is terminal immediately,
 // and — for design submissions whose semantic entry survives — the
 // canonical artifacts are rebound to this submission's numbering so
 // the job can still serve as a delta base. Called with s.mu held.
-func (s *Server) finishFromCache(j *job, cached []byte) {
+func (s *Server) finishFromCache(j *job, e *exactEntry) {
 	j.state = StateDone
-	j.result = cached
-	if j.semKey != "" && j.canonForm != nil {
-		if e, ok := s.cache.getSemantic(j.semKey); ok && e.artifacts != nil {
-			art := *e.artifacts
+	j.result = e.result
+	if e.semKey != "" {
+		if se, ok := s.cache.getSemantic(e.semKey); ok && se.artifacts != nil {
+			art := *se.artifacts
 			art.clientDoc = j.req.Design
-			art.opPerm = j.canonForm.OpPerm
-			art.ctxPerm = j.canonForm.CtxPerm
+			art.opPerm = e.opPerm
+			art.ctxPerm = e.ctxPerm
 			j.artifacts = &art
 		}
 	}
@@ -610,25 +634,20 @@ func (s *Server) finishFromCache(j *job, cached []byte) {
 	j.rep.Update(func(p *obs.Progress) { p.Phase = "done"; p.Done = true; p.Status = string(StateDone) })
 	s.logJob(j, "job served from cache",
 		slog.Bool("cache_hit", true), slog.String("solve_kind", j.solveKind))
-	s.emitCacheHitEvent(j, cached)
+	s.emitCacheHitEvent(j, e)
 }
 
 // emitCacheHitEvent records a cache-served job as a wide event: it
 // counts toward throughput and the hit rate but is excluded from solve
 // latency percentiles (the pipeline keys that off cache_hit). The
-// workload identity and shape are read back out of the cached result
-// document, which carries them precisely so replays stay attributable.
-func (s *Server) emitCacheHitEvent(j *job, cached []byte) {
+// workload identity and shape come from the exact entry, which stores
+// them beside the result bytes so replays stay attributable without
+// parsing the result.
+func (s *Server) emitCacheHitEvent(j *job, e *exactEntry) {
 	tp := s.cfg.Telemetry
 	if tp == nil {
 		return
 	}
-	var res struct {
-		Design   string `json:"design"`
-		Ops      int    `json:"ops"`
-		Contexts int    `json:"contexts"`
-	}
-	json.Unmarshal(cached, &res) //nolint:errcheck // best-effort attribution
 	mode := j.req.Mode
 	if mode == "" {
 		mode = "rotate"
@@ -639,9 +658,9 @@ func (s *Server) emitCacheHitEvent(j *job, cached []byte) {
 		JobID:     j.id,
 		TraceID:   j.traceID,
 		Tenant:    s.tenantLabel(j),
-		Bench:     res.Design,
-		Ops:       res.Ops,
-		Contexts:  res.Contexts,
+		Bench:     e.design,
+		Ops:       e.ops,
+		Contexts:  e.contexts,
 		Mode:      mode,
 		Status:    string(StateDone),
 		CacheHit:  true,
@@ -958,18 +977,18 @@ func (s *Server) runJob(j *job) {
 		// Delta jobs bypass the caches (key == ""): their results
 		// depend on the base job's artifacts, not the request alone.
 		if j.key != "" {
-			// Store-then-load so the job serves the same byte slice
-			// future cache hits will.
-			s.cache.put(j.key, out)
-			if cached, ok := s.cache.get(j.key); ok {
-				out = cached
+			e := &exactEntry{result: out, semKey: j.semKey, design: info.design, ops: info.ops, contexts: info.contexts}
+			// Only cold design solves feed the semantic tier: its
+			// contract is "the canonical instance's own solve outcome",
+			// which a seeded delta re-solve does not satisfy.
+			var sem *semanticEntry
+			if j.canonForm != nil {
+				e.opPerm, e.ctxPerm = j.canonForm.OpPerm, j.canonForm.CtxPerm
+				sem = &semanticEntry{result: eo.cres, artifacts: eo.artifacts}
 			}
-		}
-		// Only cold design solves feed the semantic tier: its contract
-		// is "the canonical instance's own solve outcome", which a
-		// seeded delta re-solve does not satisfy.
-		if j.semKey != "" && j.solveKind == solveKindCold && eo.cres != nil {
-			s.cache.putSemantic(j.semKey, &semanticEntry{result: eo.cres, artifacts: eo.artifacts})
+			// The job serves the stored slice, the one future hits serve.
+			stored, _ := s.cache.put(j.key, e, sem)
+			out = stored.result
 		}
 		final = StateDone
 		j.result = out
@@ -989,6 +1008,7 @@ func (s *Server) runJob(j *job) {
 		final = StateFailed
 		j.errText = err.Error()
 	}
+	j.canonForm = nil // the canonical document was only needed to solve
 	elapsed := j.finished.Sub(j.started)
 	// The cost block is derived before the terminal state becomes
 	// visible, in the same critical section, so no snapshot reads a
