@@ -55,8 +55,6 @@ func run() int {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 2, "solver worker pool size")
-		queueDepth   = flag.Int("queue", 16, "job queue depth (further submissions get 503)")
-		cacheSize    = flag.Int("cache", 64, "content-addressed result cache entries")
 		deadline     = flag.Duration("default-deadline", 0, "default per-job deadline, queue wait included (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight jobs before force-canceling")
 		debug        = flag.Bool("debug", false, "trace solver spans on stdout")
@@ -64,7 +62,6 @@ func run() int {
 		traceJobs    = flag.Bool("trace-jobs", false, "keep a bounded per-job span trace behind GET /v1/jobs/{id}/trace")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logFormat    = flag.String("log-format", "text", "request/lifecycle log format: text or json")
-		quietLog     = flag.Bool("no-log", false, "disable request and lifecycle logging")
 		flightEvs    = flag.Int("flight-events", 0, "bound each job's flight journal (0 = default, negative disables GET /v1/jobs/{id}/report)")
 		telemDir     = flag.String("telemetry-dir", "", "durable solve-telemetry directory; enables GET /v1/stats and GET /debug/dash (empty disables)")
 		slowPct      = flag.Float64("slow-percentile", 0.99, "auto-capture the flight journal of solves beyond this latency percentile of their shape bucket (<=0 disables)")
@@ -93,9 +90,6 @@ func run() int {
 	default:
 		fmt.Fprintf(os.Stderr, "agingfloord: unknown -log-format %q (want text or json)\n", *logFormat)
 		return 2
-	}
-	if *quietLog {
-		logger = nil
 	}
 
 	reg := obs.NewRegistry()
@@ -182,8 +176,6 @@ func run() int {
 
 	srv := serve.New(serve.Config{
 		Workers:         *workers,
-		QueueDepth:      *queueDepth,
-		CacheEntries:    *cacheSize,
 		DefaultDeadline: *deadline,
 		DrainTimeout:    *drainTimeout,
 		Trace:           tracer,
@@ -205,7 +197,7 @@ func run() int {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Printf("agingfloord listening on %s (%d workers, queue %d)\n", *addr, *workers, *queueDepth)
+	fmt.Printf("agingfloord listening on %s (%d workers)\n", *addr, *workers)
 
 	select {
 	case err := <-errc:

@@ -7,6 +7,7 @@ import (
 
 	"agingfp/internal/flight"
 	"agingfp/internal/lp"
+	"agingfp/internal/obs"
 )
 
 // assignmentLP is an n×n assignment LP with random costs: one row per
@@ -77,26 +78,36 @@ func TestProfileArmedViaRecorder(t *testing.T) {
 }
 
 // TestFoldZeroAllocs keeps the fold free when no tracer, recorder or
-// reporter is attached: an LP solve (warm hit, warm reject, cold) and the
-// other decision calls move only the run's Stats.
+// reporter is attached: an LP solve (warm hit, warm reject, cold), the
+// other decision calls, and the spans they open and close move only the
+// run's Stats.
 func TestFoldZeroAllocs(t *testing.T) {
 	var st Stats
 	f := newFold(context.Background(), DefaultOptions()).run(&st)
 	hit := &lp.Solution{Iters: 7, Degenerate: 2, Refreshes: 1, Warm: true}
 	miss := &lp.Solution{Iters: 9, Degenerate: 1, Refreshes: 3, WarmReject: "stale_basis"}
 	allocs := testing.AllocsPerRun(100, func() {
+		f.open(obs.Span{}, "core.remap", obs.Int("ops", 3))
 		f.lp(hit, true)
 		f.lp(miss, true)
 		f.lp(miss, false)
 		f.phase("probe", 1.5)
 		f.batch(0, 2)
+		f.dive(0, 4)
+		f.note("core.probe.round", obs.Int("round", 0))
+		f.event(flight.Event{Kind: flight.KindDive, Status: "integral", N: 4})
+		f.event(flight.Event{Kind: flight.KindBatch, Status: "solved", N: 4, M: 9})
 		f.event(flight.Event{Kind: flight.KindProbe, ST: 1.5, Status: "infeasible"})
 		f.backjump()
+		f.close(nil, obs.Bool("improved", false))
 	})
 	if allocs != 0 {
 		t.Fatalf("fold allocates %.1f per run with no sinks, want 0", allocs)
 	}
 	if st.LPSolves == 0 || st.WarmStarts != st.WarmStartRejects || st.OuterIterations == 0 {
 		t.Fatalf("Stats not folded: %+v", st)
+	}
+	if f.depth != 0 {
+		t.Fatalf("%d spans left open", f.depth)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"agingfp/internal/dfg"
 	"agingfp/internal/hls"
 	"agingfp/internal/lp"
-	"agingfp/internal/obs"
 	"agingfp/internal/place"
 	"agingfp/internal/timing"
 )
@@ -100,7 +99,7 @@ func TestOriginalAssignmentSatisfiesFormulation(t *testing.T) {
 
 	// And the solver must find some solution at this budget.
 	f := newFold(context.Background(), DefaultOptions()).run(&Stats{})
-	asn, ok, _, err := solveBatch(context.Background(), bp, DefaultOptions(), f, rand.New(rand.NewSource(9)), time.Time{}, nil, 0, obs.Span{})
+	asn, ok, _, err := solveBatch(context.Background(), bp, DefaultOptions(), f, rand.New(rand.NewSource(9)), time.Time{}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"agingfp/internal/arch"
 	"agingfp/internal/dfg"
 	"agingfp/internal/hls"
-	"agingfp/internal/obs"
 	"agingfp/internal/place"
 	"agingfp/internal/timing"
 )
@@ -96,7 +95,7 @@ func TestRotateFrozenGeometry(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	rng := rand.New(rand.NewSource(3))
-	pos := rotateFrozen(context.Background(), d, m0, crit, opts, rng, newFold(context.Background(), opts).run(&Stats{}), obs.Span{})
+	pos := rotateFrozen(context.Background(), d, m0, crit, opts, rng, newFold(context.Background(), opts).run(&Stats{}))
 	if len(pos) != len(crit) {
 		t.Fatalf("%d rotated positions for %d critical ops", len(pos), len(crit))
 	}

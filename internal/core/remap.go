@@ -39,7 +39,7 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 
 // remap is one Remap run writing its work through the job's shared
 // sinks (see fold).
-func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, sinks *fold) (*Result, error) {
+func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, sinks *fold) (_ *Result, err error) {
 	start := time.Now()
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -87,7 +87,7 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 	if f.traceID != "" {
 		rootAttrs = append(rootAttrs, obs.String("trace_id", f.traceID))
 	}
-	root := f.span(opts.TraceParent, "core.remap", rootAttrs...)
+	f.open(opts.TraceParent, "core.remap", rootAttrs...)
 	// fallback is the work of a nested Freeze run whose floorplan lost to
 	// this run's; it joins the returned Stats after this run's own
 	// accounting, so the returned totals cover both runs.
@@ -95,8 +95,9 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 	defer func() {
 		result.Stats.Elapsed = time.Since(start)
 		f.end()
-		root.End(
+		f.close(err,
 			obs.Bool("improved", result.Improved),
+			obs.Float("st_lower_bound", result.STLowerBound),
 			obs.Float("st_target", result.STTarget),
 			obs.Float("new_max_stress", result.NewMaxStress),
 			obs.Int("outer_iterations", result.Stats.OuterIterations))
@@ -128,18 +129,35 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 	}
 	batchList := batches(d.NumContexts, perBatch)
 
+	// Step 2's timing inputs depend only on the baseline, so they are
+	// derived here, outside every phase span (a phase's span lasts until
+	// the next phase begins; see fold.phase). Step 2.1 freezes the
+	// critical ops, none under a relaxed budget. Step 2.2 monitors the
+	// paths within 20% of the delay budget; under a relaxed budget the
+	// set may be empty, and the lazy repair rounds supply any rows.
+	crit := map[int]bool{}
+	if budget <= res0.CPD+1e-12 {
+		crit = timing.CriticalOps(d, m0, res0, opts.CritEpsNs)
+	}
+	var paths []*timing.Path
+	if frac := opts.PathThresholdFrac * budget / res0.CPD; frac <= 1 {
+		paths = timing.EnumeratePaths(d, m0, res0, timing.EnumerateOptions{
+			ThresholdFrac: frac,
+			MaxPaths:      opts.MaxPaths,
+			MaxPerContext: opts.MaxPathsPerContext,
+		})
+	}
+
 	// Step 1: delay-unaware lower bound for ST_target. The default uses
 	// the LPT level (an achievable delay-unaware budget); Step1MILP runs
 	// the paper's binary-search MILP instead.
 	s1T := time.Now()
-	s1 := root.Child("core.step1", obs.Bool("milp", opts.Step1MILP))
 	f.phase("step1", 0)
 	var stLB float64
 	if opts.Step1MILP {
 		var err error
-		stLB, err = stressLowerBound(ctx, d, m0, stress0, stLow, stUp, batchList, opts, rng, f, s1)
+		stLB, err = stressLowerBound(ctx, d, m0, stress0, stLow, stUp, batchList, opts, rng, f)
 		if err != nil {
-			s1.End(obs.String("status", "error"))
 			return fail(err)
 		}
 	} else {
@@ -147,21 +165,15 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 		if stLB < stLow {
 			stLB = stLow
 		}
+		f.phase("step1", stLB)
 		f.event(flight.Event{Kind: flight.KindStep1Probe,
 			ST: stLB, Status: "feasible", Cause: "greedy"})
 	}
 	result.STLowerBound = stLB
 	result.Stats.Step1Time += time.Since(s1T)
-	s1.End(obs.Float("st_lower_bound", stLB), obs.Int("probes", result.Stats.STProbes))
 
 	// Step 2.1: critical-path freezing (and rotation in Rotate mode).
-	// With a relaxed budget no path is critical and nothing is frozen.
-	crit := map[int]bool{}
-	if budget <= res0.CPD+1e-12 {
-		crit = timing.CriticalOps(d, m0, res0, opts.CritEpsNs)
-	}
 	rotT := time.Now()
-	rsp := root.Child("core.rotate", obs.String("mode", opts.Mode.String()), obs.Int("critical_ops", len(crit)))
 	f.phase("rotate", 0)
 	if opts.prior != nil {
 		result.Resume = &ResumeInfo{}
@@ -180,24 +192,11 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 		}
 	}
 	if frozenPos == nil {
-		frozenPos = rotateFrozen(ctx, d, m0, crit, opts, rng, f, rsp)
+		frozenPos = rotateFrozen(ctx, d, m0, crit, opts, rng, f)
 	}
 	result.Stats.RotateTime += time.Since(rotT)
-	rsp.End(obs.Int("frozen_ops", len(frozenPos)))
 	if err := ctx.Err(); err != nil {
 		return fail(err)
-	}
-
-	// Step 2.2: monitored path set and wire budgets (paths within 20%
-	// of the delay budget). Under a relaxed budget the initial set may
-	// be empty; the lazy repair rounds then supply any needed rows.
-	var paths []*timing.Path
-	if frac := opts.PathThresholdFrac * budget / res0.CPD; frac <= 1 {
-		paths = timing.EnumeratePaths(d, m0, res0, timing.EnumerateOptions{
-			ThresholdFrac: frac,
-			MaxPaths:      opts.MaxPaths,
-			MaxPerContext: opts.MaxPathsPerContext,
-		})
 	}
 
 	// The frozen ops alone put a floor under any achievable ST_target:
@@ -250,10 +249,8 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 	lastProbeStatus := ""
 	probe := func(st float64) (m arch.Mapping, cpd float64, feasible bool, err error) {
 		f.phase("probe", st)
-		psp := root.Child("core.probe", obs.Float("st", st))
 		status := "infeasible"
 		defer func() {
-			psp.End(obs.String("status", status))
 			lastProbeStatus = status
 			// The fold counts the outer iteration from this one event, so
 			// the report's RelaxIterations always equals
@@ -274,7 +271,7 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 				return nil, 0, false, nil
 			}
 			s2T := time.Now()
-			mNew, ok, err := solveAllBatches(ctx, d, m0, frozenPos, paths, st, budget, stress0, batchList, opts, rng, f, deadline, probeCache, psp)
+			mNew, ok, err := solveAllBatches(ctx, d, m0, frozenPos, paths, st, budget, stress0, batchList, opts, rng, f, deadline, probeCache)
 			result.Stats.Step2Time += time.Since(s2T)
 			if err != nil {
 				status = "error"
@@ -286,13 +283,13 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 					// a proven infeasibility.
 					status = "timeout"
 				}
-				psp.Event("core.probe.round", obs.Int("round", round), obs.Bool("solved", false))
+				f.note("core.probe.round", obs.Int("round", round), obs.Bool("solved", false))
 				return nil, 0, false, nil
 			}
 			staT := time.Now()
 			newRes := timing.Analyze(d, mNew)
 			result.Stats.TimingTime += time.Since(staT)
-			psp.Event("core.probe.round", obs.Int("round", round), obs.Bool("solved", true),
+			f.note("core.probe.round", obs.Int("round", round), obs.Bool("solved", true),
 				obs.Float("cpd", newRes.CPD), obs.Float("budget", budget), obs.Int("paths", len(paths)))
 			if newRes.CPD <= budget+1e-9 {
 				status = "feasible"
@@ -311,7 +308,7 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 				}
 			}
 			result.Stats.TimingTime += time.Since(repT)
-			psp.Event("core.probe.repair", obs.Int("round", round), obs.Int("added", added), obs.Int("paths", len(paths)))
+			f.note("core.probe.repair", obs.Int("round", round), obs.Int("added", added), obs.Int("paths", len(paths)))
 			if added == 0 {
 				// The CPD regressed past the budget and every violating
 				// path is already constrained: more repair rounds cannot
@@ -507,7 +504,7 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 	if opts.Mode == Rotate && !result.Improved {
 		fo := opts
 		fo.Mode = Freeze
-		fo.TraceParent = root // nest the fallback run under this one
+		fo.TraceParent = f.root // nest the fallback run under this one
 		fr, err := remap(ctx, d, m0, fo, sinks)
 		if err != nil {
 			if fr != nil {
@@ -552,7 +549,7 @@ func RemapBoth(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Option
 	// Both arms write into one set of sinks (one span-ID space, one
 	// journal; see Options.Flight for the interleaving caveat).
 	sinks := newFold(ctx, opts)
-	both := sinks.span(opts.TraceParent, "core.remap_both")
+	sinks.open(opts.TraceParent, "core.remap_both")
 
 	var (
 		wg                sync.WaitGroup
@@ -563,24 +560,24 @@ func RemapBoth(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Option
 		defer wg.Done()
 		fo := opts
 		fo.Mode = Freeze
-		fo.TraceParent = both
+		fo.TraceParent = sinks.root
 		freeze, freezeErr = remap(ctx, d, m0, fo, sinks)
 	}()
 	go func() {
 		defer wg.Done()
 		ro := opts
 		ro.Mode = Rotate
-		ro.TraceParent = both
+		ro.TraceParent = sinks.root
 		rotate, rotErr = remap(ctx, d, m0, ro, sinks)
 	}()
 	wg.Wait()
-	if freezeErr != nil {
-		both.End(obs.String("status", "error"))
-		return nil, nil, freezeErr
+	err = freezeErr
+	if err == nil {
+		err = rotErr
 	}
-	if rotErr != nil {
-		both.End(obs.String("status", "error"))
-		return nil, nil, rotErr
+	if err != nil {
+		sinks.close(err)
+		return nil, nil, err
 	}
 	if betterResult(freeze, rotate) {
 		r := *freeze
@@ -588,7 +585,7 @@ func RemapBoth(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Option
 		r.FallbackToFreeze = true
 		rotate = &r
 	}
-	both.End(obs.String("status", "ok"), obs.Bool("fallback_to_freeze", rotate.FallbackToFreeze))
+	sinks.close(nil, obs.Bool("fallback_to_freeze", rotate.FallbackToFreeze))
 	return freeze, rotate, nil
 }
 
@@ -625,13 +622,13 @@ func violatedPaths(d *arch.Design, m arch.Mapping, res *timing.Result, origCPD f
 
 // solveAllBatches re-binds every non-frozen op, one context batch at a
 // time, under the global stress budget st. Returns ok=false if any batch
-// is infeasible. Each batch is traced as a "core.batch" span under
-// parent (with a construction-infeasibility event when buildBatch bailed
-// early).
+// is infeasible. Each batch is journaled as one batch event, which ends
+// the fold's core.batch span (with a construction-infeasibility note
+// when buildBatch bailed early).
 func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, frozenPos map[int]arch.Coord,
 	paths []*timing.Path, st, cpd float64, stress0 arch.StressMap,
 	batchList [][]int, opts Options, rng *rand.Rand, f *fold, deadline time.Time,
-	cache *warmCache, parent obs.Span) (arch.Mapping, bool, error) {
+	cache *warmCache) (arch.Mapping, bool, error) {
 
 	mCur := m0.Clone()
 	committed := make([]float64, d.Fabric.NumPEs())
@@ -655,11 +652,8 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 			}
 			movable = append(movable, op)
 		}
-		bsp := parent.Child("core.batch",
-			obs.Int("batch", bi), obs.Int("contexts", len(bctx)), obs.Int("movable", len(movable)))
 		f.batch(bi, len(batchList))
 		if err := ctx.Err(); err != nil {
-			bsp.End(obs.String("status", "canceled"))
 			f.event(flight.Event{Kind: flight.KindBatch,
 				Batch: bi, N: len(movable), Status: "canceled"})
 			return nil, false, err
@@ -667,17 +661,15 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 		cands := candidateSets(d, m0, stress0, frozenPos, movable, rng)
 		bp := buildBatch(d, mCur, inBatch, frozenPos, cands, paths, st, committed, cpd, opts)
 		if bp.infeasibleReason != "" {
-			bsp.Event("core.batch.infeasible_construction", obs.String("reason", bp.infeasibleReason))
+			f.note("core.batch.infeasible_construction", obs.String("reason", bp.infeasibleReason))
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			bsp.End(obs.String("status", "timeout"))
 			f.event(flight.Event{Kind: flight.KindBatch,
 				Batch: bi, N: len(movable), M: bp.lp.NumRows(), Status: "timeout"})
 			return nil, false, nil // probe budget exhausted
 		}
-		asn, ok, outcome, err := solveBatch(ctx, bp, opts, f, rng, deadline, cache, bi, bsp)
+		asn, ok, outcome, err := solveBatch(ctx, bp, opts, f, rng, deadline, cache, bi)
 		if err != nil {
-			bsp.End(obs.String("status", "error"))
 			return nil, false, err
 		}
 		if !ok {
@@ -698,12 +690,10 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 			}
 			f.event(flight.Event{Kind: flight.KindBatch,
 				Batch: bi, N: len(movable), M: bp.lp.NumRows(), Status: status, Cause: family})
-			bsp.End(obs.String("status", "infeasible"), obs.Int("rows", bp.lp.NumRows()))
 			return nil, false, nil
 		}
 		f.event(flight.Event{Kind: flight.KindBatch,
 			Batch: bi, N: len(movable), M: bp.lp.NumRows(), Status: "solved"})
-		bsp.End(obs.String("status", "solved"), obs.Int("rows", bp.lp.NumRows()))
 		for op, pe := range asn {
 			mCur[op] = pe
 		}
@@ -717,10 +707,10 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 
 // stressLowerBound implements Step 1: binary search for the smallest
 // ST_target admitting a delay-unaware floorplan, between the original
-// floorplan's mean (ST_low) and max (ST_up) accumulated stress. Each
-// budget probe is traced as a "core.step1.probe" span under parent.
+// floorplan's mean (ST_low) and max (ST_up) accumulated stress, one
+// step1_probe event per budget probe.
 func stressLowerBound(ctx context.Context, d *arch.Design, m0 arch.Mapping, stress0 arch.StressMap,
-	lo, hi float64, batchList [][]int, opts Options, rng *rand.Rand, f *fold, parent obs.Span) (float64, error) {
+	lo, hi float64, batchList [][]int, opts Options, rng *rand.Rand, f *fold) (float64, error) {
 
 	// The LPT level is a fast sufficient certificate: any budget at or
 	// above it is feasible without solving a MILP.
@@ -732,18 +722,13 @@ func stressLowerBound(ctx context.Context, d *arch.Design, m0 arch.Mapping, stre
 	cache := newWarmCache(len(batchList), opts.WarmHeuristics)
 
 	feasible := func(st float64) (bool, error) {
-		psp := parent.Child("core.step1.probe", obs.Float("st_target", st))
 		f.phase("step1", st)
 		if greedyMax <= st+1e-12 {
-			psp.End(obs.Bool("feasible", true), obs.String("certificate", "greedy"), obs.Int("simplex_iters", 0))
 			f.event(flight.Event{Kind: flight.KindStep1Probe,
 				ST: st, Status: "feasible", Cause: "greedy"})
 			return true, nil
 		}
-		itersBefore := f.st.SimplexIters
-		_, ok, err := solveAllBatches(ctx, d, m0, nil, nil, st, 0, stress0, batchList, opts, rng, f, time.Time{}, cache, psp)
-		psp.End(obs.Bool("feasible", err == nil && ok), obs.String("certificate", "milp"),
-			obs.Int("simplex_iters", f.st.SimplexIters-itersBefore))
+		_, ok, err := solveAllBatches(ctx, d, m0, nil, nil, st, 0, stress0, batchList, opts, rng, f, time.Time{}, cache)
 		verdict := "infeasible"
 		if err == nil && ok {
 			verdict = "feasible"

@@ -9,7 +9,6 @@ import (
 	"agingfp/internal/dfg"
 	"agingfp/internal/hls"
 	"agingfp/internal/nbti"
-	"agingfp/internal/obs"
 	"agingfp/internal/place"
 	"agingfp/internal/thermal"
 	"agingfp/internal/timing"
@@ -232,7 +231,7 @@ func TestRotateFreezeModeKeepsPositions(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Mode = Freeze
 	rng := rand.New(rand.NewSource(1))
-	pos := rotateFrozen(context.Background(), d, m0, crit, opts, rng, newFold(context.Background(), opts).run(&Stats{}), obs.Span{})
+	pos := rotateFrozen(context.Background(), d, m0, crit, opts, rng, newFold(context.Background(), opts).run(&Stats{}))
 	for op, pe := range pos {
 		if pe != m0[op] {
 			t.Fatalf("freeze mode moved op %d: %v -> %v", op, m0[op], pe)

@@ -8,7 +8,6 @@ import (
 
 	"agingfp/internal/arch"
 	"agingfp/internal/flight"
-	"agingfp/internal/obs"
 )
 
 // maxParallelism bounds the worker fan-out of CPU-bound scoring loops.
@@ -87,13 +86,13 @@ func orientationPool(orients []int, numContexts int, rng *rand.Rand) []int {
 // registered arcs, which would eat (or bust) the monitored paths' wire
 // budgets outright.
 //
-// sp is the caller's "core.rotate" span (the caller ends it); the
-// selection outcome is reported as a "core.rotate.select" instant event.
+// The winner is journaled as one rotate event, which the fold also
+// reports as the "core.rotate.select" instant event.
 //
 // Cancellation: a canceled ctx makes the scoring workers stop early and
 // the identity assignment (all ops at their original PEs) is returned;
 // the caller notices ctx.Err() itself and discards the run.
-func rotateFrozen(ctx context.Context, d *arch.Design, m arch.Mapping, frozen map[int]bool, opts Options, rng *rand.Rand, f *fold, sp obs.Span) map[int]arch.Coord {
+func rotateFrozen(ctx context.Context, d *arch.Design, m arch.Mapping, frozen map[int]bool, opts Options, rng *rand.Rand, f *fold) map[int]arch.Coord {
 	out := make(map[int]arch.Coord, len(frozen))
 	if opts.Mode == Freeze || ctx.Err() != nil {
 		for op := range frozen {
@@ -212,9 +211,6 @@ func rotateFrozen(ctx context.Context, d *arch.Design, m arch.Mapping, frozen ma
 			bestR = r
 		}
 	}
-	sp.Event("core.rotate.select",
-		obs.Int("restarts", restarts), obs.Int("winner", bestR),
-		obs.Float("score", bestScore), obs.Int("cross_arcs", len(crossArcs)))
 	f.event(flight.Event{Kind: flight.KindRotate,
 		Round: bestR, Obj: bestScore, N: len(crossArcs)})
 	for c := 0; c < d.NumContexts; c++ {

@@ -55,9 +55,9 @@ func SolveRemapOnce(ctx context.Context, d *arch.Design, m0 arch.Mapping, stTarg
 	rng := rand.New(rand.NewSource(opts.Seed))
 	bp := buildFullProblem(d, m0, stTarget, opts, rng)
 	f := newFold(ctx, opts).run(&Stats{})
-	parent := f.tr.Start("core.solve_once", obs.Float("st_target", stTarget))
-	defer parent.End()
-	asn, ok, _, err := solveBatch(ctx, bp, opts, f, rng, time.Time{}, nil, 0, parent)
+	f.open(opts.TraceParent, "core.solve_once", obs.Float("st_target", stTarget))
+	asn, ok, _, err := solveBatch(ctx, bp, opts, f, rng, time.Time{}, nil, 0)
+	f.close(err)
 	if err != nil || !ok {
 		return nil, false, err
 	}

@@ -11,7 +11,6 @@ import (
 	"agingfp/internal/arch"
 	"agingfp/internal/flight"
 	"agingfp/internal/lp"
-	"agingfp/internal/obs"
 )
 
 // warmCache holds one LP basis snapshot per context batch, reused across
@@ -93,9 +92,8 @@ func (c *warmCache) export() []*lp.Basis {
 // budget exhausted), "timeout" (probe deadline), or "dive_failed"
 // (relaxation feasible but no integral completion found). See
 // DESIGN.md §4b.4 for how this implements the paper's LP-relax /
-// round>0.95 / residual-ILP loop. The relaxation and each dive restart
-// are traced as "core.relax" / "core.dive" spans under parent.
-func solveBatch(ctx context.Context, bp *batchProblem, opts Options, f *fold, rng *rand.Rand, deadline time.Time, cache *warmCache, slot int, parent obs.Span) (map[int]arch.Coord, bool, string, error) {
+// round>0.95 / residual-ILP loop.
+func solveBatch(ctx context.Context, bp *batchProblem, opts Options, f *fold, rng *rand.Rand, deadline time.Time, cache *warmCache, slot int) (map[int]arch.Coord, bool, string, error) {
 	if bp.infeasibleReason != "" {
 		return nil, false, "construction", nil
 	}
@@ -105,13 +103,10 @@ func solveBatch(ctx context.Context, bp *batchProblem, opts Options, f *fold, rn
 
 	// Step A: LP relaxation, warm-started from the previous probe's
 	// optimal basis for this batch when one is cached.
-	rsp := parent.Child("core.relax", obs.Int("vars", bp.lp.NumVars()), obs.Int("rows", bp.lp.NumRows()))
-	rel, err := f.solve(ctx, bp.lp, cache.get(slot))
+	rel, err := f.relax(ctx, bp.lp, cache.get(slot))
 	if err != nil {
-		rsp.End(obs.String("status", "error"))
 		return nil, false, "", fmt.Errorf("core: relaxation: %w", err)
 	}
-	rsp.End(obs.String("status", rel.Status.String()), obs.Int("iters", rel.Iters), obs.Bool("warm", rel.Warm))
 	switch rel.Status {
 	case lp.Infeasible:
 		return nil, false, "lp_infeasible", nil
@@ -141,8 +136,8 @@ func solveBatch(ctx context.Context, bp *batchProblem, opts Options, f *fold, rn
 		if opts.WarmHeuristics {
 			warm = rel.Basis
 		}
-		dsp := parent.Child("core.dive", obs.Int("restart", r), obs.Int("movable", len(bp.movable)))
-		asn, ok, frac, err := roundingDive(ctx, bp, rel.X, warm, opts, f, rng, r > 0, deadline, slot, r, dsp)
+		f.dive(r, len(bp.movable))
+		asn, ok, frac, err := roundingDive(ctx, bp, rel.X, warm, opts, f, rng, r > 0, deadline, slot, r)
 		if err != nil {
 			return nil, false, "", err
 		}
@@ -177,11 +172,10 @@ type softFix struct {
 // the vertex, and callers default to reproducible cold floorplans (see
 // Options.WarmHeuristics).
 //
-// The dive owns dsp (a "core.dive" span opened by the caller) and ends
-// it with the outcome: ok, the pinned fraction reached, LP re-solve and
-// backjump counts. batch and restart locate the dive in the flight
-// journal (one "dive" event per call, one "premap" event per pin round).
-func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBasis *lp.Basis, opts Options, f *fold, rng *rand.Rand, perturb bool, deadline time.Time, batch, restart int, dsp obs.Span) (asnOut map[int]arch.Coord, okOut bool, fracOut float64, errOut error) {
+// batch and restart locate the dive in the flight journal: one "dive"
+// event per call, which ends the core.dive span the caller opened, and
+// one "premap" event per pin round.
+func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBasis *lp.Basis, opts Options, f *fold, rng *rand.Rand, perturb bool, deadline time.Time, batch, restart int) (asnOut map[int]arch.Coord, okOut bool, fracOut float64, errOut error) {
 	prob := bp.lp.CloneBounds()
 	useWarm := rootBasis != nil
 	warm := rootBasis
@@ -190,10 +184,7 @@ func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBa
 	x := rootX
 	frac := func() float64 { return float64(len(decided)) / float64(len(bp.movable)) }
 
-	lpSolves, backjumps := 0, 0
 	defer func() {
-		dsp.End(obs.Bool("ok", okOut), obs.Float("frac", fracOut),
-			obs.Int("lp_solves", lpSolves), obs.Int("backjumps", backjumps))
 		status := "failed"
 		if okOut {
 			status = "integral"
@@ -242,7 +233,6 @@ func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBa
 			if err != nil {
 				return nil, false, frac(), err
 			}
-			lpSolves++
 			if sol.Status == lp.Optimal {
 				x = sol.X
 				if useWarm {
@@ -254,7 +244,6 @@ func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBa
 			if !backjump(bp, prob, &tentative, decided) {
 				return nil, false, frac(), nil // infeasible at this budget
 			}
-			backjumps++
 			f.backjump()
 		}
 		if len(decided) == len(bp.movable) {

@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"sort"
 	"testing"
 	"time"
 
@@ -18,10 +21,20 @@ type views struct {
 	reg  *obs.Registry
 	j    *flight.Journal
 	prog obs.Progress
+	// spans are the completed spans (no instant events) in the order the
+	// sink received them.
+	spans []spanLine
+}
+
+// spanLine is one JSONL sink line.
+type spanLine struct {
+	Name    string                 `json:"name"`
+	Instant bool                   `json:"instant"`
+	Attrs   map[string]interface{} `json:"attrs"`
 }
 
 // runViews runs one Remap (or, with both, RemapBoth, whose arms share
-// every sink; st then sums the arms) with all four views attached.
+// every sink; st then sums the arms) with all five views attached.
 func runViews(t *testing.T, name string, mode core.Mode, both bool, tweak func(*core.Options)) views {
 	t.Helper()
 	spec, ok := bench.SpecByName(name)
@@ -40,7 +53,9 @@ func runViews(t *testing.T, name string, mode core.Mode, both bool, tweak func(*
 	opts.Seed = spec.Seed
 	opts.Mode = mode
 	reg := obs.NewRegistry()
-	opts.Trace = obs.New().WithMetrics(reg)
+	var trace bytes.Buffer
+	js := obs.NewJSONLSink(&trace)
+	opts.Trace = obs.New(js).WithMetrics(reg)
 	rec := flight.NewRecorder(0)
 	opts.Flight = rec
 	if tweak != nil {
@@ -55,6 +70,8 @@ func runViews(t *testing.T, name string, mode core.Mode, both bool, tweak func(*
 			t.Fatalf("%s both: %v", name, err)
 		}
 		st = fr.Stats
+		st.STProbes += ro.Stats.STProbes
+		st.OuterIterations += ro.Stats.OuterIterations
 		st.LPSolves += ro.Stats.LPSolves
 		st.SimplexIters += ro.Stats.SimplexIters
 		st.WarmStartRejects += ro.Stats.WarmStartRejects
@@ -65,14 +82,70 @@ func runViews(t *testing.T, name string, mode core.Mode, both bool, tweak func(*
 		}
 		st = r.Stats
 	}
-	return views{st: st, reg: reg, j: rec.Snapshot(), prog: rep.Latest()}
+	if err := js.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v := views{st: st, reg: reg, j: rec.Snapshot(), prog: rep.Latest()}
+	for dec := json.NewDecoder(&trace); dec.More(); {
+		var l spanLine
+		if err := dec.Decode(&l); err != nil {
+			t.Fatalf("bad trace line: %v", err)
+		}
+		if !l.Instant {
+			v.spans = append(v.spans, l)
+		}
+	}
+	return v
+}
+
+// checkSpans compares the span view with Stats and the journal: one
+// core.step1.probe span per Step-1 probe, one core.probe span per outer
+// iteration, and core.batch statuses equal to the batch events' — in
+// order for one run, as multisets for RemapBoth's interleaved arms.
+func (v views) checkSpans(t *testing.T, both bool) {
+	t.Helper()
+	count := map[string]int{}
+	var spanStatus, eventStatus []string
+	for _, s := range v.spans {
+		count[s.Name]++
+		if s.Name == "core.batch" {
+			status, _ := s.Attrs["status"].(string)
+			spanStatus = append(spanStatus, status)
+		}
+	}
+	if v.j.Dropped > 0 {
+		t.Fatalf("journal dropped %d events", v.j.Dropped)
+	}
+	for _, e := range v.j.Events {
+		if e.Kind == flight.KindBatch {
+			eventStatus = append(eventStatus, e.Status)
+		}
+	}
+	if count["core.step1.probe"] != v.st.STProbes {
+		t.Errorf("core.step1.probe spans = %d, Stats.STProbes = %d", count["core.step1.probe"], v.st.STProbes)
+	}
+	if count["core.probe"] != v.st.OuterIterations {
+		t.Errorf("core.probe spans = %d, Stats.OuterIterations = %d", count["core.probe"], v.st.OuterIterations)
+	}
+	if both {
+		sort.Strings(spanStatus)
+		sort.Strings(eventStatus)
+	}
+	if len(spanStatus) != len(eventStatus) {
+		t.Fatalf("%d core.batch spans, %d batch events", len(spanStatus), len(eventStatus))
+	}
+	for i := range spanStatus {
+		if spanStatus[i] != eventStatus[i] {
+			t.Fatalf("core.batch span %d status %q, batch event says %q", i, spanStatus[i], eventStatus[i])
+		}
+	}
 }
 
 func (v views) counter(name string) int64 { return v.reg.Counter(name).Value() }
 
 // TestSolverViewsAgree pins that Stats, the metrics registry, the
-// progress cell and the flight journal describe the same solver work,
-// including a Rotate run that also ran its Freeze fallback.
+// progress cell, the flight journal and the spans describe the same
+// solver work, including a Rotate run that also ran its Freeze fallback.
 func TestSolverViewsAgree(t *testing.T) {
 	t.Run("forced-fallback", func(t *testing.T) {
 		// A 1 ns probe budget times every probe out, so Rotate finds
@@ -97,6 +170,7 @@ func TestSolverViewsAgree(t *testing.T) {
 				t.Errorf("%s = %d, Stats says %d", c.view, c.got, c.want)
 			}
 		}
+		v.checkSpans(t, false)
 	})
 
 	for _, tc := range []struct {
@@ -150,6 +224,7 @@ func TestSolverViewsAgree(t *testing.T) {
 					t.Errorf("%s = %d, Stats says %d", c.view, c.got, c.want)
 				}
 			}
+			v.checkSpans(t, tc.both)
 		})
 	}
 }

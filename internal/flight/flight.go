@@ -67,18 +67,6 @@ const (
 	// KindWarmReject is a refused warm start: Cause is the reason
 	// (dim_mismatch, stale_basis, singular).
 	KindWarmReject = "warm_reject"
-	// KindBranch, KindIncumbent and KindPrune are branch-and-bound
-	// events. No solver journals them any more; they stay in the v1
-	// schema so older journals still read and report the same.
-	//
-	// KindBranch is a B&B branching decision: Node, Depth, Var the
-	// fractional variable branched on, F its fractional value.
-	KindBranch = "branch"
-	// KindIncumbent is a new B&B incumbent: Node, Depth, Obj.
-	KindIncumbent = "incumbent"
-	// KindPrune is a pruned B&B subtree: Node, Depth, Cause (bound,
-	// infeasible, iterlimit, budget).
-	KindPrune = "prune"
 	// KindInfeasible attributes one failed probe to a constraint
 	// family: Cause is stress-budget, path-delay, or assignment.
 	KindInfeasible = "infeasible"
@@ -114,8 +102,6 @@ type Event struct {
 	Round  int     `json:"round"`
 	Batch  int     `json:"batch"`
 	Ctx    int     `json:"ctx"`
-	Node   int     `json:"node"`
-	Depth  int     `json:"depth"`
 	Var    int     `json:"var"`
 	N      int     `json:"n"`
 	M      int     `json:"m"`
@@ -129,7 +115,6 @@ type Aggregates struct {
 	DegeneratePivots int64 `json:"degenerate_pivots"`
 	Refactorizations int64 `json:"refactorizations"`
 	WarmAccepts      int64 `json:"warm_accepts"`
-	Nodes            int64 `json:"nodes"`
 	// WarmRejects counts refused warm starts by reason (dim_mismatch,
 	// stale_basis, singular).
 	WarmRejects map[string]int64 `json:"warm_rejects,omitempty"`

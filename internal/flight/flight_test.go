@@ -102,9 +102,12 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("stress did not round-trip: %+v", back.Stress)
 	}
 
-	bad := strings.NewReader(`{"schema":"other/v9"}`)
-	if _, err := ReadJournal(bad); err == nil {
-		t.Fatal("wrong schema accepted")
+	// A v1 journal is refused by name, like any other schema.
+	for _, schema := range []string{"other/v9", "agingfp-flight/v1"} {
+		_, err := ReadJournal(strings.NewReader(`{"schema":"` + schema + `"}`))
+		if err == nil || !strings.Contains(err.Error(), schema) {
+			t.Fatalf("schema %s: err = %v, want a rejection naming it", schema, err)
+		}
 	}
 }
 
@@ -130,7 +133,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Record(Event{Kind: KindBranch, Node: i})
+				r.Record(Event{Kind: KindPremap, N: i})
 				r.NoteLP(1, 0, 0)
 				r.NoteWarm(i%2 == 0, "stale_basis")
 				_ = r.Snapshot()
@@ -139,8 +142,8 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	j := r.Snapshot()
-	if got := j.Aggregates.EventCounts[KindBranch]; got != 800 {
-		t.Fatalf("EventCounts[branch] = %d, want 800", got)
+	if got := j.Aggregates.EventCounts[KindPremap]; got != 800 {
+		t.Fatalf("EventCounts[premap] = %d, want 800", got)
 	}
 	if j.Aggregates.LPSolves != 800 {
 		t.Fatalf("LPSolves = %d, want 800", j.Aggregates.LPSolves)
@@ -162,15 +165,11 @@ func TestBuildReportSynthesis(t *testing.T) {
 	r.Record(Event{Kind: KindRotate, Round: 1, Obj: 3, N: 4})
 	r.Record(Event{Kind: KindRotateCtx, Ctx: 0, Var: 2})
 	r.Record(Event{Kind: KindRotateCtx, Ctx: 1, Var: 0})
-	r.Record(Event{Kind: KindPrune, Node: 3, Cause: "bound"})
-	r.Record(Event{Kind: KindPrune, Node: 5, Cause: "bound"})
+	r.Record(Event{Kind: KindBatch, Batch: 0, Status: "solved"})
+	r.Record(Event{Kind: KindBatch, Batch: 1, Status: "lp_infeasible", Cause: FamilyStressBudget})
 	r.NoteInfeasible(FamilyStressBudget)
 
-	// No solver fills the node aggregate any more, but v1 journals carry
-	// it, so the report must still pass it through.
-	j := r.Snapshot()
-	j.Aggregates.Nodes = 9
-	rep := BuildReport(j)
+	rep := BuildReport(r.Snapshot())
 	if rep.Summary.RelaxIterations != 2 {
 		t.Fatalf("RelaxIterations = %d, want 2", rep.Summary.RelaxIterations)
 	}
@@ -185,9 +184,6 @@ func TestBuildReportSynthesis(t *testing.T) {
 	}
 	if rep.Rotation == nil || rep.Rotation.Restarts != 2 || rep.Rotation.Winner != 1 || len(rep.Rotation.Choices) != 2 {
 		t.Fatalf("rotation summary wrong: %+v", rep.Rotation)
-	}
-	if rep.Search.Nodes != 9 || rep.Search.Prunes["bound"] != 2 {
-		t.Fatalf("search summary wrong: %+v", rep.Search)
 	}
 	if rep.Infeasibility == nil || rep.Infeasibility.Blocker != FamilyStressBudget {
 		t.Fatalf("digest wrong: %+v", rep.Infeasibility)
@@ -226,8 +222,8 @@ func TestReportJSONDeterministic(t *testing.T) {
 		r.NoteWarm(false, "dim_mismatch")
 		r.NoteInfeasible(FamilyPathDelay)
 		r.NoteInfeasible(FamilyStressBudget)
-		r.Record(Event{Kind: KindPrune, Cause: "bound"})
-		r.Record(Event{Kind: KindPrune, Cause: "infeasible"})
+		r.Record(Event{Kind: KindBatch, Status: "lp_infeasible", Cause: FamilyPathDelay})
+		r.Record(Event{Kind: KindBatch, Status: "dive_failed", Cause: FamilyAssignment})
 		out, err := BuildReport(r.Snapshot()).JSON()
 		if err != nil {
 			t.Fatal(err)

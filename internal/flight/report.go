@@ -2,7 +2,7 @@
 //
 // A Journal is the raw, replayable event log a Recorder captured; the
 // Report is its synthesis — probe convergence table, relax timeline,
-// rotation summary, B&B and warm-start tallies, infeasibility digest,
+// rotation summary, warm-start tallies, infeasibility digest,
 // and per-PE stress heatmap. Both serialize deterministically: no
 // timestamps, no map iteration in ordered output, stable field order,
 // so byte-identical solves produce byte-identical documents.
@@ -19,11 +19,13 @@ import (
 )
 
 // JournalSchema tags the journal JSON layout; readers reject other
-// schemas so a stale file fails loudly.
-const JournalSchema = "agingfp-flight/v1"
+// schemas so a stale file fails loudly. v2 dropped v1's branch-and-bound
+// event kinds, event node/depth fields and node aggregate.
+const JournalSchema = "agingfp-flight/v2"
 
-// ReportSchema tags the rendered report JSON layout.
-const ReportSchema = "agingfp-flight-report/v1"
+// ReportSchema tags the rendered report JSON layout; v2 dropped v1's
+// search block.
+const ReportSchema = "agingfp-flight-report/v2"
 
 // Journal is a recorder's exported state: the bounded event log plus
 // the aggregates that kept counting past the bound.
@@ -94,14 +96,6 @@ type RotationSummary struct {
 	Choices   []RotationChoice `json:"choices,omitempty"`
 }
 
-// SearchSummary tallies the branch-and-bound trajectory.
-type SearchSummary struct {
-	Nodes      int64            `json:"nodes"`
-	Branches   int64            `json:"branches"`
-	Incumbents int64            `json:"incumbents"`
-	Prunes     map[string]int64 `json:"prunes,omitempty"`
-}
-
 // WarmSummary tallies warm-start outcomes by reject reason.
 type WarmSummary struct {
 	Accepts int64            `json:"accepts"`
@@ -147,7 +141,6 @@ type Report struct {
 	Probes        []ProbeRow         `json:"probes,omitempty"`
 	Relaxes       []RelaxRow         `json:"relaxes,omitempty"`
 	Rotation      *RotationSummary   `json:"rotation,omitempty"`
-	Search        SearchSummary      `json:"search"`
 	Warm          WarmSummary        `json:"warm"`
 	Numerics      NumericsSummary    `json:"numerics"`
 	Infeasibility *Digest            `json:"infeasibility,omitempty"`
@@ -172,11 +165,6 @@ func BuildReport(j *Journal) *Report {
 		Relaxations:     agg.EventCounts[KindRelax],
 		Batches:         agg.EventCounts[KindBatch],
 		DroppedEvents:   j.Dropped,
-	}
-	r.Search = SearchSummary{
-		Nodes:      agg.Nodes,
-		Branches:   agg.EventCounts[KindBranch],
-		Incumbents: agg.EventCounts[KindIncumbent],
 	}
 	r.Warm = WarmSummary{Accepts: agg.WarmAccepts, Rejects: copyCounts(agg.WarmRejects)}
 	r.Numerics = NumericsSummary{
@@ -216,11 +204,6 @@ func BuildReport(j *Journal) *Report {
 				rot = &RotationSummary{}
 			}
 			rot.Choices = append(rot.Choices, RotationChoice{Ctx: e.Ctx, Orientation: e.Var})
-		case KindPrune:
-			if r.Search.Prunes == nil {
-				r.Search.Prunes = make(map[string]int64)
-			}
-			r.Search.Prunes[e.Cause]++
 		}
 	}
 	r.Rotation = rot
@@ -281,23 +264,6 @@ func (r *Report) HeatmapSVG() string {
 	return viz.HeatSVG("per-PE stress attribution", r.Stress.Total)
 }
 
-// KernelSVG renders the per-phase wall-clock breakdown as a horizontal
-// bar chart, or "" when the journal carried no kernel profile.
-func (r *Report) KernelSVG() string {
-	if r.Kernel == nil || len(r.Kernel.Phases) == 0 {
-		return ""
-	}
-	var labels []string
-	var ms []float64
-	for _, name := range PhaseOrder {
-		if ph := r.Kernel.Phases[name]; ph != nil {
-			labels = append(labels, name)
-			ms = append(ms, float64(ph.Nanos)/1e6)
-		}
-	}
-	return viz.BarsSVG(labels, ms, "ms")
-}
-
 // Text renders the human-readable report: the tables an operator reads
 // top to bottom to answer "what happened and why".
 func (r *Report) Text() string {
@@ -351,14 +317,6 @@ func (r *Report) Text() string {
 		}
 	}
 	fmt.Fprintf(&b, "\n-- search --\n")
-	fmt.Fprintf(&b, "B&B nodes %d, branches %d, incumbents %d", r.Search.Nodes, r.Search.Branches, r.Search.Incumbents)
-	if len(r.Search.Prunes) > 0 {
-		fmt.Fprintf(&b, ", prunes:")
-		for _, k := range sortedKeys(r.Search.Prunes) {
-			fmt.Fprintf(&b, " %s=%d", k, r.Search.Prunes[k])
-		}
-	}
-	fmt.Fprintf(&b, "\n")
 	fmt.Fprintf(&b, "warm starts: %d accepted", r.Warm.Accepts)
 	if len(r.Warm.Rejects) > 0 {
 		fmt.Fprintf(&b, ", rejected:")

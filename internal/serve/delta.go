@@ -414,7 +414,7 @@ func (s *Server) SubmitDelta(baseID string, req *DeltaRequest) (Snapshot, error)
 		baseArtifacts: art,
 	}
 	if s.cfg.CaptureTraces {
-		j.capture = newTraceCapture(s.cfg.TraceBytesPerJob)
+		j.capture = newTraceCapture(traceBytesPerJob)
 	}
 	if s.cfg.FlightEvents > 0 {
 		j.flight = flight.NewRecorder(s.cfg.FlightEvents)

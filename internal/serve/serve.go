@@ -30,6 +30,10 @@ import (
 	"agingfp/internal/telemetry"
 )
 
+// traceBytesPerJob bounds each job's captured span trace; events past
+// the cap are counted and dropped, never buffered.
+const traceBytesPerJob = 1 << 20
+
 // Config sizes the service.
 type Config struct {
 	// Workers is the solver pool size (default 2). Each worker runs one
@@ -57,12 +61,10 @@ type Config struct {
 	// one keyed by the job's trace_id so log lines, span streams, and API
 	// responses join on one correlation ID. nil disables logging.
 	Logger *slog.Logger
-	// CaptureTraces keeps a bounded in-memory JSONL span trace per job,
-	// retrievable while the job record lives via GET /v1/jobs/{id}/trace.
+	// CaptureTraces keeps an in-memory JSONL span trace per job, bounded
+	// at 1 MiB, retrievable while the job record lives via
+	// GET /v1/jobs/{id}/trace.
 	CaptureTraces bool
-	// TraceBytesPerJob bounds each job's captured trace (default 1 MiB);
-	// events past the cap are counted and dropped, never buffered.
-	TraceBytesPerJob int
 	// FlightEvents bounds each job's flight-recorder journal (default
 	// flight.DefaultMaxEvents); events past the cap are counted and
 	// dropped while the journal's aggregates keep advancing. Negative
@@ -116,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.TraceBytesPerJob < 1 {
-		c.TraceBytesPerJob = 1 << 20
 	}
 	if c.FlightEvents == 0 {
 		c.FlightEvents = flight.DefaultMaxEvents
@@ -483,7 +482,7 @@ func (s *Server) Submit(req *JobRequest) (Snapshot, error) {
 		rep:       obs.NewReporter(),
 	}
 	if s.cfg.CaptureTraces {
-		j.capture = newTraceCapture(s.cfg.TraceBytesPerJob)
+		j.capture = newTraceCapture(traceBytesPerJob)
 	}
 	s.reg.Counter(`agingfp_serve_jobs_submitted_total`).Inc()
 

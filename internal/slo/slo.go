@@ -117,12 +117,12 @@ type burnPair struct {
 	short, long time.Duration
 }
 
-// Config sizes the engine.
+// ringStep is the width of one counter-ring slot; the ring holds
+// enough slots to evaluate the slow pair's long window (6h).
+const ringStep = time.Minute
+
+// Config wires the engine.
 type Config struct {
-	// Step and Cells shape the counter ring (defaults: 1m × 360 = 6h,
-	// enough to evaluate the slow pair's long window).
-	Step  time.Duration
-	Cells int
 	// Registry receives the budget and burn-rate gauges; Logger the
 	// burn alerts. Both may be nil.
 	Registry *obs.Registry
@@ -132,15 +132,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Step <= 0 {
-		c.Step = time.Minute
-	}
-	if c.Cells < 2 {
-		c.Cells = int(slowPair.long/c.Step) + 1
-		if c.Cells < 2 {
-			c.Cells = 2
-		}
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -197,7 +188,7 @@ func New(objs []Objective, cfg Config) *Engine {
 	e := &Engine{
 		cfg:    cfg,
 		objs:   kept,
-		cells:  make([]sloCell, cfg.Cells),
+		cells:  make([]sloCell, int(slowPair.long/ringStep)+1),
 		alerts: make([]pairState, len(kept)),
 	}
 	// Publish the gauges at boot so dashboards see a full budget and a
@@ -227,8 +218,8 @@ func (e *Engine) Record(ev *telemetry.SolveEvent) {
 	if when.IsZero() {
 		when = e.cfg.Now()
 	}
-	slotStart := when.Truncate(e.cfg.Step).UnixNano()
-	idx := int((slotStart / int64(e.cfg.Step)) % int64(len(e.cells)))
+	slotStart := when.Truncate(ringStep).UnixNano()
+	idx := int((slotStart / int64(ringStep)) % int64(len(e.cells)))
 	if idx < 0 {
 		idx += len(e.cells)
 	}
@@ -267,12 +258,12 @@ func (e *Engine) Record(ev *telemetry.SolveEvent) {
 
 // counts merges the ring over the trailing window.
 func (e *Engine) counts(obj int, window time.Duration) (good, eligible int64) {
-	span := e.cfg.Step * time.Duration(len(e.cells))
+	span := ringStep * time.Duration(len(e.cells))
 	if window <= 0 || window > span {
 		window = span
 	}
 	now := e.cfg.Now()
-	since := now.Add(-window).Truncate(e.cfg.Step)
+	since := now.Add(-window).Truncate(ringStep)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := range e.cells {
@@ -411,7 +402,7 @@ func (e *Engine) Status(window time.Duration) *Status {
 	if e == nil {
 		return nil
 	}
-	span := e.cfg.Step * time.Duration(len(e.cells))
+	span := ringStep * time.Duration(len(e.cells))
 	if window <= 0 || window > span {
 		window = span
 	}

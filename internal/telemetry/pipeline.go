@@ -15,28 +15,15 @@ import (
 
 // Config sizes the telemetry pipeline.
 type Config struct {
-	// Dir is the durable store directory. Required.
+	// Dir is the durable store directory, bounded by
+	// DefaultMaxSegmentBytes × DefaultMaxSegments. Required. The
+	// aggregation ring is DefaultStep × DefaultCells (3h at minute
+	// granularity) with DefaultAccuracy quantile sketches.
 	Dir string
-	// MaxSegmentBytes / MaxSegments bound the store (defaults
-	// DefaultMaxSegmentBytes / DefaultMaxSegments).
-	MaxSegmentBytes int64
-	MaxSegments     int
-
-	// Step and Cells shape the in-memory aggregation ring (defaults
-	// DefaultStep × DefaultCells = 3h at minute granularity).
-	Step  time.Duration
-	Cells int
-	// SketchAccuracy is the quantile sketches' relative error α
-	// (default DefaultAccuracy = 2%).
-	SketchAccuracy float64
-
-	// Window is the trailing window slow-solve capture compares a solve
-	// against, and the default window of GET /v1/stats (default 15m).
-	Window time.Duration
 
 	// SlowPercentile arms adaptive slow-solve capture: a solve slower
 	// than this latency percentile of its shape bucket (over
-	// Window, needing SlowMinSamples solved jobs) is an outlier
+	// DefaultWindow, needing SlowMinSamples solved jobs) is an outlier
 	// and its flight journal is written to Dir/slow/ at completion.
 	// Default 0.99; zero or negative disables capture. SlowKeep bounds
 	// the captured journals (default 32, oldest pruned).
@@ -65,19 +52,11 @@ type Config struct {
 	Now func() time.Time
 }
 
+// DefaultWindow is the trailing window slow-solve capture compares a
+// solve against, and the default window of GET /v1/stats.
+const DefaultWindow = 15 * time.Minute
+
 func (c Config) withDefaults() Config {
-	if c.Step <= 0 {
-		c.Step = DefaultStep
-	}
-	if c.Cells < 2 {
-		c.Cells = DefaultCells
-	}
-	if c.SketchAccuracy <= 0 {
-		c.SketchAccuracy = DefaultAccuracy
-	}
-	if c.Window <= 0 {
-		c.Window = 15 * time.Minute
-	}
 	if c.SlowPercentile == 0 {
 		c.SlowPercentile = 0.99
 	}
@@ -127,14 +106,14 @@ func Open(cfg Config) (*Pipeline, error) {
 		return nil, fmt.Errorf("telemetry: Config.Dir is required")
 	}
 	cfg = cfg.withDefaults()
-	store, err := OpenStore(cfg.Dir, cfg.MaxSegmentBytes, cfg.MaxSegments)
+	store, err := OpenStore(cfg.Dir, DefaultMaxSegmentBytes, DefaultMaxSegments)
 	if err != nil {
 		return nil, err
 	}
 	p := &Pipeline{
 		cfg:   cfg,
 		store: store,
-		agg:   NewAggregator(cfg.Step, cfg.Cells, cfg.SketchAccuracy, cfg.Now),
+		agg:   NewAggregator(DefaultStep, DefaultCells, DefaultAccuracy, cfg.Now),
 		reg:   cfg.Registry,
 	}
 	p.agg.tenants = NewTenantTracker(cfg.TenantCap)
@@ -163,9 +142,6 @@ func Open(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Enabled reports whether the pipeline is live (non-nil).
-func (p *Pipeline) Enabled() bool { return p != nil }
-
 // Record appends ev to the durable store and folds it into the
 // windowed aggregates, then evaluates slow-solve capture (against the
 // shape bucket's percentile as it stood BEFORE this event, so the
@@ -182,7 +158,7 @@ func (p *Pipeline) Record(ev *SolveEvent) Outcome {
 
 	var out Outcome
 	if p.cfg.SlowPercentile > 0 && ev.Solved() {
-		threshold, samples := p.agg.ShapeQuantile(ev.ShapeBucket(), p.cfg.SlowPercentile, p.cfg.Window)
+		threshold, samples := p.agg.ShapeQuantile(ev.ShapeBucket(), p.cfg.SlowPercentile, DefaultWindow)
 		if samples >= p.cfg.SlowMinSamples && ev.ElapsedMs > threshold {
 			out.Slow, out.SlowThreshold = true, threshold
 		}
@@ -239,21 +215,13 @@ func (p *Pipeline) Series(window time.Duration) []SeriesPoint {
 	return p.agg.Series(window)
 }
 
-// Span is the longest window Stats can answer.
-func (p *Pipeline) Span() time.Duration {
-	if p == nil {
-		return 0
-	}
-	return p.agg.Span()
-}
-
-// Window is the configured slow-capture comparison window, also the
-// default window of GET /v1/stats.
+// Window is the slow-capture comparison window, also the default
+// window of GET /v1/stats (DefaultWindow; 0 on a nil pipeline).
 func (p *Pipeline) Window() time.Duration {
 	if p == nil {
 		return 0
 	}
-	return p.cfg.Window
+	return DefaultWindow
 }
 
 // Dir returns the store directory ("" on a nil pipeline).

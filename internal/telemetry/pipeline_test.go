@@ -153,9 +153,6 @@ func TestPipelineSlowCapture(t *testing.T) {
 
 func TestPipelineNilSafe(t *testing.T) {
 	var p *Pipeline
-	if p.Enabled() {
-		t.Fatal("nil pipeline reports enabled")
-	}
 	if out := p.Record(solvedEvent(testBase, "B1", 8, 2, 1)); out.Slow {
 		t.Fatal("nil Record must return a zero outcome")
 	}
@@ -165,7 +162,7 @@ func TestPipelineNilSafe(t *testing.T) {
 	if p.CaptureSlow("x", func(io.Writer) error { return nil }) != "" {
 		t.Fatal("nil CaptureSlow must be a no-op")
 	}
-	if p.Span() != 0 || p.Dir() != "" || p.Close() != nil {
+	if p.Window() != 0 || p.Dir() != "" || p.Close() != nil {
 		t.Fatal("nil pipeline scalar accessors must return zeros")
 	}
 }

@@ -16,11 +16,9 @@ import (
 // RingConfig sizes the continuous CPU-profiling ring (see ProfRing).
 type RingConfig struct {
 	// Dir is where the rolling captures land, one cpu-<seq>.pprof per
-	// window. Required.
+	// window; Dir/slow receives copies of windows that covered a marked
+	// slow solve. Required.
 	Dir string
-	// SlowDir receives copies of windows that covered a marked slow
-	// solve (default Dir/slow — next to the captured flight journals).
-	SlowDir string
 	// Window is the length of one capture (default 30s).
 	Window time.Duration
 	// Keep bounds the rolling captures kept on disk; the oldest are
@@ -31,9 +29,6 @@ type RingConfig struct {
 }
 
 func (c RingConfig) withDefaults() RingConfig {
-	if c.SlowDir == "" {
-		c.SlowDir = filepath.Join(c.Dir, "slow")
-	}
 	if c.Window <= 0 {
 		c.Window = 30 * time.Second
 	}
@@ -48,7 +43,7 @@ func (c RingConfig) withDefaults() RingConfig {
 // newest Keep of them on disk, so "what was the process doing when job
 // X was slow?" has an answer after the fact without anyone having run
 // pprof by hand. Mark links a window to a slow solve: the capture
-// covering the mark is copied to SlowDir under the solve's name when
+// covering the mark is copied to Dir/slow under the solve's name when
 // the window closes.
 //
 // The runtime allows one CPU profile at a time process-wide; if
@@ -96,7 +91,7 @@ func (r *ProfRing) Dir() string {
 
 // Mark flags the capture window currently in flight as covering the
 // named slow solve; when the window closes its profile is copied to
-// SlowDir/cpu-<seq>-<name>.pprof. Nil-safe.
+// Dir/slow/cpu-<seq>-<name>.pprof. Nil-safe.
 func (r *ProfRing) Mark(name string) {
 	if r == nil || name == "" {
 		return
@@ -176,7 +171,8 @@ func (r *ProfRing) finish(seq int, path string) {
 }
 
 func (r *ProfRing) copySlow(seq int, path, name string) {
-	if err := os.MkdirAll(r.cfg.SlowDir, 0o755); err != nil {
+	slowDir := filepath.Join(r.cfg.Dir, "slow")
+	if err := os.MkdirAll(slowDir, 0o755); err != nil {
 		r.warn(err)
 		return
 	}
@@ -186,7 +182,7 @@ func (r *ProfRing) copySlow(seq int, path, name string) {
 		return
 	}
 	defer src.Close()
-	dstPath := filepath.Join(r.cfg.SlowDir, fmt.Sprintf("cpu-%06d-%s.pprof", seq, name))
+	dstPath := filepath.Join(slowDir, fmt.Sprintf("cpu-%06d-%s.pprof", seq, name))
 	dst, err := os.Create(dstPath)
 	if err != nil {
 		r.warn(err)

@@ -628,15 +628,3 @@ func (a *Aggregator) ShapeHeat(window time.Duration, cols int) (shapes, colLabel
 	}
 	return shapes, colLabels, vals
 }
-
-// ShapeNames returns the shape buckets seen in the trailing window,
-// sorted for deterministic rendering.
-func (a *Aggregator) ShapeNames(window time.Duration) []string {
-	st := a.Stats(window)
-	names := make([]string, 0, len(st.Shapes))
-	for k := range st.Shapes {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
