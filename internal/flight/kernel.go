@@ -45,8 +45,9 @@ type Kernel struct {
 	// refreshes) the profiled solves ran with.
 	RefreshEvery int `json:"refresh_every"`
 	// MaxM/MaxN are the largest basis dimension and column count seen;
-	// BinvBytes is the dense basis-inverse footprint at MaxM (8·M²) —
-	// the cost model the sparse-LU work will be judged against.
+	// BinvBytes is the most basis-inverse storage one solve materialized
+	// (its materialized rows times 8·M, plus 8·M for the diagonal of the
+	// rows it never wrote).
 	MaxM      int   `json:"max_m"`
 	MaxN      int   `json:"max_n"`
 	BinvBytes int64 `json:"binv_bytes"`

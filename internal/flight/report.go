@@ -333,7 +333,7 @@ func (r *Report) Text() string {
 		fmt.Fprintf(&b, "\n-- solver kernel (profiled) --\n")
 		fmt.Fprintf(&b, "%d profiled LP solves, %.2f ms measured, coverage %.1f%% (timing 1/%d iterations, refresh every %d)\n",
 			k.Solves, float64(k.TotalNanos)/1e6, 100*k.Coverage(), k.SampleRate, k.RefreshEvery)
-		fmt.Fprintf(&b, "basis: max %d rows x %d cols, dense binv %d bytes; %d iterations, %d degenerate (longest run %d), %d refreshes\n",
+		fmt.Fprintf(&b, "basis: max %d rows x %d cols, binv %d bytes materialized; %d iterations, %d degenerate (longest run %d), %d refreshes\n",
 			k.MaxM, k.MaxN, k.BinvBytes, k.Iters, k.Degenerate, k.MaxDegenerateRun, k.Refreshes)
 		fmt.Fprintf(&b, "%-8s  %10s  %10s  %10s  %6s\n", "phase", "count", "sampled", "ms", "share")
 		for _, name := range PhaseOrder {

@@ -86,7 +86,7 @@ func TestCorruptStatusFallsBackCold(t *testing.T) {
 		vstat:   append([]int8(nil), cold.Basis.vstat...),
 	}
 	bad.vstat[x] = 7
-	if _, reason := newWarmSolver(p, Options{}, bad); reason != rejectStaleBasis {
+	if reason := newWarmSolver(new(solver), p, Options{}, bad); reason != rejectStaleBasis {
 		t.Fatalf("reject reason %q, want %q", reason, rejectStaleBasis)
 	}
 	warm, err := Solve(context.Background(), p, Options{WarmStart: bad})

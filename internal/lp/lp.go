@@ -11,18 +11,21 @@
 // The solver works on the computational standard form Ax + s = b with one
 // slack per row (slack bounds encode the row sense), uses artificial
 // variables only for rows whose initial residual a feasible slack cannot
-// absorb, and runs a textbook two-phase bounded simplex with a dense
-// explicit basis inverse (one contiguous m×m slab). The solver tracks
-// where that inverse may be nonzero, by column and by row, and skips
-// only terms with an exact-zero factor, so every nonzero floating-point
+// absorb, and runs a textbook two-phase bounded simplex with an explicit
+// basis inverse. The inverse is stored by rows, and a row is allocated
+// only when the solve first writes it: until then it holds just its
+// diagonal (a cold start's inverse is diagonal). The solver tracks where
+// that inverse may be nonzero, by column and by row, and skips only
+// terms with an exact-zero factor, so every nonzero floating-point
 // operation runs with the same operands in the same order as a dense
 // kernel: FTRAN over the column patterns, pricing by a scatter over the
 // nonzero duals through a row-wise copy of the columns that can enter,
 // duals and the rank-1 Gauss–Jordan pivot update over the row patterns.
 // The column-wise copy of the rows is built once per problem and shared
-// by its CloneBounds copies. Periodic primal refresh keeps the numerics
-// clean, and a Bland's-rule fallback guarantees termination under
-// degeneracy.
+// by its CloneBounds copies, and each copy keeps its solver storage
+// between its solves, zeroed at the positions a solve listed. Periodic
+// primal refresh keeps the numerics clean, and a Bland's-rule fallback
+// guarantees termination under degeneracy.
 //
 // The package records nothing about its own work: it reads no tracer,
 // metrics registry or flight recorder, from its options or from the
@@ -89,6 +92,11 @@ type Problem struct {
 	// from. Built on first use, shared with CloneBounds clones, and
 	// dropped when a variable or row is added.
 	csc atomic.Pointer[sparseLines]
+	// keep is set on CloneBounds copies, which are re-solved under
+	// changing bounds: each solve hands its solver storage back to
+	// spare, and the next one takes it (see takeStorage).
+	keep  bool
+	spare atomic.Pointer[solver]
 }
 
 // columns returns the problem's column-wise (CSC) copy of its rows,
@@ -231,9 +239,32 @@ func (p *Problem) CloneBounds() *Problem {
 		ub:     append([]float64(nil), p.ub...),
 		rows:   p.rows,
 		rowFam: p.rowFam,
+		keep:   true,
 	}
 	q.csc.Store(p.columns())
 	return q
+}
+
+// takeStorage returns solver storage for one solve: the storage an
+// earlier solve of this CloneBounds copy handed back, or new storage.
+// The swap leaves spare empty, so a concurrent solve of the same problem
+// allocates its own.
+func (p *Problem) takeStorage() *solver {
+	if p.keep {
+		if s := p.spare.Swap(nil); s != nil {
+			return s
+		}
+	}
+	return new(solver)
+}
+
+// keepStorage hands a finished solve's storage back to a CloneBounds
+// copy, released so that the next solve finds it zeroed.
+func (p *Problem) keepStorage(s *solver) {
+	if p.keep {
+		s.release()
+		p.spare.Store(s)
+	}
 }
 
 // Status is a solve outcome.
@@ -377,18 +408,20 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	} else if err := validate(p); err != nil {
 		return nil, err
 	}
+	s := p.takeStorage()
+	defer p.keepStorage(s)
 	reject := ""
 	if opt.WarmStart != nil {
-		ws, reason := newWarmSolver(p, opt, opt.WarmStart)
+		reason := newWarmSolver(s, p, opt, opt.WarmStart)
 		if reason == "" {
-			ws.ctx = ctx
-			sol, ok, err := ws.runWarm()
+			s.ctx = ctx
+			sol, ok, err := s.runWarm()
 			if err != nil {
 				return nil, err
 			}
 			if ok {
 				sol.Warm = true
-				finishSolve(opt, ws, sol, tStart)
+				finishSolve(opt, s, sol, tStart)
 				return sol, nil
 			}
 			// The installed basis reoptimized inconclusively (dual budget
@@ -399,7 +432,7 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 		// Snapshot rejected: fall back to a cold solve that reports why.
 		reject = reason
 	}
-	s := newSolver(p, opt)
+	newSolver(s, p, opt)
 	s.ctx = ctx
 	sol, err := s.run()
 	if err != nil {

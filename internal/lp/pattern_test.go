@@ -51,7 +51,8 @@ func sparseProblem(rng *rand.Rand) *Problem {
 // checkPattern asserts the binv pattern invariant: every nonzero of binv
 // is listed exactly once in its column's colNZ and once in its row's
 // rowNZ, and the two lists and the listed bitset name the same
-// positions, each once.
+// positions, each once. An implicit row lists exactly its diagonal, and
+// the materialized-row count matches binv.
 func checkPattern(s *solver) error {
 	m := s.m
 	inRow := make(map[[2]int]int)
@@ -86,11 +87,54 @@ func checkPattern(s *solver) error {
 	if marked != len(inRow) {
 		return fmt.Errorf("%d positions marked, %d listed", marked, len(inRow))
 	}
+	rows := 0
 	for r, row := range s.binv {
+		if row == nil {
+			if ks := s.rowNZ[r]; len(ks) != 1 || int(ks[0]) != r {
+				return fmt.Errorf("implicit row %d lists %v, want its diagonal", r, ks)
+			}
+			continue
+		}
+		rows++
+		if len(row) != m {
+			return fmt.Errorf("binv row %d has length %d, want %d", r, len(row), m)
+		}
 		for k, v := range row {
 			if v != 0 && inRow[[2]int{r, k}] != 1 {
 				return fmt.Errorf("binv[%d][%d] = %g is not listed", r, k, v)
 			}
+		}
+	}
+	if rows != s.rows {
+		return fmt.Errorf("%d rows materialized, counted %d", rows, s.rows)
+	}
+	return nil
+}
+
+// checkReleased asserts that released storage is ready for reuse: no
+// binv row materialized, every free row and every listed bit zero, and
+// every pattern list empty.
+func checkReleased(s *solver) error {
+	for r, row := range s.binv {
+		if row != nil {
+			return fmt.Errorf("binv row %d still materialized", r)
+		}
+	}
+	for i, row := range s.free {
+		for k, v := range row {
+			if v != 0 {
+				return fmt.Errorf("free row %d holds %g at %d", i, v, k)
+			}
+		}
+	}
+	for i, w := range s.listed {
+		if w != 0 {
+			return fmt.Errorf("listed word %d = %#x", i, w)
+		}
+	}
+	for r := range s.rowNZ {
+		if len(s.rowNZ[r]) != 0 || len(s.colNZ[r]) != 0 {
+			return fmt.Errorf("pattern lists of %d not empty", r)
 		}
 	}
 	return nil
@@ -105,7 +149,8 @@ func TestBinvPatternInvariant(t *testing.T) {
 	warm := 0
 	for trial := 0; trial < 150; trial++ {
 		p := sparseProblem(rng)
-		s := newSolver(p, Options{})
+		s := new(solver)
+		newSolver(s, p, Options{})
 		if err := checkPattern(s); err != nil {
 			t.Fatalf("trial %d, initial basis: %v", trial, err)
 		}
@@ -116,6 +161,10 @@ func TestBinvPatternInvariant(t *testing.T) {
 		if err := checkPattern(s); err != nil {
 			t.Fatalf("trial %d, cold %v after %d iterations: %v", trial, root.Status, root.Iters, err)
 		}
+		s.release()
+		if err := checkReleased(s); err != nil {
+			t.Fatalf("trial %d, released after cold solve: %v", trial, err)
+		}
 		if root.Status != Optimal {
 			continue
 		}
@@ -124,8 +173,8 @@ func TestBinvPatternInvariant(t *testing.T) {
 			if !tightenRandomBound(child, root.X, rng) {
 				continue
 			}
-			ws, reason := newWarmSolver(child, Options{}, root.Basis)
-			if reason != "" {
+			ws := new(solver)
+			if reason := newWarmSolver(ws, child, Options{}, root.Basis); reason != "" {
 				continue
 			}
 			if err := checkPattern(ws); err != nil {
@@ -141,6 +190,10 @@ func TestBinvPatternInvariant(t *testing.T) {
 			warm++
 			if err := checkPattern(ws); err != nil {
 				t.Fatalf("trial %d, warm child %d %v after %d iterations: %v", trial, k, sol.Status, sol.Iters, err)
+			}
+			ws.release()
+			if err := checkReleased(ws); err != nil {
+				t.Fatalf("trial %d, released after warm child %d: %v", trial, k, err)
 			}
 		}
 	}

@@ -51,9 +51,10 @@ type Profile struct {
 	SampleRate int `json:"sample_rate"`
 	// Iters is the simplex iteration count (== Solution.Iters).
 	Iters int `json:"iters"`
-	// M/N are the row and total column counts; BinvBytes is the dense
-	// basis-inverse footprint (8·M²) — the memory cost model of the
-	// current kernel.
+	// M/N are the row and total column counts; BinvBytes is the
+	// basis-inverse storage the solve materialized: 8·M bytes per
+	// materialized row at the end of the solve (no row is freed within
+	// one) plus 8·M for the diagonal of the implicit rows.
 	M         int   `json:"m"`
 	N         int   `json:"n"`
 	BinvBytes int64 `json:"binv_bytes"`
@@ -201,7 +202,7 @@ func (p *profiler) build(s *solver, total int64) *Profile {
 		Iters:            s.iters,
 		M:                s.m,
 		N:                s.n,
-		BinvBytes:        8 * int64(s.m) * int64(s.m),
+		BinvBytes:        8 * int64(s.m) * int64(s.rows+1),
 		RefreshEvery:     refreshN,
 		Refreshes:        s.refreshes,
 		Degenerate:       s.degenTotal,

@@ -102,8 +102,16 @@ func TestProfileStructure(t *testing.T) {
 	if prof.M != p.NumRows() || prof.N < p.NumVars() {
 		t.Fatalf("dims %dx%d, want rows=%d vars>=%d", prof.M, prof.N, p.NumRows(), p.NumVars())
 	}
-	if want := int64(8 * prof.M * prof.M); prof.BinvBytes != want {
-		t.Fatalf("BinvBytes = %d, want %d", prof.BinvBytes, want)
+	// BinvBytes counts the rows the solve materialized plus the diagonal
+	// vector; an unprofiled solver on the same problem takes the same
+	// pivots and so materializes the same rows.
+	s := new(solver)
+	newSolver(s, p, Options{})
+	if _, err := s.run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(8 * prof.M * (s.rows + 1)); prof.BinvBytes != want || s.rows > prof.M {
+		t.Fatalf("BinvBytes = %d, want %d (%d of %d rows materialized)", prof.BinvBytes, want, s.rows, prof.M)
 	}
 	for _, name := range []string{flight.PhaseSetup, flight.PhasePricing, flight.PhaseFtran, flight.PhaseRatio, flight.PhaseUpdate} {
 		ph := prof.Phases[name]

@@ -70,15 +70,32 @@ type solver struct {
 	vstat []int8 // variable -> status
 	x     []float64
 	xB    []float64
-	binv  [][]float64 // m row views into one contiguous m×m slab
+
+	// binv is the basis inverse by rows. A nil row is implicit: it holds
+	// only its diagonal, whose value is in diag. A row materializes (see
+	// writeRow) before anything scales or updates it, and stays
+	// materialized until the solve's storage is released; rows counts
+	// the materialized ones. free holds zeroed rows of length m for
+	// later materializations.
+	binv [][]float64
+	diag []float64
+	free [][]float64
+	rows int
 
 	// colNZ[k] lists the rows where binv column k may be nonzero and
 	// rowNZ[r] the columns where binv row r may be nonzero, in fill
 	// order. Both are supersets: an entry that cancels to exactly zero
 	// stays listed. listed holds one bit per binv position (r*m+k), so
-	// an entry that cancels and later refills is listed once.
+	// an entry that cancels and later refills is listed once. The lists
+	// start as views into patSlab; one that outgrows its view grows on
+	// its own and is dropped when the pattern is cleared.
 	colNZ, rowNZ [][]int32
 	listed       []uint64
+	patSlab      []int32
+
+	// y and w hold the duals and the FTRAN column of the pivot loops;
+	// ph1 is the phase-1 cost vector.
+	y, w, ph1 []float64
 
 	// priceRows is the row-wise copy of the structural columns with
 	// lb != ub, the only structurals pricing can enter; rc holds one
@@ -144,38 +161,71 @@ func (s *solver) canceled() bool {
 	return s.ctx != nil && s.ctx.Err() != nil
 }
 
-// newCore builds the solver skeleton shared by the cold and warm paths:
-// structural columns, costs, bounds, RHS, default nonbasic statuses, and
-// one slack per row (indices nStruct..nStruct+m-1, in row order). No
-// basis is installed; artStart is provisionally n (no artificials).
-func newCore(p *Problem, opt Options) *solver {
+// newCore builds into s the solver skeleton shared by the cold and warm
+// paths: structural columns, costs, bounds, RHS, default nonbasic
+// statuses, and one slack per row (indices nStruct..nStruct+m-1, in row
+// order). No basis is installed; artStart is provisionally n (no
+// artificials). s may hold the storage of an earlier solve: newCore
+// releases it and reuses its arrays, so every field below is either
+// rewritten or carried over empty.
+func newCore(s *solver, p *Problem, opt Options) {
 	var t0 int64
 	if opt.prof != nil {
 		t0 = opt.prof.clock()
 	}
+	s.release()
 	m := len(p.rows)
 	nStruct := len(p.c)
-	s := &solver{
+	nCap := nStruct + 2*m // room for the slacks and any artificials
+	free := s.free
+	if len(free) > 0 && len(free[0]) != m {
+		free = nil
+	}
+	*s = solver{
 		m:       m,
 		nStruct: nStruct,
 		prof:    opt.prof,
 		rowFam:  p.rowFam,
-	}
+		csc:     p.columns(),
 
-	s.csc = p.columns()
-	nCap := nStruct + 2*m // room for the slacks and any artificials
-	s.units = make([]colref, 0, 2*m)
-	s.rowIdx = make([]int32, m)
+		units:  slices.Grow(s.units[:0], 2*m),
+		rowIdx: resize(s.rowIdx, m),
+		cost:   append(slices.Grow(s.cost[:0], nCap), p.c...),
+		lb:     append(slices.Grow(s.lb[:0], nCap), p.lb...),
+		ub:     append(slices.Grow(s.ub[:0], nCap), p.ub...),
+		b:      resize(s.b, m),
+		x:      resize(s.x, nCap)[:nStruct],
+		vstat:  resize(s.vstat, nCap)[:nStruct],
+		basis:  resize(s.basis, m),
+		xB:     resize(s.xB, m),
+		rc:     resize(s.rc, nStruct),
+
+		binv:    resize(s.binv, m),
+		diag:    resize(s.diag, m),
+		free:    free,
+		colNZ:   s.colNZ,
+		rowNZ:   s.rowNZ,
+		listed:  s.listed,
+		patSlab: s.patSlab,
+		y:       resize(s.y, m),
+		w:       resize(s.w, m),
+		ph1:     s.ph1,
+
+		priceRows: s.priceRows,
+		elig:      s.elig[:0],
+		wNZ:       s.wNZ[:0],
+		nzIdx:     s.nzIdx[:0],
+		nzVal:     s.nzVal[:0],
+		rhoIdx:    s.rhoIdx[:0],
+	}
+	s.newPattern()
 	for i := range s.rowIdx {
 		s.rowIdx[i] = int32(i)
 	}
-	s.cost = append(make([]float64, 0, nCap), p.c...)
-	s.lb = append(make([]float64, 0, nCap), p.lb...)
-	s.ub = append(make([]float64, 0, nCap), p.ub...)
-	s.b = make([]float64, m)
 	for i, r := range p.rows {
 		s.b[i] = r.RHS
 	}
+	clear(s.rc)
 
 	// Pricing copy: each row's entries in the columns that can enter,
 	// counted first so a dive that has fixed most columns allocates only
@@ -187,10 +237,11 @@ func newCore(p *Problem, opt Options) *solver {
 		}
 	}
 	pr := sparseLines{
-		start: make([]int32, m+1),
-		idx:   make([]int32, 0, nnz),
-		val:   make([]float64, 0, nnz),
+		start: resize(s.priceRows.start, m+1),
+		idx:   slices.Grow(s.priceRows.idx[:0], nnz),
+		val:   slices.Grow(s.priceRows.val[:0], nnz),
 	}
+	pr.start[0] = 0
 	for i, r := range p.rows {
 		for k, j := range r.Idx {
 			if s.lb[j] != s.ub[j] {
@@ -201,12 +252,9 @@ func newCore(p *Problem, opt Options) *solver {
 		pr.start[i+1] = int32(len(pr.idx))
 	}
 	s.priceRows = pr
-	s.rc = make([]float64, nStruct)
 
 	// Initial nonbasic statuses and values for structurals: the finite
 	// bound nearest zero, or zero for free variables.
-	s.x = make([]float64, nStruct, nCap)
-	s.vstat = make([]int8, nStruct, nCap)
 	for j := 0; j < nStruct; j++ {
 		lf, uf := !math.IsInf(s.lb[j], -1), !math.IsInf(s.ub[j], 1)
 		switch {
@@ -254,11 +302,21 @@ func newCore(p *Problem, opt Options) *solver {
 	if s.prof != nil {
 		s.prof.direct(phSetup, t0)
 	}
-	return s
 }
 
-func newSolver(p *Problem, opt Options) *solver {
-	s := newCore(p, opt)
+// resize returns buf with length n, reusing its array when it is large
+// enough. The contents are whatever the array held.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// newSolver builds into s a cold solver positioned at its slack and
+// artificial starting basis.
+func newSolver(s *solver, p *Problem, opt Options) {
+	newCore(s, p, opt)
 	var t0 int64
 	if s.prof != nil {
 		t0 = s.prof.clock()
@@ -266,8 +324,11 @@ func newSolver(p *Problem, opt Options) *solver {
 	m := s.m
 	nStruct := s.nStruct
 
-	// Residuals with all structurals at their initial values.
-	resid := append([]float64(nil), s.b...)
+	// Residuals with all structurals at their initial values, computed
+	// in xB: row i's basic value is its residual or the residual's
+	// magnitude.
+	resid := s.xB
+	copy(resid, s.b)
 	for j := 0; j < nStruct; j++ {
 		if s.x[j] != 0 {
 			c := s.col(j)
@@ -278,20 +339,16 @@ func newSolver(p *Problem, opt Options) *solver {
 	}
 
 	// Basis: slack where the residual fits its bounds, artificial
-	// otherwise. Both give a +-1 diagonal basis matrix.
-	s.basis = make([]int, m)
-	s.xB = make([]float64, m)
-	s.binv = newSquare(m)
-	diag := make([]float64, m)
-	s.artStart = s.n
+	// otherwise. Both give a +-1 diagonal basis matrix, whose inverse
+	// is the same diagonal: every binv row starts implicit.
 	for i := 0; i < m; i++ {
 		sj := nStruct + i // slack of row i (newCore appends in row order)
+		s.list(i, i)
 		if resid[i] >= s.lb[sj]-feasTol && resid[i] <= s.ub[sj]+feasTol {
 			s.basis[i] = sj
 			s.vstat[sj] = basic
 			s.x[sj] = resid[i]
-			s.xB[i] = resid[i]
-			diag[i] = 1
+			s.diag[i] = 1
 			continue
 		}
 		// Slack stays nonbasic at zero; artificial carries the residual.
@@ -310,44 +367,101 @@ func newSolver(p *Problem, opt Options) *solver {
 		s.vstat[aj] = basic
 		s.x[aj] = math.Abs(resid[i])
 		s.xB[i] = s.x[aj]
-		diag[i] = coeff
-	}
-	s.newPattern()
-	for i := 0; i < m; i++ {
-		s.binv[i][i] = diag[i]
-		s.list(i, i)
+		s.diag[i] = coeff
 	}
 	if s.prof != nil {
 		s.prof.direct(phSetup, t0)
 	}
-	return s
 }
 
-// newSquare returns a zeroed m×m matrix as m row views into one
-// contiguous slab.
-func newSquare(m int) [][]float64 {
-	slab := make([]float64, m*m)
-	rows := make([][]float64, m)
-	for i := range rows {
-		rows[i] = slab[i*m : (i+1)*m : (i+1)*m]
+// writeRow returns binv row r for writing, materializing it from its
+// diagonal first when it is implicit.
+func (s *solver) writeRow(r int) []float64 {
+	row := s.binv[r]
+	if row == nil {
+		row = s.newRow()
+		row[r] = s.diag[r]
+		s.binv[r] = row
+		s.rows++
 	}
-	return rows
+	return row
+}
+
+// at returns binv[r][k], reading an implicit row as its diagonal.
+func (s *solver) at(r, k int) float64 {
+	if row := s.binv[r]; row != nil {
+		return row[k]
+	}
+	if k == r {
+		return s.diag[r]
+	}
+	return 0
+}
+
+// newRow returns a zeroed row of length m, a free one when there is one.
+func (s *solver) newRow() []float64 {
+	if n := len(s.free); n > 0 {
+		row := s.free[n-1]
+		s.free = s.free[:n-1]
+		return row
+	}
+	return make([]float64, s.m)
+}
+
+// release zeroes what the last solve wrote to the storage, so the next
+// solve can reuse it: each materialized binv row is zeroed at its listed
+// positions (a superset of its nonzeros) and freed, and the listed bits
+// are cleared. It also drops the solve's references to the problem,
+// context and profiler. A fresh solver releases nothing.
+func (s *solver) release() {
+	for r, row := range s.binv {
+		if row == nil {
+			continue
+		}
+		for _, k := range s.rowNZ[r] {
+			row[k] = 0
+		}
+		s.free = append(s.free, row)
+		s.binv[r] = nil
+	}
+	s.rows = 0
+	s.clearPattern()
+	s.csc, s.rowFam, s.ctx, s.prof = nil, nil, nil, nil
 }
 
 // patCap is the room each binv pattern list gets in the shared slab
 // before it grows on its own.
 const patCap = 16
 
-// newPattern allocates empty colNZ/rowNZ lists and the listed bitset.
+// newPattern sizes the colNZ/rowNZ lists, their slab and the listed
+// bitset for m rows and empties the lists. The bitset is all zero: it
+// is either new or was cleared by clearPattern.
 func (s *solver) newPattern() {
 	m := s.m
-	s.listed = make([]uint64, (m*m+63)/64)
-	s.colNZ, s.rowNZ = make([][]int32, m), make([][]int32, m)
-	slab := make([]int32, 2*m*patCap)
-	for i := 0; i < m; i++ {
+	s.listed = resize(s.listed, (m*m+63)/64)
+	s.colNZ, s.rowNZ = resize(s.colNZ, m), resize(s.rowNZ, m)
+	s.patSlab = resize(s.patSlab, 2*m*patCap)
+	s.emptyLists()
+}
+
+// clearPattern unlists every listed position and empties the lists.
+func (s *solver) clearPattern() {
+	m := s.m
+	for r, ks := range s.rowNZ {
+		for _, k := range ks {
+			b := r*m + int(k)
+			s.listed[b>>6] &^= 1 << (b & 63)
+		}
+	}
+	s.emptyLists()
+}
+
+// emptyLists points every pattern list at its empty view of the slab.
+func (s *solver) emptyLists() {
+	for i := range s.rowNZ {
 		a := 2 * i * patCap
-		s.colNZ[i] = slab[a : a : a+patCap]
-		s.rowNZ[i] = slab[a+patCap : a+patCap : a+2*patCap]
+		s.colNZ[i] = s.patSlab[a : a : a+patCap]
+		s.rowNZ[i] = s.patSlab[a+patCap : a+patCap : a+2*patCap]
 	}
 }
 
@@ -400,7 +514,9 @@ func (s *solver) addCol(c, lo, hi float64, col colref) int {
 func (s *solver) run() (*Solution, error) {
 	// Phase 1: drive artificials to zero.
 	if s.artStart < s.n {
-		ph1 := make([]float64, s.n)
+		ph1 := resize(s.ph1, s.n)
+		s.ph1 = ph1
+		clear(ph1)
 		for j := s.artStart; j < s.n; j++ {
 			ph1[j] = 1
 		}
@@ -454,7 +570,8 @@ func (s *solver) run() (*Solution, error) {
 
 // computeDuals fills y = cB' * Binv for the given cost vector, adding
 // each basic row with nonzero cost over its listed positions: y[k] sums
-// the same nonzero terms in the same row order as a dense sweep.
+// the same nonzero terms in the same row order as a dense sweep. An
+// implicit row lists only its diagonal.
 func (s *solver) computeDuals(cost, y []float64) {
 	clear(y)
 	for i, bi := range s.basis {
@@ -463,6 +580,10 @@ func (s *solver) computeDuals(cost, y []float64) {
 			continue
 		}
 		row := s.binv[i]
+		if row == nil {
+			y[i] += cb * s.diag[i]
+			continue
+		}
 		for _, k := range s.rowNZ[i] {
 			y[k] += cb * row[k]
 		}
@@ -484,9 +605,7 @@ func (s *solver) dualsProfiled(cost, y []float64) {
 // iterate runs bounded simplex iterations under the given cost vector
 // until optimality, unboundedness, or the iteration budget.
 func (s *solver) iterate(cost []float64) Status {
-	m := s.m
-	y := make([]float64, m)
-	w := make([]float64, m)
+	y, w := s.y, s.w
 	prof := s.prof
 	s.buildEligible()
 
@@ -710,14 +829,19 @@ func (s *solver) buildEligible() {
 // ftran computes w = Binv * A[j]: for each entry i of column j in
 // entry order, w[r] += binv[r][i]*v over the rows listed for binv column
 // i. Each w[r] adds the same nonzero products in the same order as a
-// dense sweep. The nonzero rows of w are then left, ascending, in wNZ.
+// dense sweep; an implicit row r is listed only for column r. The
+// nonzero rows of w are then left, ascending, in wNZ.
 func (s *solver) ftran(j int, w []float64) {
 	clear(w)
 	c := s.col(j)
 	for k, i := range c.idx {
 		v := c.val[k]
 		for _, r := range s.colNZ[i] {
-			w[r] += s.binv[r][i] * v
+			if row := s.binv[r]; row != nil {
+				w[r] += row[i] * v
+			} else {
+				w[r] += s.diag[r] * v
+			}
 		}
 	}
 	nz := s.wNZ[:0]
@@ -748,6 +872,7 @@ func (s *solver) step(enter int, dir, t float64, w []float64) {
 // the nonzero rows of w and the nonzero positions of the scaled pivot
 // row: skipped entries would subtract f*0. Those positions and values
 // are left in nzIdx/nzVal; positions the update fills in are listed.
+// Every row the update writes is materialized first.
 func (s *solver) pivot(r, enter int, leave int8, w []float64) {
 	lv := s.basis[r]
 	s.vstat[lv] = leave
@@ -769,7 +894,7 @@ func (s *solver) pivot(r, enter int, leave int8, w []float64) {
 		s.elig = slices.Insert(s.elig, at, int32(lv))
 	}
 
-	rowR := s.binv[r]
+	rowR := s.writeRow(r)
 	invPiv := 1 / w[r]
 	nzIdx, nzVal := s.nzIdx[:0], s.nzVal[:0]
 	for _, k := range s.rowNZ[r] {
@@ -787,7 +912,7 @@ func (s *solver) pivot(r, enter int, leave int8, w []float64) {
 			continue
 		}
 		f := w[i]
-		row := s.binv[i]
+		row := s.writeRow(i)
 		for t, k := range nzIdx {
 			if row[k] == 0 {
 				s.list(i, int(k)) // fill-in (or a cancelled entry refilling)
@@ -827,9 +952,15 @@ func (s *solver) refresh() {
 	}
 	for i := 0; i < s.m; i++ {
 		v := 0.0
-		row := s.binv[i]
-		for k := 0; k < s.m; k++ {
-			v += row[k] * r[k]
+		if row := s.binv[i]; row != nil {
+			for k := 0; k < s.m; k++ {
+				v += row[k] * r[k]
+			}
+		} else {
+			// The dense sum over an implicit row adds ±0 to +0 before
+			// the diagonal term and ±0 to a nonzero or +0 sum after it
+			// (r is finite), so it is exactly this one term.
+			v += s.diag[i] * r[i]
 		}
 		s.xB[i] = v
 		s.x[s.basis[i]] = v

@@ -64,16 +64,17 @@ const (
 	rejectSingular = "singular"
 )
 
-// newWarmSolver builds a solver positioned at the snapshot basis, or
-// reports a non-empty reject reason when the snapshot does not fit the
-// problem (shape mismatch, inconsistent statuses, or a singular basis
-// matrix).
-func newWarmSolver(p *Problem, opt Options, ws *Basis) (*solver, string) {
-	s := newCore(p, opt)
-	if int(ws.nStruct) != s.nStruct || int(ws.m) != s.m ||
-		len(ws.vstat) != s.n || len(ws.basis) != s.m {
-		return nil, rejectDimMismatch
+// newWarmSolver builds into s a solver positioned at the snapshot basis,
+// or reports a non-empty reject reason when the snapshot does not fit
+// the problem (shape mismatch, inconsistent statuses, or a singular
+// basis matrix). A shape mismatch is found before any set-up work.
+func newWarmSolver(s *solver, p *Problem, opt Options, ws *Basis) string {
+	m, nStruct := len(p.rows), len(p.c)
+	if int(ws.nStruct) != nStruct || int(ws.m) != m ||
+		len(ws.vstat) != nStruct+m || len(ws.basis) != m {
+		return rejectDimMismatch
 	}
+	newCore(s, p, opt)
 
 	// Statuses from the snapshot; verify each is known and the basis set
 	// is consistent.
@@ -81,21 +82,20 @@ func newWarmSolver(p *Problem, opt Options, ws *Basis) (*solver, string) {
 	basicCount := 0
 	for _, st := range s.vstat {
 		if !knownStatus(st) {
-			return nil, rejectStaleBasis
+			return rejectStaleBasis
 		}
 		if st == basic {
 			basicCount++
 		}
 	}
 	if basicCount != s.m {
-		return nil, rejectStaleBasis
+		return rejectStaleBasis
 	}
-	s.basis = make([]int, s.m)
 	seen := make([]bool, s.n)
 	for i, bj := range ws.basis {
 		j := int(bj)
 		if j < 0 || j >= s.n || s.vstat[j] != basic || seen[j] {
-			return nil, rejectStaleBasis
+			return rejectStaleBasis
 		}
 		seen[j] = true
 		s.basis[i] = j
@@ -144,16 +144,19 @@ func newWarmSolver(p *Problem, opt Options, ws *Basis) (*solver, string) {
 	}
 
 	if !s.factorize() {
-		return nil, rejectSingular
+		return rejectSingular
 	}
-	s.xB = make([]float64, s.m)
 	s.refresh() // basic values for the new bounds/RHS
-	return s, ""
+	return ""
 }
 
 // factorize computes the explicit basis inverse for the current basis
 // assignment by Gauss-Jordan elimination with partial pivoting, and
 // lists its nonzero pattern, reporting false on a (near-)singular basis.
+// The elimination works on [B | I] in rows taken from the storage. B's
+// writes are listed in the (still empty) binv pattern, so B is zeroed
+// at exactly those positions before its rows go back; R's rows become
+// binv's, and one left holding only its diagonal goes implicit.
 func (s *solver) factorize() bool {
 	var t0 int64
 	if s.prof != nil {
@@ -161,27 +164,63 @@ func (s *solver) factorize() bool {
 		defer func() { s.prof.direct(phSetup, t0) }()
 	}
 	m := s.m
-	B, R := newSquare(m), newSquare(m)
-	maxAbs := 0.0
+	B, R := make([][]float64, m), make([][]float64, m)
 	for r := 0; r < m; r++ {
+		B[r], R[r] = s.newRow(), s.newRow()
 		R[r][r] = 1
 	}
+	maxAbs := 0.0
 	for k, j := range s.basis {
 		c := s.col(j)
 		for t, i := range c.idx {
 			B[i][k] = c.val[t]
+			s.list(int(i), k)
 			if a := math.Abs(c.val[t]); a > maxAbs {
 				maxAbs = a
 			}
 		}
 	}
-	pivTolAbs := 1e-10 * math.Max(1, maxAbs)
+	perm, ok := s.eliminate(B, R, 1e-10*math.Max(1, maxAbs))
+	for r, row := range B {
+		for _, k := range s.rowNZ[r] {
+			row[k] = 0
+		}
+	}
+	s.free = append(s.free, B...)
+	s.clearPattern()
+	if !ok {
+		for _, row := range R {
+			clear(row)
+		}
+		s.free = append(s.free, R...)
+		return false
+	}
+	for col := 0; col < m; col++ {
+		row := R[perm[col]]
+		for k, v := range row {
+			if v != 0 {
+				s.list(col, k)
+			}
+		}
+		if ks := s.rowNZ[col]; len(ks) == 1 && int(ks[0]) == col {
+			s.diag[col], row[col] = row[col], 0
+			s.free = append(s.free, row)
+			continue
+		}
+		s.binv[col] = row
+		s.rows++
+	}
+	return true
+}
 
-	// Reduce [B | I] -> [P | R] with R*B = P; then Binv = P^T * R, i.e.
-	// Binv[col] = R[perm[col]]. Each elimination touches only the
-	// nonzero positions of the scaled pivot row: skipped entries would
-	// subtract f*0.
-	perm := make([]int, m)
+// eliminate reduces [B | I] -> [P | R] with R*B = P; then Binv = P^T * R,
+// i.e. Binv[col] = R[perm[col]]. Each elimination touches only the
+// nonzero positions of the scaled pivot row: skipped entries would
+// subtract f*0. Every position of B it fills in is listed. ok is false
+// when no pivot above pivTolAbs is left for some column.
+func (s *solver) eliminate(B, R [][]float64, pivTolAbs float64) (perm []int, ok bool) {
+	m := s.m
+	perm = make([]int, m)
 	usedRow := make([]bool, m)
 	nzB, nzR := make([]int32, 0, m), make([]int32, 0, m)
 	for col := 0; col < m; col++ {
@@ -195,7 +234,7 @@ func (s *solver) factorize() bool {
 			}
 		}
 		if pr < 0 {
-			return false
+			return nil, false
 		}
 		usedRow[pr] = true
 		perm[col] = pr
@@ -222,6 +261,9 @@ func (s *solver) factorize() bool {
 			}
 			tb, tr := B[r], R[r]
 			for _, k := range nzB {
+				if tb[k] == 0 {
+					s.list(r, int(k))
+				}
 				tb[k] -= f * rowB[k]
 			}
 			for _, k := range nzR {
@@ -229,17 +271,7 @@ func (s *solver) factorize() bool {
 			}
 		}
 	}
-	s.binv = make([][]float64, m)
-	s.newPattern()
-	for col := 0; col < m; col++ {
-		s.binv[col] = R[perm[col]]
-		for k, v := range s.binv[col] {
-			if v != 0 {
-				s.list(col, k)
-			}
-		}
-	}
-	return true
+	return perm, true
 }
 
 // primalFeasible reports whether every basic value sits within its bounds.
@@ -256,7 +288,7 @@ func (s *solver) primalFeasible() bool {
 // dualFeasible reports whether the reduced costs of all nonbasic
 // variables satisfy their status sign conditions under the given cost.
 func (s *solver) dualFeasible(cost []float64) bool {
-	y := make([]float64, s.m)
+	y := s.y
 	s.computeDuals(cost, y)
 	s.reducedCosts(cost, y)
 	for j := 0; j < s.n; j++ {
@@ -350,10 +382,9 @@ func (s *solver) runWarm() (*Solution, bool, error) {
 // positions in ascending order: each column adds the same nonzero terms
 // in the same row order as a gather down the column.
 func (s *solver) pivotRowAlphas(r int) {
-	rho := s.binv[r]
 	nz := s.rhoIdx[:0]
 	for _, k := range s.rowNZ[r] {
-		if rho[k] != 0 {
+		if s.at(r, int(k)) != 0 {
 			nz = append(nz, k)
 		}
 	}
@@ -362,7 +393,7 @@ func (s *solver) pivotRowAlphas(r int) {
 	rc := s.rc
 	clear(rc)
 	for _, i := range nz {
-		ri := rho[i]
+		ri := s.at(r, int(i))
 		pr := s.priceRows.line(int(i))
 		val := pr.val[:len(pr.idx)]
 		for t, j := range pr.idx {
@@ -380,8 +411,7 @@ func (s *solver) pivotRowAlphas(r int) {
 // caller treats that as a rejection and re-solves cold.
 func (s *solver) dualSimplex(cost []float64) Status {
 	m := s.m
-	y := make([]float64, m)
-	w := make([]float64, m)
+	y, w := s.y, s.w
 	prof := s.prof
 	s.buildEligible()
 	budget := 1000 + 10*m
@@ -428,7 +458,6 @@ func (s *solver) dualSimplex(cost []float64) Status {
 		// Dual ratio test: among nonbasic columns whose movement pushes
 		// xB[r] toward its violated bound, pick the smallest
 		// |reduced cost| / |alpha| (ties to the larger pivot).
-		rho := s.binv[r]
 		s.pivotRowAlphas(r)
 		enter, bestRatio, bestAlpha := -1, Inf, 0.0
 		for _, j32 := range s.elig {
@@ -439,7 +468,7 @@ func (s *solver) dualSimplex(cost []float64) Status {
 			if j < s.nStruct {
 				alpha = s.rc[j]
 			} else {
-				alpha = rho[c.idx[0]] * c.val[0]
+				alpha = s.at(r, int(c.idx[0])) * c.val[0]
 			}
 			if math.Abs(alpha) <= pivTol {
 				continue

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"agingfp/internal/flight"
 )
 
 // randomProblem builds a random bounded LP that is feasible by
@@ -199,6 +201,20 @@ func TestWarmShapeMismatchRejected(t *testing.T) {
 	}
 	if sol.Status != Optimal || math.Abs(sol.Obj-(-4)) > testTol {
 		t.Fatalf("fallback solve wrong: %v obj %g", sol.Status, sol.Obj)
+	}
+
+	// The shape is checked before any set-up: the rejected warm start
+	// times as many set-up steps as a cold solve.
+	setups := func(opt Options) int64 {
+		opt.Profile = true
+		sol, err := Solve(context.Background(), big, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol.Profile.Phases[flight.PhaseSetup].Count
+	}
+	if warm, cold := setups(Options{WarmStart: rootSmall.Basis}), setups(Options{}); warm != cold {
+		t.Fatalf("mismatched warm start ran %d set-up steps, a cold solve %d", warm, cold)
 	}
 }
 
