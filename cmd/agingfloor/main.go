@@ -137,7 +137,7 @@ func run() int {
 		journalF  = flag.String("journal", "", "write the solve's flight-recorder journal (JSON) to this file")
 		explainF  = flag.String("explain", "", "write the human-readable explainability report to this file")
 		flightEvs = flag.Int("flight-events", 0, "bound the flight journal's event count (0 = default, negative disables recording)")
-		kernProfF = flag.String("kernel-profile", "", "arm the LP kernel profiler and write the aggregated kernel profile (phase times, basis health, tree shape) as JSON to this file")
+		kernProfF = flag.String("kernel-profile", "", "arm the LP kernel profiler and write the aggregated kernel profile (phase times, basis health, pivots by constraint family) as JSON to this file")
 		telemDir  = flag.String("telemetry-dir", "", "append this run's wide telemetry event to the durable store in this directory (shared with agingfloord)")
 		version   = flag.Bool("version", false, "print build identity (VCS revision, Go version) and exit")
 	)

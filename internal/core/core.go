@@ -92,9 +92,6 @@ type Options struct {
 	TimeLimit time.Duration
 	// Seed drives rotation selection and candidate sampling.
 	Seed int64
-	// WireObjective adds a tiny wirelength term to the (otherwise null)
-	// objective, improving realized CPD without affecting feasibility.
-	WireObjective bool
 	// RotationRestarts is the number of randomized orientation
 	// assignments evaluated in Step 2.1.
 	RotationRestarts int
@@ -223,7 +220,6 @@ func DefaultOptions() Options {
 		ContextsPerBatch:   0,
 		TimeLimit:          2 * time.Minute,
 		Seed:               1,
-		WireObjective:      true,
 		RotationRestarts:   24,
 		CritEpsNs:          1e-6,
 		PathRepairRounds:   8,

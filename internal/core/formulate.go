@@ -140,7 +140,7 @@ func (bp *batchProblem) addRow(family string, sense lp.Sense, rhs float64, idx [
 // ops everywhere + ops of earlier batches).
 func buildBatch(d *arch.Design, mCur arch.Mapping, inBatch map[int]bool,
 	frozenPos map[int]arch.Coord, cands map[int][]int, paths []*timing.Path,
-	stTarget float64, committed []float64, cpd float64, opts Options) *batchProblem {
+	stTarget float64, committed []float64, cpd float64) *batchProblem {
 
 	f := d.Fabric
 	bp := &batchProblem{
@@ -267,10 +267,7 @@ func buildBatch(d *arch.Design, mCur arch.Mapping, inBatch map[int]bool,
 	// fractional mass near its data neighbours, which is what makes the
 	// 0.95 pre-mapping rule and the rounding dive effective. It never
 	// affects feasibility.
-	wireObj := 0.0
-	if opts.WireObjective {
-		wireObj = 0.02
-	}
+	const wireObj = 0.02
 
 	// axisRow adds d >= expr(a) - expr(b) for one axis, where expr is the
 	// (variable or constant) coordinate of the endpoint.

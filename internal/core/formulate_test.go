@@ -46,7 +46,7 @@ func buildFreezeBatch(t *testing.T, d *arch.Design, m0 arch.Mapping, st float64)
 	cands := candidateSets(d, m0, stress0, frozenPos, movable, rng)
 	opts := DefaultOptions()
 	opts.Mode = Freeze
-	bp := buildBatch(d, m0, inBatch, frozenPos, cands, paths, st, committed, res.CPD, opts)
+	bp := buildBatch(d, m0, inBatch, frozenPos, cands, paths, st, committed, res.CPD)
 	return bp, frozenPos
 }
 

@@ -659,7 +659,7 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 			return nil, false, err
 		}
 		cands := candidateSets(d, m0, stress0, frozenPos, movable, rng)
-		bp := buildBatch(d, mCur, inBatch, frozenPos, cands, paths, st, committed, cpd, opts)
+		bp := buildBatch(d, mCur, inBatch, frozenPos, cands, paths, st, committed, cpd)
 		if bp.infeasibleReason != "" {
 			f.note("core.batch.infeasible_construction", obs.String("reason", bp.infeasibleReason))
 		}

@@ -42,7 +42,7 @@ func buildFullProblem(d *arch.Design, m0 arch.Mapping, stTarget float64, opts Op
 	committed := make([]float64, d.Fabric.NumPEs())
 	addStress(d, committed, frozenPos)
 	cands := candidateSets(d, m0, stress0, frozenPos, movable, rng)
-	return buildBatch(d, m0, inBatch, frozenPos, cands, paths, stTarget, committed, res0.CPD, opts)
+	return buildBatch(d, m0, inBatch, frozenPos, cands, paths, stTarget, committed, res0.CPD)
 }
 
 // SolveRemapOnce solves one delay-aware re-binding MILP at a fixed

@@ -67,11 +67,19 @@ func badRequest(format string, args ...interface{}) error {
 	return &RequestError{msg: fmt.Sprintf(format, args...)}
 }
 
+// mode is the re-mapping arm the request selects, its default applied.
+func (r *JobRequest) mode() string {
+	if r.Mode == "" {
+		return core.Rotate.String()
+	}
+	return r.Mode
+}
+
 // options expands the request knobs into validated solver options.
 func (r *JobRequest) options() (core.Options, error) {
 	opts := core.DefaultOptions()
-	switch r.Mode {
-	case "", "rotate":
+	switch r.mode() {
+	case "rotate":
 		opts.Mode = core.Rotate
 	case "freeze":
 		opts.Mode = core.Freeze
@@ -253,11 +261,10 @@ type solveArtifacts struct {
 }
 
 // solveInfo is what execute reports back for the job's telemetry wide
-// event: workload identity and shape plus the solver-effort statistics.
-// Partially filled on failure paths (shape is known once the design
-// builds, stats once the solver returns).
+// event: workload shape plus the solver-effort statistics. Partially
+// filled on failure paths (shape is known once the design builds, stats
+// once the solver returns).
 type solveInfo struct {
-	design   string
 	ops      int
 	contexts int
 	status   string
@@ -349,12 +356,9 @@ func packArtifacts(clientDoc *arch.Document, opPerm, ctxPerm []int, m0 arch.Mapp
 		frozen:    res.FrozenOps,
 		stTarget:  res.STTarget,
 		stLower:   res.STLowerBound,
-		mode:      "rotate",
+		mode:      opts.Mode.String(),
 		seed:      opts.Seed,
 		timeLimit: int64(opts.TimeLimit / time.Millisecond),
-	}
-	if opts.Mode == core.Freeze {
-		art.mode = "freeze"
 	}
 	art.bases = make([][]byte, len(res.Bases))
 	for i, b := range res.Bases {
@@ -391,7 +395,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, err
 		if err != nil {
 			return nil, nil, err
 		}
-		info := &solveInfo{design: d.Name, ops: d.NumOps(), contexts: d.NumContexts}
+		info := &solveInfo{ops: d.NumOps(), contexts: d.NumContexts}
 		m0, err := place.PlaceContext(ctx, d, place.DefaultConfig())
 		if err != nil {
 			return nil, info, err
@@ -428,7 +432,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, err
 	if err != nil {
 		return nil, nil, err
 	}
-	info := &solveInfo{design: req.Design.Name, ops: d.NumOps(), contexts: d.NumContexts}
+	info := &solveInfo{ops: d.NumOps(), contexts: d.NumContexts}
 	m0 := mappings[canon.BaselineMapping]
 	if m0 == nil {
 		// place.Place is deterministic for a fixed seed, and the

@@ -55,15 +55,14 @@ type resultCache struct {
 // exactEntry is one exact-tier record: the result bytes plus what a hit
 // needs besides them — the semantic key and op/context permutations
 // that rebind the semantic tier's delta artifacts to this numbering,
-// and the workload identity the hit's wide event reports. It is written
-// whole in one put and never changed, so no hit sees a partial entry.
+// and the workload shape the hit's wide event reports (its name is the
+// request's own). It is written whole in one put and never changed, so
+// no hit sees a partial entry.
 type exactEntry struct {
-	result  []byte
-	semKey  string // "" for bench workloads
-	opPerm  []int  // client op index -> solved index; nil = identity
-	ctxPerm []int
-	// Workload identity: the result document's design name and shape.
-	design   string
+	result   []byte
+	semKey   string // "" for bench workloads
+	opPerm   []int  // client op index -> solved index; nil = identity
+	ctxPerm  []int
 	ops      int
 	contexts int
 }
@@ -125,9 +124,6 @@ func (c *resultCache) put(key string, e *exactEntry, sem *semanticEntry) (*exact
 // mixed with every solver option that is part of workload identity
 // (DeadlineMs stays excluded here too — delivery policy, not work).
 func semanticKey(canonHash, mode string, seed, timeLimitMs int64) string {
-	if mode == "" {
-		mode = "rotate"
-	}
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%s|%s|%d|%d", canonHash, mode, seed, timeLimitMs)))
 	return hex.EncodeToString(sum[:])
 }

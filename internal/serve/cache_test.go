@@ -30,18 +30,13 @@ func (l *eventLog) record(ev *telemetry.SolveEvent) {
 	l.evs[ev.JobID] = *ev
 }
 
-// get returns the job's wide event, waiting up to 10 s for it: a solved
-// job records its event just after it turns terminal.
+// get returns the job's wide event. A job records its event before its
+// state turns terminal, so a job a poll saw finish has one.
 func (l *eventLog) get(id string) (telemetry.SolveEvent, bool) {
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		l.mu.Lock()
-		ev, ok := l.evs[id]
-		l.mu.Unlock()
-		if ok || time.Now().After(deadline) {
-			return ev, ok
-		}
-		time.Sleep(time.Millisecond)
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ev, ok := l.evs[id]
+	return ev, ok
 }
 
 // observedPipeline opens a telemetry pipeline whose events also land in

@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"time"
 
 	"agingfp/internal/arch"
 	"agingfp/internal/canon"
 	"agingfp/internal/core"
-	"agingfp/internal/flight"
 	"agingfp/internal/lp"
-	"agingfp/internal/obs"
 	"agingfp/internal/place"
 )
 
@@ -318,7 +315,7 @@ func (s *Server) executeDelta(ctx context.Context, j *job) (*execOut, *solveInfo
 	if err != nil {
 		return nil, nil, err
 	}
-	info := &solveInfo{design: j.req.Design.Name, ops: plan.design.NumOps(), contexts: plan.design.NumContexts}
+	info := &solveInfo{ops: plan.design.NumOps(), contexts: plan.design.NumContexts}
 	opts, err := j.req.options()
 	if err != nil {
 		return nil, info, err
@@ -393,53 +390,12 @@ func (s *Server) SubmitDelta(baseID string, req *DeltaRequest) (Snapshot, error)
 	if _, err := jr.options(); err != nil {
 		return Snapshot{}, err
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return Snapshot{}, ErrDraining
-	}
-	s.nextID++
-	j := &job{
-		id:            fmt.Sprintf("job-%06d", s.nextID),
-		traceID:       newTraceID(),
+	return s.admit(&job{
 		tenant:        tenant,
 		req:           jr,
-		submitted:     time.Now(),
-		state:         StateQueued,
-		rep:           obs.NewReporter(),
 		solveKind:     solveKindDelta,
 		baseID:        baseID,
 		delta:         req,
 		baseArtifacts: art,
-	}
-	if s.cfg.CaptureTraces {
-		j.capture = newTraceCapture(traceBytesPerJob)
-	}
-	if s.cfg.FlightEvents > 0 {
-		j.flight = flight.NewRecorder(s.cfg.FlightEvents)
-	}
-	s.reg.Counter(`agingfp_serve_jobs_submitted_total`).Inc()
-
-	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMs > 0 {
-		deadline = time.Duration(req.DeadlineMs) * time.Millisecond
-	}
-	if deadline > 0 {
-		j.ctx, j.cancel = context.WithTimeout(s.baseCtx, deadline)
-	} else {
-		j.ctx, j.cancel = context.WithCancel(s.baseCtx)
-	}
-
-	select {
-	case s.queue <- j:
-	default:
-		j.cancel()
-		return Snapshot{}, ErrQueueFull
-	}
-	s.jobs[j.id] = j
-	s.gaugeState(StateQueued, 1)
-	s.reg.Gauge(`agingfp_serve_queue_depth`).Set(float64(len(s.queue)))
-	s.logJob(j, "delta job submitted", slog.String("base_job", baseID), slog.String("mode", jr.Mode))
-	return j.snapshot(), nil
+	}, nil, slog.String("base_job", baseID))
 }

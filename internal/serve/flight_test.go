@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"agingfp/internal/arch"
 	"agingfp/internal/flight"
 )
 
@@ -106,6 +107,60 @@ func TestReportDisabled(t *testing.T) {
 	waitState(t, hs, snap.ID, serve.StateDone, 30*time.Second)
 	if code := getJSON(t, hs.URL+"/v1/jobs/"+snap.ID+"/report", nil); code != http.StatusNotFound {
 		t.Fatalf("report with recording disabled: HTTP %d, want 404", code)
+	}
+}
+
+// TestDeltaKernelProfile: on a KernelProfile server a delta job's
+// recorder is armed like a cold job's, so its journal has a kernel
+// section and its cost block per-phase times.
+func TestDeltaKernelProfile(t *testing.T) {
+	s, _, _ := testServer(t, serve.Config{Workers: 1, KernelProfile: true})
+	doc := designDoc(t, "kernel-delta", 24, 4, 4, 4, 9)
+	base, err := s.Submit(&serve.JobRequest{Design: doc, Mode: "freeze"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An appended op keeps the delta seeded but retires the base's
+	// floorplan as a shortcut, so the delta solves LPs.
+	grown := copyDoc(t, doc)
+	grown.Ops = append(grown.Ops, arch.DocOp{Kind: doc.Ops[0].Kind, Ctx: doc.Ops[0].Ctx})
+	delete(grown.Mappings, "baseline") // the server places the new op
+	for _, id := range []string{base.ID, ""} {
+		if id == "" {
+			delta, err := s.SubmitDelta(base.ID, &serve.DeltaRequest{Design: grown})
+			if err != nil {
+				t.Fatal(err)
+			}
+			id = delta.ID
+		}
+		snap := waitJob(t, s, id, time.Minute)
+		if snap.State != serve.StateDone {
+			t.Fatalf("%s job %s ended %s: %s", snap.SolveKind, id, snap.State, snap.Error)
+		}
+		j, err := s.FlightJournal(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Kernel == nil || len(snap.Cost.PhaseMs) == 0 {
+			t.Fatalf("%s job %s: kernel section %v, cost phase_ms %v; want both", snap.SolveKind, id, j.Kernel != nil, snap.Cost.PhaseMs)
+		}
+	}
+}
+
+// waitJob polls the job in process until it is terminal.
+func waitJob(t *testing.T, s *serve.Server, id string, timeout time.Duration) serve.Snapshot {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); ; time.Sleep(5 * time.Millisecond) {
+		snap, err := s.Job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.State != serve.StateQueued && snap.State != serve.StateRunning {
+			return snap
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s after %v", id, snap.State, timeout)
+		}
 	}
 }
 

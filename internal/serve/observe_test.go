@@ -239,7 +239,10 @@ func TestLogTraceCorrelation(t *testing.T) {
 }
 
 // TestMetricsStateGauges checks the live per-state job gauges and the
-// queue metrics surface on /metrics after a job completes.
+// queue metrics surface on /metrics after a job and its exact hit
+// complete: the done gauge and the done counter both count the hit,
+// while the queue-wait and solve histograms count only the job a worker
+// ran.
 func TestMetricsStateGauges(t *testing.T) {
 	_, hs, _ := testServer(t, serve.Config{Workers: 1})
 
@@ -248,6 +251,9 @@ func TestMetricsStateGauges(t *testing.T) {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 	waitState(t, hs, snap.ID, serve.StateDone, 2*time.Minute)
+	if hit, code := postJob(t, hs, `{"bench": "B1"}`); code != http.StatusAccepted || hit.SolveKind != "exact_hit" {
+		t.Fatalf("resubmit: HTTP %d solve_kind %q, want an exact hit", code, hit.SolveKind)
+	}
 
 	resp, err := http.Get(hs.URL + "/metrics")
 	if err != nil {
@@ -259,7 +265,8 @@ func TestMetricsStateGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`agingfp_serve_jobs{state="done"} 1`,
+		`agingfp_serve_jobs{state="done"} 2`,
+		`agingfp_serve_jobs_total{state="done"} 2`,
 		`agingfp_serve_jobs{state="queued"} 0`,
 		`agingfp_serve_jobs{state="running"} 0`,
 		`agingfp_serve_queue_depth 0`,

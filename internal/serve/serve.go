@@ -205,7 +205,9 @@ type job struct {
 	reuse         *ReuseInfo
 	cost          *CostReport // attribution, set when the job reaches a terminal state
 	started       time.Time
-	finished      time.Time
+	// finished is set when an ending is claimed (see claimQueued), before
+	// finish publishes the terminal state; snapshots report it only then.
+	finished time.Time
 }
 
 // ReuseInfo reports which of the base job's artifacts a delta re-solve
@@ -246,13 +248,11 @@ func costFromEvent(ev *telemetry.SolveEvent) *CostReport {
 	c := &CostReport{
 		Tier:         ev.SolveKind,
 		QueueWaitMs:  ev.QueueWaitMs,
+		SolveMs:      ev.ElapsedMs, // zero for a job no worker ran
 		LPSolves:     ev.LPSolves,
 		SimplexIters: ev.SimplexIters,
 		ILPNodes:     ev.ILPNodes,
 		STProbes:     ev.STProbes,
-	}
-	if !ev.CacheHit {
-		c.SolveMs = ev.ElapsedMs
 	}
 	if ph := ev.PhaseMs(); len(ph) > 0 {
 		c.PhaseMs = ph
@@ -291,7 +291,7 @@ type Snapshot struct {
 func (j *job) snapshot() Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return Snapshot{
+	snap := Snapshot{
 		ID:            j.id,
 		TraceID:       j.traceID,
 		Tenant:        j.tenant,
@@ -304,8 +304,11 @@ func (j *job) snapshot() Snapshot {
 		Cost:          j.cost,
 		Submitted:     j.submitted,
 		Started:       j.started,
-		Finished:      j.finished,
 	}
+	if j.state != StateQueued && j.state != StateRunning {
+		snap.Finished = j.finished
+	}
+	return snap
 }
 
 // DefaultTenant is the accounting identity of submissions that carry
@@ -445,97 +448,103 @@ func (s *Server) Submit(req *JobRequest) (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, err
 	}
+	j := &job{key: key, tenant: tenant, req: req, solveKind: solveKindCold}
 	// The exact tier is looked up before the design is decoded: an entry
 	// exists only for a request that already validated (see resultCache),
 	// so a hit skips decoding, validation and canonicalization alike.
 	hit, _ := s.cache.get(key)
-	var (
-		form   *canon.Form
-		semKey string
-	)
-	if hit == nil && req.Design != nil {
+	if hit != nil {
+		j.solveKind = solveKindExact
+	} else if req.Design != nil {
 		// The one decode of a missed design: canon validates it, and its
 		// error is arch's own.
-		form, err = canon.Canonicalize(req.Design)
+		form, err := canon.Canonicalize(req.Design)
 		if err != nil {
 			return Snapshot{}, badRequest("serve: bad design: %v", err)
 		}
-		semKey = semanticKey(form.Hash, req.Mode, req.Seed, req.TimeLimitMs)
+		j.semKey = semanticKey(form.Hash, req.mode(), req.Seed, req.TimeLimitMs)
+		if e, ok := s.cache.getSemantic(j.semKey); ok {
+			hit = s.promote(j, form, e)
+		}
+		if hit == nil {
+			j.canonForm = form
+		}
 	}
+	switch {
+	case hit == nil:
+		s.reg.Counter(`agingfp_serve_cache_misses_total`).Inc()
+	case j.solveKind == solveKindSemantic:
+		s.reg.Counter(`agingfp_cache_semantic_hits_total`).Inc()
+		s.reg.Counter(`agingfp_serve_cache_tier_hits_total{tier="semantic"}`).Inc()
+	default:
+		s.reg.Counter(`agingfp_serve_cache_hits_total`).Inc()
+		s.reg.Counter(`agingfp_serve_cache_tier_hits_total{tier="exact"}`).Inc()
+	}
+	return s.admit(j, hit, slog.String("bench", req.Bench))
+}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return Snapshot{}, ErrDraining
-	}
-	s.nextID++
-	j := &job{
-		id:        fmt.Sprintf("job-%06d", s.nextID),
-		key:       key,
-		semKey:    semKey,
-		traceID:   newTraceID(),
-		tenant:    tenant,
-		req:       req,
-		solveKind: solveKindCold,
-		submitted: time.Now(),
-		state:     StateQueued,
-		rep:       obs.NewReporter(),
-	}
+// admit is the tail every submission shares: it numbers the job and
+// gives it its progress cell, trace capture, flight recorder and
+// deadline context. A job a cache tier answered (hit non-nil) ends at
+// once through finish; any other joins the queue. It refuses every job
+// with ErrDraining once Drain began, and a queued one with ErrQueueFull
+// when the backlog is full.
+func (s *Server) admit(j *job, hit *exactEntry, attrs ...slog.Attr) (Snapshot, error) {
+	j.traceID = newTraceID()
+	j.state = StateQueued
+	j.rep = obs.NewReporter()
 	if s.cfg.CaptureTraces {
 		j.capture = newTraceCapture(traceBytesPerJob)
 	}
-	s.reg.Counter(`agingfp_serve_jobs_submitted_total`).Inc()
-
-	if hit != nil {
-		j.solveKind = solveKindExact
-	} else if semKey != "" {
-		if e, ok := s.cache.getSemantic(semKey); ok {
-			hit = s.promote(j, form, e)
-		}
-	}
-	if hit != nil {
-		if j.solveKind == solveKindSemantic {
-			s.reg.Counter(`agingfp_cache_semantic_hits_total`).Inc()
-			s.reg.Counter(`agingfp_serve_cache_tier_hits_total{tier="semantic"}`).Inc()
-		} else {
-			s.reg.Counter(`agingfp_serve_cache_hits_total`).Inc()
-			s.reg.Counter(`agingfp_serve_cache_tier_hits_total{tier="exact"}`).Inc()
-		}
-		s.finishFromCache(j, hit)
-		return j.snapshot(), nil
-	}
-	s.reg.Counter(`agingfp_serve_cache_misses_total`).Inc()
-	j.canonForm = form
 	// Only jobs that actually run the solver get a flight recorder: a
 	// cache hit replays stored bytes, so there are no decisions to
 	// journal and the report endpoint answers 404 for it.
-	if s.cfg.FlightEvents > 0 {
+	if hit == nil && s.cfg.FlightEvents > 0 {
 		j.flight = flight.NewRecorder(s.cfg.FlightEvents)
 		if s.cfg.KernelProfile {
 			j.flight.EnableKernel(0)
 		}
 	}
-
 	deadline := s.cfg.DefaultDeadline
-	if req.DeadlineMs > 0 {
-		deadline = time.Duration(req.DeadlineMs) * time.Millisecond
+	if j.req.DeadlineMs > 0 {
+		deadline = time.Duration(j.req.DeadlineMs) * time.Millisecond
 	}
+
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		return Snapshot{}, ErrDraining
+	}
+	s.nextID++
+	j.id = fmt.Sprintf("job-%06d", s.nextID)
+	j.submitted = time.Now()
 	if deadline > 0 {
 		j.ctx, j.cancel = context.WithTimeout(s.baseCtx, deadline)
 	} else {
 		j.ctx, j.cancel = context.WithCancel(s.baseCtx)
 	}
-
-	select {
-	case s.queue <- j:
-	default:
-		j.cancel()
-		return Snapshot{}, ErrQueueFull
+	s.reg.Counter(`agingfp_serve_jobs_submitted_total`).Inc()
+	if hit != nil {
+		// The answer already exists: the job's ending is claimed at
+		// submission, and it consumes no queue slot or solver time.
+		j.started, j.finished = j.submitted, j.submitted
+	} else {
+		select {
+		case s.queue <- j:
+		default:
+			s.mu.Unlock()
+			j.cancel()
+			return Snapshot{}, ErrQueueFull
+		}
 	}
 	s.jobs[j.id] = j
 	s.gaugeState(StateQueued, 1)
 	s.reg.Gauge(`agingfp_serve_queue_depth`).Set(float64(len(s.queue)))
-	s.logJob(j, "job submitted", slog.String("bench", req.Bench), slog.String("mode", req.Mode))
+	s.logJob(j, "job submitted", append(attrs, slog.String("solve_kind", j.solveKind), slog.String("mode", j.req.mode()))...)
+	s.mu.Unlock()
+	if hit != nil {
+		s.finish(j, ending{state: StateDone, hit: hit, result: hit.result, artifacts: s.hitArtifacts(j, hit)})
+	}
 	return j.snapshot(), nil
 }
 
@@ -558,7 +567,6 @@ func (s *Server) promote(j *job, form *canon.Form, e *semanticEntry) *exactEntry
 		semKey:   j.semKey,
 		opPerm:   form.OpPerm,
 		ctxPerm:  form.CtxPerm,
-		design:   j.req.Design.Name,
 		ops:      e.result.ops,
 		contexts: e.result.contexts,
 	}, nil)
@@ -603,68 +611,22 @@ func (s *Server) retryAfterSeconds() int {
 	return int(secs)
 }
 
-// finishFromCache completes a cache-answered job at submission time:
-// the entry's bytes become the result, the job is terminal immediately,
-// and — for design submissions whose semantic entry survives — the
-// canonical artifacts are rebound to this submission's numbering so
-// the job can still serve as a delta base. Called with s.mu held.
-func (s *Server) finishFromCache(j *job, e *exactEntry) {
-	j.state = StateDone
-	j.result = e.result
-	if e.semKey != "" {
-		if se, ok := s.cache.getSemantic(e.semKey); ok && se.artifacts != nil {
-			art := *se.artifacts
-			art.clientDoc = j.req.Design
-			art.opPerm = e.opPerm
-			art.ctxPerm = e.ctxPerm
-			j.artifacts = &art
-		}
+// hitArtifacts rebinds the delta artifacts of e's semantic entry, when
+// it survives, to the numbering of j, the design job e answers, so a
+// cache-answered job can still serve as a delta base. nil otherwise.
+func (s *Server) hitArtifacts(j *job, e *exactEntry) *solveArtifacts {
+	if e.semKey == "" {
+		return nil
 	}
-	j.started = j.submitted
-	j.finished = j.submitted
-	// A cache hit consumed no queue slot and no solver time; the cost
-	// block says so explicitly rather than being absent.
-	j.cost = &CostReport{Tier: j.solveKind}
-	j.ctx, j.cancel = context.WithCancel(s.baseCtx)
-	j.cancel() // nothing left to cancel
-	s.jobs[j.id] = j
-	s.gaugeState(StateDone, 1)
-	s.accountTenant(s.tenantLabel(j), StateDone, 0)
-	j.rep.Update(func(p *obs.Progress) { p.Phase = "done"; p.Done = true; p.Status = string(StateDone) })
-	s.logJob(j, "job served from cache",
-		slog.Bool("cache_hit", true), slog.String("solve_kind", j.solveKind))
-	s.emitCacheHitEvent(j, e)
-}
-
-// emitCacheHitEvent records a cache-served job as a wide event: it
-// counts toward throughput and the hit rate but is excluded from solve
-// latency percentiles (the pipeline keys that off cache_hit). The
-// workload identity and shape come from the exact entry, which stores
-// them beside the result bytes so replays stay attributable without
-// parsing the result.
-func (s *Server) emitCacheHitEvent(j *job, e *exactEntry) {
-	tp := s.cfg.Telemetry
-	if tp == nil {
-		return
+	se, ok := s.cache.getSemantic(e.semKey)
+	if !ok || se.artifacts == nil {
+		return nil
 	}
-	mode := j.req.Mode
-	if mode == "" {
-		mode = "rotate"
-	}
-	tp.Record(&telemetry.SolveEvent{
-		Time:      time.Now(),
-		Source:    telemetry.SourceServe,
-		JobID:     j.id,
-		TraceID:   j.traceID,
-		Tenant:    s.tenantLabel(j),
-		Bench:     e.design,
-		Ops:       e.ops,
-		Contexts:  e.contexts,
-		Mode:      mode,
-		Status:    string(StateDone),
-		CacheHit:  true,
-		SolveKind: j.solveKind,
-	})
+	art := *se.artifacts
+	art.clientDoc = j.req.Design
+	art.opPerm = e.opPerm
+	art.ctxPerm = e.ctxPerm
+	return &art
 }
 
 // gaugeState moves the live per-state job-count gauges: +1 when a job
@@ -720,8 +682,8 @@ func (s *Server) Result(id string) ([]byte, error) {
 }
 
 // Cancel requests cooperative cancellation of a job. A queued job is
-// marked canceled at once (the worker will skip it); a running job's
-// context is canceled and the solver unwinds within one poll interval.
+// canceled at once (the worker will skip it); a running job's context
+// is canceled and the solver unwinds within one poll interval.
 // Canceling a finished job is a no-op.
 func (s *Server) Cancel(id string) error {
 	s.mu.Lock()
@@ -730,64 +692,11 @@ func (s *Server) Cancel(id string) error {
 	if !ok {
 		return ErrNotFound
 	}
-	j.mu.Lock()
-	dropped := false
-	var queueWait time.Duration
-	if j.state == StateQueued {
-		dropped = true
-		j.state = StateCanceled
-		j.errText = context.Canceled.Error()
-		j.finished = time.Now()
-		queueWait = j.finished.Sub(j.submitted)
-		j.cost = &CostReport{Tier: j.solveKind, QueueWaitMs: durMs(queueWait)}
-		s.reg.Counter(`agingfp_serve_jobs_total{state="canceled"}`).Inc()
-		s.gaugeState(StateQueued, -1)
-		s.gaugeState(StateCanceled, 1)
-	}
-	j.mu.Unlock()
-	if dropped {
-		j.rep.Update(func(p *obs.Progress) { p.Phase = "done"; p.Done = true; p.Status = string(StateCanceled) })
-		s.logJob(j, "job canceled while queued")
-		s.accountTenant(s.tenantLabel(j), StateCanceled, 0)
-		s.emitQueueDropEvent(j, StateCanceled, queueWait, context.Canceled)
+	if j.claimQueued() {
+		s.finish(j, ending{state: StateCanceled, err: context.Canceled, queueWait: j.finished.Sub(j.submitted)})
 	}
 	j.cancel()
 	return nil
-}
-
-// emitQueueDropEvent records a job that went terminal without ever
-// running the solver — canceled while queued, or expired before a
-// worker picked it up — so availability accounting and per-tenant stats
-// see every submission's outcome, not just the solved ones.
-func (s *Server) emitQueueDropEvent(j *job, final JobState, queueWait time.Duration, cause error) {
-	tp := s.cfg.Telemetry
-	if tp == nil {
-		return
-	}
-	mode := j.req.Mode
-	if mode == "" {
-		mode = "rotate"
-	}
-	name := j.req.Bench
-	if name == "" && j.req.Design != nil {
-		name = j.req.Design.Name
-	}
-	ev := &telemetry.SolveEvent{
-		Time:        time.Now(),
-		Source:      telemetry.SourceServe,
-		JobID:       j.id,
-		TraceID:     j.traceID,
-		Tenant:      s.tenantLabel(j),
-		Bench:       name,
-		Mode:        mode,
-		Status:      string(final),
-		SolveKind:   j.solveKind,
-		QueueWaitMs: durMs(queueWait),
-	}
-	if cause != nil {
-		ev.Error = cause.Error()
-	}
-	tp.Record(ev)
 }
 
 // Progress returns the job's latest solver-progress snapshot.
@@ -905,10 +814,24 @@ func (s *Server) worker() {
 	}
 }
 
+// claimQueued claims the ending of a job no worker has taken. Cancel and
+// runJob race for it, and whichever sets finished first ends the job.
+// The state stays queued until finish publishes the ending, so finished,
+// not the state, marks the claim.
+func (j *job) claimQueued() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != StateQueued || !j.finished.IsZero() {
+		return false
+	}
+	j.finished = time.Now()
+	return true
+}
+
 // runJob executes one job end to end and records the outcome.
 func (s *Server) runJob(j *job) {
 	j.mu.Lock()
-	if j.state != StateQueued {
+	if !j.finished.IsZero() {
 		j.mu.Unlock() // canceled while queued
 		return
 	}
@@ -916,23 +839,9 @@ func (s *Server) runJob(j *job) {
 		// The deadline covers queue wait: a job that expired before a
 		// worker picked it up fails without touching the solver. A
 		// drain-forced cancellation reports canceled, not failed.
-		final := StateFailed
-		if errors.Is(err, context.Canceled) {
-			final = StateCanceled
-		}
-		j.state = final
-		s.reg.Counter(`agingfp_serve_jobs_total{state="` + string(final) + `"}`).Inc()
-		s.gaugeState(StateQueued, -1)
-		s.gaugeState(final, 1)
-		j.errText = err.Error()
 		j.finished = time.Now()
-		expireWait := j.finished.Sub(j.submitted)
-		j.cost = &CostReport{Tier: j.solveKind, QueueWaitMs: durMs(expireWait)}
 		j.mu.Unlock()
-		j.rep.Update(func(p *obs.Progress) { p.Phase = "done"; p.Done = true; p.Status = string(final) })
-		s.logJob(j, "job expired in queue", slog.String("state", string(final)))
-		s.accountTenant(s.tenantLabel(j), final, 0)
-		s.emitQueueDropEvent(j, final, expireWait, err)
+		s.finish(j, ending{state: endState(err), err: err, queueWait: j.finished.Sub(j.submitted)})
 		return
 	}
 	j.state = StateRunning
@@ -944,7 +853,6 @@ func (s *Server) runJob(j *job) {
 	s.reg.Histogram(`agingfp_serve_queue_wait_seconds`).Observe(queueWait)
 	s.reg.Gauge(`agingfp_serve_workers_busy`).Add(1)
 	defer s.reg.Gauge(`agingfp_serve_workers_busy`).Add(-1)
-	defer j.cancel() // release the deadline timer
 	s.logJob(j, "job started", slog.Duration("queue_wait", queueWait))
 
 	// Per-job observability context: a tracer teeing the process-wide
@@ -968,15 +876,15 @@ func (s *Server) runJob(j *job) {
 
 	j.mu.Lock()
 	j.finished = time.Now()
-	s.reg.Histogram(`agingfp_serve_job_seconds`).Observe(j.finished.Sub(j.started))
-	var final JobState
-	switch {
-	case err == nil:
-		out := eo.result
+	j.mu.Unlock()
+	end := ending{state: endState(err), err: err, info: info, queueWait: queueWait, elapsed: j.finished.Sub(j.started)}
+	s.reg.Histogram(`agingfp_serve_job_seconds`).Observe(end.elapsed)
+	if err == nil {
+		end.result = eo.result
 		// Delta jobs bypass the caches (key == ""): their results
 		// depend on the base job's artifacts, not the request alone.
 		if j.key != "" {
-			e := &exactEntry{result: out, semKey: j.semKey, design: info.design, ops: info.ops, contexts: info.contexts}
+			e := &exactEntry{result: eo.result, semKey: j.semKey, ops: info.ops, contexts: info.contexts}
 			// Only cold design solves feed the semantic tier: its
 			// contract is "the canonical instance's own solve outcome",
 			// which a seeded delta re-solve does not satisfy.
@@ -987,102 +895,79 @@ func (s *Server) runJob(j *job) {
 			}
 			// The job serves the stored slice, the one future hits serve.
 			stored, _ := s.cache.put(j.key, e, sem)
-			out = stored.result
+			end.result = stored.result
 		}
-		final = StateDone
-		j.result = out
-		j.artifacts = eo.artifacts
-		j.deltaFallback = eo.fallback
+		end.artifacts = eo.artifacts
+		end.fallback = eo.fallback
 		if eo.reuse != nil {
-			j.reuse = &ReuseInfo{
+			end.reuse = &ReuseInfo{
 				FrozenReused: eo.reuse.FrozenReused,
 				BasesSeeded:  eo.reuse.BasesSeeded,
 				BracketHit:   eo.reuse.BracketHit,
 			}
 		}
-	case errors.Is(err, context.Canceled):
-		final = StateCanceled
-		j.errText = err.Error()
-	default:
-		final = StateFailed
-		j.errText = err.Error()
 	}
 	j.canonForm = nil // the canonical document was only needed to solve
-	elapsed := j.finished.Sub(j.started)
-	// The cost block is derived before the terminal state becomes
-	// visible, in the same critical section, so no snapshot reads a
-	// terminal state without its cost.
-	ev := s.solveEvent(j, info, final, elapsed, queueWait, err)
-	j.cost = costFromEvent(ev)
-	j.state = final
-	s.reg.Counter(`agingfp_serve_jobs_total{state="` + string(final) + `"}`).Inc()
-	s.gaugeState(StateRunning, -1)
-	s.gaugeState(final, 1)
-	j.mu.Unlock()
-	if j.capture != nil {
-		j.capture.sink.Flush() //nolint:errcheck // Write never errors
+	s.finish(j, end)
+}
+
+// ending is how one job ended, whichever of the four ways: answered by
+// a cache tier, canceled while queued, expired in the queue, or run by
+// a worker. finish publishes it.
+type ending struct {
+	state     JobState
+	err       error
+	queueWait time.Duration
+	elapsed   time.Duration // solver wall-clock; zero unless a worker ran the job
+	info      *solveInfo    // worker runs: workload shape and solver statistics
+	hit       *exactEntry   // cache hits: the entry that answered
+	// Done jobs: the bytes the job serves, what a delta against it seeds
+	// from, and for delta jobs how much of their base they reused.
+	result    []byte
+	artifacts *solveArtifacts
+	fallback  string
+	reuse     *ReuseInfo
+}
+
+// endState is the terminal state an execution error leaves a job in: a
+// cancellation (client or drain) is canceled, any other error failed.
+func endState(err error) JobState {
+	switch {
+	case err == nil:
+		return StateDone
+	case errors.Is(err, context.Canceled):
+		return StateCanceled
+	default:
+		return StateFailed
 	}
-	// Terminal progress event: pollers and SSE readers key off Done.
-	j.rep.Update(func(p *obs.Progress) { p.Phase = "done"; p.Done = true; p.Status = string(final) })
-	attrs := []slog.Attr{slog.String("state", string(final)), slog.Duration("elapsed", elapsed)}
-	if err != nil {
-		attrs = append(attrs, slog.String("error", err.Error()))
+}
+
+// finish ends a job whose ending the caller claimed, so it runs once per
+// job. It writes every view a poller may read first: the log record,
+// the wide event (and, for a slow outlier, its captured flight journal),
+// the tenant accounting, and the job counters and gauges. Then it
+// publishes the terminal state with its cost under j.mu, and last the
+// terminal progress update, which SSE readers key off. A poller that
+// reads the terminal state therefore finds every other view written.
+func (s *Server) finish(j *job, end ending) {
+	ev := s.jobEvent(j, &end)
+	cost := costFromEvent(ev)
+
+	attrs := []slog.Attr{
+		slog.String("state", string(end.state)),
+		slog.String("solve_kind", j.solveKind),
+		slog.Duration("elapsed", end.elapsed),
+	}
+	if end.err != nil {
+		attrs = append(attrs, slog.String("error", end.err.Error()))
 	}
 	s.logJob(j, "job finished", attrs...)
-	s.emitSolveEvent(j, ev, final, elapsed)
-}
-
-// solveEvent builds the finished job's wide event; runJob derives the
-// job's cost-attribution block from it, so the two can never disagree.
-// runJob calls it holding j.mu, so it must not take the job lock.
-func (s *Server) solveEvent(j *job, info *solveInfo, final JobState, elapsed, queueWait time.Duration, jobErr error) *telemetry.SolveEvent {
-	mode := j.req.Mode
-	if mode == "" {
-		mode = "rotate"
-	}
-	ev := &telemetry.SolveEvent{
-		Time:        time.Now(),
-		Source:      telemetry.SourceServe,
-		JobID:       j.id,
-		TraceID:     j.traceID,
-		Tenant:      s.tenantLabel(j),
-		Mode:        mode,
-		Status:      string(final),
-		SolveKind:   j.solveKind,
-		ElapsedMs:   durMs(elapsed),
-		QueueWaitMs: durMs(queueWait),
-	}
-	if jobErr != nil {
-		ev.Error = jobErr.Error()
-	}
-	if info != nil {
-		ev.Bench = info.design
-		ev.Ops = info.ops
-		ev.Contexts = info.contexts
-		ev.FillStats(info.stats)
-	}
-	ev.FillKernel(j.flight.KernelSnapshot())
-	return ev
-}
-
-// emitSolveEvent folds the finished job into the per-tenant counters
-// and hands its wide event to the telemetry pipeline — which, when it
-// flags the solve as a slow outlier for its shape bucket, persists the
-// job's flight journal next to the event store so the decision log is
-// on disk before anyone asks. Tenant accounting happens even with a nil
-// pipeline.
-func (s *Server) emitSolveEvent(j *job, ev *telemetry.SolveEvent, final JobState, elapsed time.Duration) {
-	s.accountTenant(ev.Tenant, final, elapsed)
-
 	tp := s.cfg.Telemetry
-	if tp == nil {
-		return
-	}
-	out := tp.Record(ev)
-	if out.Slow {
+	if out := tp.Record(ev); out.Slow {
 		// Link the continuous profiler to the outlier: the CPU capture
 		// window in flight right now covered (at least the tail of) the
-		// slow solve.
+		// slow solve. Its flight journal goes next to the event store, so
+		// the decision log is on disk before anyone asks.
 		s.cfg.ProfileRing.Mark(j.id)
 		if j.flight != nil {
 			path := tp.CaptureSlow(j.id, j.flight.Snapshot().WriteJSON)
@@ -1092,6 +977,64 @@ func (s *Server) emitSolveEvent(j *job, ev *telemetry.SolveEvent, final JobState
 				slog.String("journal", path))
 		}
 	}
+	s.accountTenant(ev.Tenant, end.state, end.elapsed)
+	s.reg.Counter(`agingfp_serve_jobs_total{state="` + string(end.state) + `"}`).Inc()
+	s.gaugeState(j.state, -1) // from the claim on, only this caller writes j.state
+	s.gaugeState(end.state, 1)
+	if j.capture != nil {
+		j.capture.sink.Flush() //nolint:errcheck // Write never errors
+	}
+
+	j.mu.Lock()
+	j.state = end.state
+	j.cost = cost
+	if end.err != nil {
+		j.errText = end.err.Error()
+	}
+	j.result = end.result
+	j.artifacts = end.artifacts
+	j.deltaFallback = end.fallback
+	j.reuse = end.reuse
+	j.mu.Unlock()
+	j.cancel() // release the deadline timer
+	j.rep.Update(func(p *obs.Progress) { p.Phase = "done"; p.Done = true; p.Status = string(end.state) })
+}
+
+// jobEvent builds the job's wide event for any ending; finish derives
+// the job's cost block from it, so the two cannot disagree. A cache hit
+// counts toward throughput and the hit rate but not toward solve
+// latency (the pipeline keys that off cache_hit); its shape comes from
+// the exact entry, which stores it beside the result bytes.
+func (s *Server) jobEvent(j *job, end *ending) *telemetry.SolveEvent {
+	ev := &telemetry.SolveEvent{
+		Time:        time.Now(),
+		Source:      telemetry.SourceServe,
+		JobID:       j.id,
+		TraceID:     j.traceID,
+		Tenant:      s.tenantLabel(j),
+		Bench:       j.req.Bench,
+		Mode:        j.req.mode(),
+		Status:      string(end.state),
+		CacheHit:    end.hit != nil,
+		SolveKind:   j.solveKind,
+		ElapsedMs:   durMs(end.elapsed),
+		QueueWaitMs: durMs(end.queueWait),
+	}
+	if j.req.Design != nil {
+		ev.Bench = j.req.Design.Name
+	}
+	if end.err != nil {
+		ev.Error = end.err.Error()
+	}
+	switch {
+	case end.hit != nil:
+		ev.Ops, ev.Contexts = end.hit.ops, end.hit.contexts
+	case end.info != nil:
+		ev.Ops, ev.Contexts = end.info.ops, end.info.contexts
+		ev.FillStats(end.info.stats)
+	}
+	ev.FillKernel(j.flight.KernelSnapshot())
+	return ev
 }
 
 // durMs converts a duration to float milliseconds for the wide event.

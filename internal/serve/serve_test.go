@@ -178,8 +178,8 @@ func TestJobLifecycle(t *testing.T) {
 }
 
 // finishProbe is a log handler that, when a job logs "job finished"
-// (after its terminal state is published), reads the job's snapshot and
-// sends it on finished.
+// (before its terminal state is published), reads the job's snapshot
+// and sends it on finished.
 type finishProbe struct {
 	srv      atomic.Pointer[serve.Server]
 	finished chan serve.Snapshot
@@ -211,8 +211,9 @@ func (h *finishProbe) Handle(_ context.Context, r slog.Record) error {
 // while jobs finish: a snapshot that reads a terminal state must already
 // carry the cost block (it used to be set after the state was
 // published). A log handler also reads each snapshot at the moment the
-// job logs its finish, which the old order failed every time. Run it
-// under -race.
+// job logs its finish, when the job must not be terminal yet: the log
+// record is one of the views written before the state is published.
+// Run it under -race.
 func TestTerminalSnapshotCarriesCost(t *testing.T) {
 	const jobs = 6
 	probe := &finishProbe{finished: make(chan serve.Snapshot, jobs)} // one send per job
@@ -252,13 +253,14 @@ func TestTerminalSnapshotCarriesCost(t *testing.T) {
 		pending = next
 		runtime.Gosched()
 	}
-	// A job logs its finish after its state turns terminal, so the last
-	// records can arrive after the polls end.
+	// A job logs its finish before its state turns terminal, so every
+	// record arrived before the polls ended.
 	for range ids {
 		select {
 		case snap := <-probe.finished:
-			if snap.Cost == nil {
-				t.Fatalf("at its finish log, job %s snapshot reads %q without a cost block", snap.ID, snap.State)
+			if snap.State != serve.StateRunning || snap.Cost != nil || !snap.Finished.IsZero() {
+				t.Fatalf("at its finish log, job %s snapshot reads %q (cost %v, finished %v), want running without either",
+					snap.ID, snap.State, snap.Cost, snap.Finished)
 			}
 		case <-time.After(time.Until(deadline)):
 			t.Fatal("jobs did not all log their finish within 2m")
