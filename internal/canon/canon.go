@@ -22,7 +22,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -116,7 +115,7 @@ func Canonicalize(doc *arch.Document) (*Form, error) {
 
 	canonDoc := Renumber(doc, d, baseline, opPerm, ctxPerm)
 
-	payload, err := json.Marshal(canonDoc)
+	payload, err := canonDoc.AppendJSON(nil)
 	if err != nil {
 		return nil, fmt.Errorf("canon: marshal canonical doc: %w", err)
 	}

@@ -232,8 +232,8 @@ func DefaultOptions() Options {
 // time — a phase that fans out over N workers accrues once, and a
 // phase stalled on the scheduler still accrues. The per-phase fields
 // (Step1Time, RotateTime, Step2Time, TimingTime) are additive effort
-// totals: Stats.add sums them, so merged stats (e.g. a Rotate run that
-// absorbed its Freeze fallback) report the combined work of every run
+// totals: Stats.add sums them, so merged stats (e.g. a single-arm Rotate
+// Remap that absorbed its Freeze fallback) report the combined work of every run
 // folded in, and their sum can exceed the Elapsed of any single run.
 // Elapsed is the opposite: the start-to-finish wall-clock of one run
 // only. It is deliberately NOT summed by add — concurrent runs overlap

@@ -34,12 +34,14 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return remap(ctx, d, m0, opts, newFold(ctx, opts))
+	return remap(ctx, d, m0, opts, newFold(ctx, opts), true)
 }
 
 // remap is one Remap run writing its work through the job's shared
-// sinks (see fold).
-func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, sinks *fold) (_ *Result, err error) {
+// sinks (see fold). freezeFallback lets a Rotate run that did not
+// improve run Freeze and keep the better floorplan; RemapBoth, whose
+// own Freeze arm is that run, turns it off.
+func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, sinks *fold, freezeFallback bool) (_ *Result, err error) {
 	start := time.Now()
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -501,11 +503,11 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 	// benchmarks. The Freeze configuration always admits the original
 	// floorplan, so when rotation produced nothing better, fall back and
 	// keep whichever floorplan is better.
-	if opts.Mode == Rotate && !result.Improved {
+	if freezeFallback && opts.Mode == Rotate && !result.Improved {
 		fo := opts
 		fo.Mode = Freeze
 		fo.TraceParent = f.root // nest the fallback run under this one
-		fr, err := remap(ctx, d, m0, fo, sinks)
+		fr, err := remap(ctx, d, m0, fo, sinks, false)
 		if err != nil {
 			if fr != nil {
 				fallback = fr.Stats
@@ -561,14 +563,15 @@ func RemapBoth(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Option
 		fo := opts
 		fo.Mode = Freeze
 		fo.TraceParent = sinks.root
-		freeze, freezeErr = remap(ctx, d, m0, fo, sinks)
+		freeze, freezeErr = remap(ctx, d, m0, fo, sinks, false)
 	}()
 	go func() {
 		defer wg.Done()
 		ro := opts
 		ro.Mode = Rotate
 		ro.TraceParent = sinks.root
-		rotate, rotErr = remap(ctx, d, m0, ro, sinks)
+		// The Freeze arm is the Rotate arm's fallback, run once.
+		rotate, rotErr = remap(ctx, d, m0, ro, sinks, false)
 	}()
 	wg.Wait()
 	err = freezeErr

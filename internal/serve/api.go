@@ -3,14 +3,17 @@ package serve
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"strconv"
 	"time"
 
@@ -75,7 +78,9 @@ func (r *JobRequest) mode() string {
 	return r.Mode
 }
 
-// options expands the request knobs into validated solver options.
+// options expands the request knobs into validated solver options,
+// every default resolved: seed 0 is a bench workload's published seed
+// (DefaultOptions' for a design), time limit 0 the default limit.
 func (r *JobRequest) options() (core.Options, error) {
 	opts := core.DefaultOptions()
 	switch r.mode() {
@@ -88,6 +93,8 @@ func (r *JobRequest) options() (core.Options, error) {
 	}
 	if r.Seed != 0 {
 		opts.Seed = r.Seed
+	} else if spec, ok := bench.SpecByName(r.Bench); ok {
+		opts.Seed = spec.Seed
 	}
 	if r.TimeLimitMs != 0 {
 		opts.TimeLimit = time.Duration(r.TimeLimitMs) * time.Millisecond
@@ -104,37 +111,86 @@ func (r *JobRequest) options() (core.Options, error) {
 }
 
 // exactKey validates the request's choice of workload and its options
-// and returns the exact-tier cache key: the SHA-256 of the parsed
-// request re-marshaled. Marshaling the parsed struct (rather than
-// hashing the client's raw body) normalizes field order, whitespace and
-// defaulted fields, so semantically identical submissions collide in
-// the cache on purpose. DeadlineMs and Tenant are omitted: they decide
-// whether and for whom a run finishes, never what it computes. The
-// design document is not decoded here; Submit decodes it only when the
-// exact tier misses.
-func (r *JobRequest) exactKey() (string, error) {
+// and returns them with the exact-tier cache key: the SHA-256 of the
+// decoded workload and the resolved options, so a request that spells
+// out a default shares the key of one that leaves it out. Hashing the
+// decoded request rather than the client's raw body also makes field
+// order and whitespace irrelevant. DeadlineMs and Tenant are omitted:
+// they decide whether and for whom a run finishes, never what it
+// computes. The design document is not validated here; Submit decodes
+// it only when the exact tier misses.
+func (r *JobRequest) exactKey() (string, core.Options, error) {
 	if (r.Bench == "") == (r.Design == nil) {
-		return "", badRequest("serve: submit exactly one of bench, design")
+		return "", core.Options{}, badRequest("serve: submit exactly one of bench, design")
 	}
 	if r.Bench != "" {
 		if _, ok := bench.SpecByName(r.Bench); !ok {
-			return "", badRequest("serve: unknown benchmark %q (want B1..B27)", r.Bench)
+			return "", core.Options{}, badRequest("serve: unknown benchmark %q (want B1..B27)", r.Bench)
 		}
 	}
-	if _, err := r.options(); err != nil {
-		return "", err
+	opts, err := r.options()
+	if err != nil {
+		return "", opts, err
 	}
-	h := sha256.New()
-	if err := json.NewEncoder(h).Encode(struct {
-		Bench       string         `json:"bench,omitempty"`
-		Design      *arch.Document `json:"design,omitempty"`
-		Mode        string         `json:"mode,omitempty"`
-		Seed        int64          `json:"seed,omitempty"`
-		TimeLimitMs int64          `json:"time_limit_ms,omitempty"`
-	}{r.Bench, r.Design, r.Mode, r.Seed, r.TimeLimitMs}); err != nil {
-		return "", fmt.Errorf("serve: cache key: %w", err)
+	var buf [4096]byte
+	b := appendKeyString(buf[:0], r.Bench)
+	if r.Design != nil {
+		b = appendDocKey(b, r.Design)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	b = appendKeyString(b, opts.Mode.String())
+	b = binary.AppendVarint(b, opts.Seed)
+	b = binary.AppendVarint(b, timeLimitMs(opts))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), opts, nil
+}
+
+// timeLimitMs is the resolved per-probe time limit in milliseconds.
+func timeLimitMs(opts core.Options) int64 { return int64(opts.TimeLimit / time.Millisecond) }
+
+// appendKeyString appends str with its length, so consecutive strings
+// cannot run into each other.
+func appendKeyString(b []byte, str string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(str)))
+	return append(b, str...)
+}
+
+// appendDocKey appends every field of doc to a key: lengths before
+// lists, mappings in name order. A nil and an empty list read the
+// same, as they decode to the same design.
+func appendDocKey(b []byte, doc *arch.Document) []byte {
+	b = appendKeyString(b, doc.Name)
+	b = binary.AppendVarint(b, int64(doc.FabricW))
+	b = binary.AppendVarint(b, int64(doc.FabricH))
+	b = binary.AppendVarint(b, int64(doc.NumContexts))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(doc.ClockPeriodNs))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(doc.UnitWireDelayNs))
+	b = binary.AppendUvarint(b, uint64(len(doc.Ops)))
+	for _, op := range doc.Ops {
+		b = binary.AppendVarint(b, int64(op.Kind))
+		b = appendKeyString(b, op.Name)
+		b = binary.AppendVarint(b, int64(op.Ctx))
+	}
+	b = appendKeyPairs(b, doc.Edges)
+	names := make([]string, 0, len(doc.Mappings))
+	for name := range doc.Mappings {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	b = binary.AppendUvarint(b, uint64(len(names)))
+	for _, name := range names {
+		b = appendKeyString(b, name)
+		b = appendKeyPairs(b, doc.Mappings[name])
+	}
+	return b
+}
+
+func appendKeyPairs(b []byte, ps [][2]int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ps)))
+	for _, p := range ps {
+		b = binary.AppendVarint(b, int64(p[0]))
+		b = binary.AppendVarint(b, int64(p[1]))
+	}
+	return b
 }
 
 // MTTFSummary is the reliability section of a result document.
@@ -404,9 +460,6 @@ func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, err
 		if err != nil {
 			return nil, info, err
 		}
-		if req.Seed == 0 {
-			opts.Seed = spec.Seed
-		}
 		cr, res, err := s.solveInstance(ctx, d, m0, opts, nil, info)
 		if err != nil {
 			return nil, info, err
@@ -643,7 +696,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := req.UnmarshalJSON(body); err != nil {
 		httpError(w, badRequest("serve: bad request JSON: %v", err))
 		return
 	}
@@ -666,7 +719,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req DeltaRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := req.UnmarshalJSON(body); err != nil {
 		httpError(w, badRequest("serve: bad request JSON: %v", err))
 		return
 	}

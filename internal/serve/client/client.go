@@ -65,13 +65,22 @@ func New(base string, httpClient *http.Client) *Client {
 	}
 }
 
-// do issues one request and decodes errors into *APIError. A nil out
-// skips body decoding; *[]byte captures the raw body; anything else is
-// JSON-decoded into.
+// do issues one request and decodes errors into *APIError. A request
+// document with its own wire codec (serve.JobRequest, DeltaRequest)
+// encodes itself. A nil out skips body decoding; *[]byte captures the
+// raw body; anything else is JSON-decoded into.
 func (c *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
 	var body io.Reader
 	if in != nil {
-		b, err := json.Marshal(in)
+		var (
+			b   []byte
+			err error
+		)
+		if m, ok := in.(json.Marshaler); ok {
+			b, err = m.MarshalJSON()
+		} else {
+			b, err = json.Marshal(in)
+		}
 		if err != nil {
 			return err
 		}
@@ -147,7 +156,7 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, *serve.JobResul
 		return nil, nil, err
 	}
 	var res serve.JobResult
-	if err := json.Unmarshal(raw, &res); err != nil {
+	if err := res.UnmarshalJSON(raw); err != nil {
 		return raw, nil, err
 	}
 	return raw, &res, nil

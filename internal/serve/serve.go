@@ -444,7 +444,7 @@ func (s *Server) Submit(req *JobRequest) (Snapshot, error) {
 	if err != nil {
 		return Snapshot{}, err
 	}
-	key, err := req.exactKey()
+	key, opts, err := req.exactKey()
 	if err != nil {
 		return Snapshot{}, err
 	}
@@ -462,7 +462,7 @@ func (s *Server) Submit(req *JobRequest) (Snapshot, error) {
 		if err != nil {
 			return Snapshot{}, badRequest("serve: bad design: %v", err)
 		}
-		j.semKey = semanticKey(form.Hash, req.mode(), req.Seed, req.TimeLimitMs)
+		j.semKey = semanticKey(form.Hash, opts.Mode.String(), opts.Seed, timeLimitMs(opts))
 		if e, ok := s.cache.getSemantic(j.semKey); ok {
 			hit = s.promote(j, form, e)
 		}

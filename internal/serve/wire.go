@@ -1,0 +1,339 @@
+package serve
+
+import (
+	"encoding/json"
+	"strconv"
+
+	"agingfp/internal/arch"
+	"agingfp/internal/wire"
+)
+
+// The wire codec of the request and result documents. As for
+// arch.Document, the plain form is read by schema in one pass (an
+// embedded design included) and every other input is handed whole to
+// encoding/json through a method-less type of the same name (declared
+// from these aliases, which name the real types where the local one
+// shadows them), so the two accept, reject and decode the same inputs;
+// encoders write encoding/json's bytes.
+type (
+	plainJobRequest   = JobRequest
+	plainDeltaRequest = DeltaRequest
+	plainJobResult    = JobResult
+)
+
+// UnmarshalJSON decodes a submission.
+func (r *JobRequest) UnmarshalJSON(data []byte) error {
+	if *r == (JobRequest{}) {
+		s := wire.NewScanner(data)
+		r.scan(&s)
+		if s.Done() {
+			return nil
+		}
+		*r = JobRequest{}
+	}
+	type JobRequest plainJobRequest
+	return json.Unmarshal(data, (*JobRequest)(r))
+}
+
+func (r *JobRequest) scan(s *wire.Scanner) {
+	var seen uint64
+	for more := s.Object(); more; more = s.More('}') {
+		switch string(s.Key()) {
+		case "bench":
+			if s.Field(&seen, 0) {
+				r.Bench = s.Text()
+			}
+		case "design":
+			if s.Field(&seen, 1) {
+				r.Design = new(arch.Document)
+				r.Design.ScanJSON(s)
+			}
+		case "mode":
+			if s.Field(&seen, 2) {
+				r.Mode = s.Text()
+			}
+		case "seed":
+			if s.Field(&seen, 3) {
+				r.Seed = s.Int64()
+			}
+		case "time_limit_ms":
+			if s.Field(&seen, 4) {
+				r.TimeLimitMs = s.Int64()
+			}
+		case "deadline_ms":
+			if s.Field(&seen, 5) {
+				r.DeadlineMs = s.Int64()
+			}
+		case "tenant":
+			if s.Field(&seen, 6) {
+				r.Tenant = s.Text()
+			}
+		default:
+			s.Fail()
+		}
+	}
+}
+
+// MarshalJSON encodes a submission as encoding/json encodes the struct.
+func (r JobRequest) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 256)
+	b = append(b, '{')
+	fields := len(b)
+	if r.Bench != "" {
+		b = append(b, `,"bench":`...)
+		b = wire.AppendString(b, r.Bench)
+	}
+	if r.Design != nil {
+		var err error
+		b = append(b, `,"design":`...)
+		if b, err = r.Design.AppendJSON(b); err != nil {
+			return nil, err
+		}
+	}
+	if r.Mode != "" {
+		b = append(b, `,"mode":`...)
+		b = wire.AppendString(b, r.Mode)
+	}
+	b = appendOptions(b, r.Seed, r.TimeLimitMs, r.DeadlineMs, r.Tenant)
+	if len(b) > fields {
+		// Every member was written after a comma; drop the first.
+		b = append(b[:fields], b[fields+1:]...)
+	}
+	return append(b, '}'), nil
+}
+
+// appendOptions writes the omitempty option members both request
+// documents end with, each after a comma.
+func appendOptions(b []byte, seed, timeLimitMs, deadlineMs int64, tenant string) []byte {
+	if seed != 0 {
+		b = append(b, `,"seed":`...)
+		b = strconv.AppendInt(b, seed, 10)
+	}
+	if timeLimitMs != 0 {
+		b = append(b, `,"time_limit_ms":`...)
+		b = strconv.AppendInt(b, timeLimitMs, 10)
+	}
+	if deadlineMs != 0 {
+		b = append(b, `,"deadline_ms":`...)
+		b = strconv.AppendInt(b, deadlineMs, 10)
+	}
+	if tenant != "" {
+		b = append(b, `,"tenant":`...)
+		b = wire.AppendString(b, tenant)
+	}
+	return b
+}
+
+// UnmarshalJSON decodes a delta submission.
+func (r *DeltaRequest) UnmarshalJSON(data []byte) error {
+	if *r == (DeltaRequest{}) {
+		s := wire.NewScanner(data)
+		r.scan(&s)
+		if s.Done() {
+			return nil
+		}
+		*r = DeltaRequest{}
+	}
+	type DeltaRequest plainDeltaRequest
+	return json.Unmarshal(data, (*DeltaRequest)(r))
+}
+
+func (r *DeltaRequest) scan(s *wire.Scanner) {
+	var seen uint64
+	for more := s.Object(); more; more = s.More('}') {
+		switch string(s.Key()) {
+		case "design":
+			if s.Field(&seen, 0) {
+				r.Design = new(arch.Document)
+				r.Design.ScanJSON(s)
+			}
+		case "mode":
+			if s.Field(&seen, 1) {
+				r.Mode = s.Text()
+			}
+		case "seed":
+			if s.Field(&seen, 2) {
+				r.Seed = s.Int64()
+			}
+		case "time_limit_ms":
+			if s.Field(&seen, 3) {
+				r.TimeLimitMs = s.Int64()
+			}
+		case "deadline_ms":
+			if s.Field(&seen, 4) {
+				r.DeadlineMs = s.Int64()
+			}
+		case "tenant":
+			if s.Field(&seen, 5) {
+				r.Tenant = s.Text()
+			}
+		default:
+			s.Fail()
+		}
+	}
+}
+
+// MarshalJSON encodes a delta submission as encoding/json encodes the
+// struct.
+func (r DeltaRequest) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 256)
+	b = append(b, `{"design":`...)
+	if r.Design == nil {
+		b = append(b, "null"...)
+	} else {
+		var err error
+		if b, err = r.Design.AppendJSON(b); err != nil {
+			return nil, err
+		}
+	}
+	if r.Mode != "" {
+		b = append(b, `,"mode":`...)
+		b = wire.AppendString(b, r.Mode)
+	}
+	b = appendOptions(b, r.Seed, r.TimeLimitMs, r.DeadlineMs, r.Tenant)
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON decodes a result document, the indented form the
+// server writes included.
+func (res *JobResult) UnmarshalJSON(data []byte) error {
+	if res.isZero() {
+		s := wire.NewScanner(data)
+		res.scan(&s)
+		if s.Done() {
+			return nil
+		}
+		*res = JobResult{}
+	}
+	type JobResult plainJobResult
+	return json.Unmarshal(data, (*JobResult)(res))
+}
+
+func (res *JobResult) isZero() bool {
+	return res.Design == "" && res.Ops == 0 && res.Contexts == 0 && res.Status == "" && !res.Improved &&
+		res.STTarget == 0 && res.STLower == 0 && res.OrigMaxStress == 0 && res.NewMaxStress == 0 &&
+		res.OrigCPDNs == 0 && res.NewCPDNs == 0 &&
+		res.MTTF == (MTTFSummary{}) && res.Stats == (SolveStats{}) && res.Mapping == nil
+}
+
+func (res *JobResult) scan(s *wire.Scanner) {
+	var seen uint64
+	for more := s.Object(); more; more = s.More('}') {
+		switch string(s.Key()) {
+		case "design":
+			if s.Field(&seen, 0) {
+				res.Design = s.Text()
+			}
+		case "ops":
+			if s.Field(&seen, 1) {
+				res.Ops = s.Int()
+			}
+		case "contexts":
+			if s.Field(&seen, 2) {
+				res.Contexts = s.Int()
+			}
+		case "status":
+			if s.Field(&seen, 3) {
+				res.Status = s.Text()
+			}
+		case "improved":
+			if s.Field(&seen, 4) {
+				res.Improved = s.Bool()
+			}
+		case "st_target":
+			if s.Field(&seen, 5) {
+				res.STTarget = s.Float64()
+			}
+		case "st_lower_bound":
+			if s.Field(&seen, 6) {
+				res.STLower = s.Float64()
+			}
+		case "orig_max_stress":
+			if s.Field(&seen, 7) {
+				res.OrigMaxStress = s.Float64()
+			}
+		case "new_max_stress":
+			if s.Field(&seen, 8) {
+				res.NewMaxStress = s.Float64()
+			}
+		case "orig_cpd_ns":
+			if s.Field(&seen, 9) {
+				res.OrigCPDNs = s.Float64()
+			}
+		case "new_cpd_ns":
+			if s.Field(&seen, 10) {
+				res.NewCPDNs = s.Float64()
+			}
+		case "mttf":
+			if s.Field(&seen, 11) {
+				res.MTTF.scan(s)
+			}
+		case "stats":
+			if s.Field(&seen, 12) {
+				res.Stats.scan(s)
+			}
+		case "mapping":
+			if s.Field(&seen, 13) {
+				res.Mapping = s.Pairs()
+			}
+		default:
+			s.Fail()
+		}
+	}
+}
+
+func (m *MTTFSummary) scan(s *wire.Scanner) {
+	var seen uint64
+	for more := s.Object(); more; more = s.More('}') {
+		switch string(s.Key()) {
+		case "before_hours":
+			if s.Field(&seen, 0) {
+				m.BeforeHours = s.Float64()
+			}
+		case "after_hours":
+			if s.Field(&seen, 1) {
+				m.AfterHours = s.Float64()
+			}
+		case "increase":
+			if s.Field(&seen, 2) {
+				m.Increase = s.Float64()
+			}
+		default:
+			s.Fail()
+		}
+	}
+}
+
+func (st *SolveStats) scan(s *wire.Scanner) {
+	var seen uint64
+	for more := s.Object(); more; more = s.More('}') {
+		switch string(s.Key()) {
+		case "lp_solves":
+			if s.Field(&seen, 0) {
+				st.LPSolves = s.Int()
+			}
+		case "simplex_iters":
+			if s.Field(&seen, 1) {
+				st.SimplexIters = s.Int()
+			}
+		case "ilp_solves":
+			if s.Field(&seen, 2) {
+				st.ILPSolves = s.Int()
+			}
+		case "ilp_nodes":
+			if s.Field(&seen, 3) {
+				st.ILPNodes = s.Int()
+			}
+		case "st_probes":
+			if s.Field(&seen, 4) {
+				st.STProbes = s.Int()
+			}
+		case "probe_timeouts":
+			if s.Field(&seen, 5) {
+				st.ProbeTimeouts = s.Int()
+			}
+		default:
+			s.Fail()
+		}
+	}
+}

@@ -1,0 +1,346 @@
+package serve_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+	"time"
+
+	"agingfp/internal/arch"
+	"agingfp/internal/bench"
+	"agingfp/internal/place"
+	"agingfp/internal/serve"
+)
+
+// The wire documents as encoding/json sees them without the codec. A
+// field added to a wire type must be added here too; wireTypesMatch
+// checks that it was.
+type (
+	refDocument arch.Document
+	refRequest  struct {
+		Bench       string       `json:"bench,omitempty"`
+		Design      *refDocument `json:"design,omitempty"`
+		Mode        string       `json:"mode,omitempty"`
+		Seed        int64        `json:"seed,omitempty"`
+		TimeLimitMs int64        `json:"time_limit_ms,omitempty"`
+		DeadlineMs  int64        `json:"deadline_ms,omitempty"`
+		Tenant      string       `json:"tenant,omitempty"`
+	}
+	refDelta struct {
+		Design      *refDocument `json:"design"`
+		Mode        string       `json:"mode,omitempty"`
+		Seed        int64        `json:"seed,omitempty"`
+		TimeLimitMs int64        `json:"time_limit_ms,omitempty"`
+		DeadlineMs  int64        `json:"deadline_ms,omitempty"`
+		Tenant      string       `json:"tenant,omitempty"`
+	}
+	refResult serve.JobResult
+)
+
+func (r *refRequest) wire() serve.JobRequest {
+	return serve.JobRequest{Bench: r.Bench, Design: (*arch.Document)(r.Design), Mode: r.Mode, Seed: r.Seed,
+		TimeLimitMs: r.TimeLimitMs, DeadlineMs: r.DeadlineMs, Tenant: r.Tenant}
+}
+
+func (r *refDelta) wire() serve.DeltaRequest {
+	return serve.DeltaRequest{Design: (*arch.Document)(r.Design), Mode: r.Mode, Seed: r.Seed,
+		TimeLimitMs: r.TimeLimitMs, DeadlineMs: r.DeadlineMs, Tenant: r.Tenant}
+}
+
+func TestWireTypesMatch(t *testing.T) {
+	for _, p := range [][2]interface{}{{serve.JobRequest{}, refRequest{}}, {serve.DeltaRequest{}, refDelta{}}} {
+		a, b := reflect.TypeOf(p[0]), reflect.TypeOf(p[1])
+		if a.NumField() != b.NumField() {
+			t.Fatalf("%v has %d fields, its reference %d", a, a.NumField(), b.NumField())
+		}
+		for i := 0; i < a.NumField(); i++ {
+			if a.Field(i).Name != b.Field(i).Name || a.Field(i).Tag != b.Field(i).Tag {
+				t.Fatalf("%v field %d is %s %q, its reference's %s %q", a, i,
+					a.Field(i).Name, a.Field(i).Tag, b.Field(i).Name, b.Field(i).Tag)
+			}
+		}
+	}
+}
+
+// variantDoc is Table-I shape's generator variant v (seed + 1000·v, as
+// the serve-mix corpus numbers them) with its placed baseline, or none
+// when placement fails.
+func variantDoc(tb testing.TB, shape string, v int64) *arch.Document {
+	tb.Helper()
+	spec, ok := bench.SpecByName(shape)
+	if !ok {
+		tb.Fatalf("unknown shape %s", shape)
+	}
+	if v > 0 {
+		spec.Seed += 1000 * v
+		spec.Name = fmt.Sprintf("%s-v%d", shape, v)
+	}
+	d, err := bench.Synthesize(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var maps map[string]arch.Mapping
+	if spec.Fabric.W <= 8 {
+		if m0, err := place.Place(d, place.DefaultConfig()); err == nil {
+			maps = map[string]arch.Mapping{"baseline": m0}
+		}
+	}
+	return arch.ToDocument(d, maps)
+}
+
+// requestBody is the body the client sends for a design submission.
+func requestBody(tb testing.TB, doc *arch.Document) []byte {
+	tb.Helper()
+	b, err := json.Marshal(&refRequest{Design: (*refDocument)(doc)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// FuzzJobRequestJSON: for every input, the JobRequest, DeltaRequest and
+// JobResult codecs and encoding/json accept and reject the same inputs
+// and decode them to equal values, called directly (as the handlers
+// and client do) or through json.Unmarshal; MarshalJSON writes
+// encoding/json's bytes for every request that decodes.
+func FuzzJobRequestJSON(f *testing.F) {
+	for _, spec := range bench.TableI {
+		f.Add(requestBody(f, variantDoc(f, spec.Name, 0)))
+	}
+	for _, shape := range []string{"B1", "B4", "B10", "B13", "B19"} {
+		for v := int64(1); v <= 57; v++ {
+			f.Add(requestBody(f, variantDoc(f, shape, v)))
+		}
+	}
+	result, err := json.MarshalIndent(&refResult{Design: "B1", Ops: 3, Contexts: 2, Status: "optimal", Improved: true,
+		STTarget: 0.348, STLower: 0.174, OrigMaxStress: 0.522, NewMaxStress: 0.348, OrigCPDNs: 1.23, NewCPDNs: 1e-7,
+		MTTF:    serve.MTTFSummary{BeforeHours: 1e21, AfterHours: 2.5e21, Increase: 2.5},
+		Stats:   serve.SolveStats{LPSolves: 4, SimplexIters: 99, STProbes: 2},
+		Mapping: [][2]int{{0, 1}, {2, 3}, {1, 1}}}, "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(result)
+	for _, s := range []string{
+		`{"bench":"B1"}`,
+		`{"bench":"B1","mode":"rotate","seed":1,"time_limit_ms":120000,"deadline_ms":5,"tenant":"t"}`,
+		`{"Bench":"B1","SEED":3}`,
+		`{"bench":"B1","bench":"B2"}`,
+		`{"design":{"name":"a"},"design":{"fabric_w":3}}`,
+		`{"design":null,"bench":null}`,
+		`{"design":{"ops":[null]}}`,
+		`{"seed":1.0}`,
+		`{"seed":9223372036854775807}`,
+		`{"seed":9223372036854775808}`,
+		`{"seed":-9223372036854775808}`,
+		`{"time_limit_ms":1e3}`,
+		`{"bench":"B1"} x`,
+		`{"bench":"B1"}{}`,
+		`{"bench":"\xff"}`,
+		`{"tenant":"<a&b>"}`,
+		`{"design":5}`,
+		`{"design":{"ops":[{"kind":1.5}]}}`,
+		`{"status":"optimal","improved":1}`,
+		`{"mttf":{"increase":2},"mttf":{"before_hours":1}}`,
+		`{"mapping":[[1,2,3]],"stats":{"lp_solves":-0}}`,
+		`{}`,
+		`null`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			wantReq             refRequest
+			direct, nested      serve.JobRequest
+			wantDelta           refDelta
+			directD, nestedD    serve.DeltaRequest
+			wantRes             refResult
+			directRes, nestedRs serve.JobResult
+		)
+		same := func(what string, wantErr, directErr, nestedErr error, want, direct, nested interface{}) {
+			t.Helper()
+			if (wantErr == nil) != (directErr == nil) || (wantErr == nil) != (nestedErr == nil) {
+				t.Fatalf("%s %q: encoding/json error %v, codec %v, codec via json.Unmarshal %v", what, data, wantErr, directErr, nestedErr)
+			}
+			if wantErr == nil && (!reflect.DeepEqual(want, direct) || !reflect.DeepEqual(direct, nested)) {
+				t.Fatalf("%s %q: encoding/json decoded %+v, codec %+v, via json.Unmarshal %+v", what, data, want, direct, nested)
+			}
+		}
+		reqErr := json.Unmarshal(data, &wantReq)
+		same("JobRequest", reqErr, direct.UnmarshalJSON(data), json.Unmarshal(data, &nested), wantReq.wire(), direct, nested)
+		deltaErr := json.Unmarshal(data, &wantDelta)
+		same("DeltaRequest", deltaErr, directD.UnmarshalJSON(data), json.Unmarshal(data, &nestedD), wantDelta.wire(), directD, nestedD)
+		resErr := json.Unmarshal(data, &wantRes)
+		same("JobResult", resErr, directRes.UnmarshalJSON(data), json.Unmarshal(data, &nestedRs), serve.JobResult(wantRes), directRes, nestedRs)
+
+		roundTrip := func(what string, ref interface{}, codec json.Marshaler) {
+			t.Helper()
+			want, wantErr := json.Marshal(ref)
+			got, gotErr := codec.MarshalJSON()
+			if (wantErr == nil) != (gotErr == nil) || !bytes.Equal(want, got) {
+				t.Fatalf("%s %q: encoding/json wrote %s (%v), MarshalJSON %s (%v)", what, data, want, wantErr, got, gotErr)
+			}
+		}
+		if reqErr == nil {
+			roundTrip("JobRequest", &wantReq, direct)
+		}
+		if deltaErr == nil {
+			roundTrip("DeltaRequest", &wantDelta, directD)
+		}
+	})
+}
+
+// TestRequestErrorText: a refused body gets encoding/json's own error
+// text. The one difference is a type error inside an embedded design:
+// encoding/json names the request, not the design's struct, as it does
+// for any field whose type decodes itself.
+func TestRequestErrorText(t *testing.T) {
+	for in, want := range map[string]string{
+		`{"seed":"4"}`:                      `json: cannot unmarshal string into Go struct field JobRequest.seed of type int64`,
+		`5`:                                 `json: cannot unmarshal number into Go value of type serve.JobRequest`,
+		`{"design":5}`:                      `json: cannot unmarshal number into Go struct field JobRequest.design of type arch.Document`,
+		`{"bench":"B1"} x`:                  `invalid character 'x' after top-level value`,
+		`{"design":{"ops":[{"kind":1.5}]}}`: `json: cannot unmarshal number 1.5 into Go struct field JobRequest.design.ops.kind of type int`,
+	} {
+		var req serve.JobRequest
+		if err := req.UnmarshalJSON([]byte(in)); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %s", in, err, want)
+		}
+	}
+}
+
+// BenchmarkDecodeJobRequest decodes the submission bodies of two
+// serve-mix corpus designs as handleSubmit does, against encoding/json
+// decoding the same body without the codec.
+func BenchmarkDecodeJobRequest(b *testing.B) {
+	for _, c := range []struct {
+		shape string
+		v     int64
+	}{{"B1", 1}, {"B19", 7}} {
+		body := requestBody(b, variantDoc(b, c.shape, c.v))
+		name := fmt.Sprintf("%s-v%d", c.shape, c.v)
+		b.Run(name+"/codec", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				var req serve.JobRequest
+				if err := req.UnmarshalJSON(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/encoding_json", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				var req refRequest
+				if err := json.Unmarshal(body, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// exactHitAllocs bounds the allocations of one exact hit served by
+// Handler, body read to response written: it decodes the request once,
+// hashes it and writes the snapshot. With Go 1.24 the B19-v7 hit makes
+// 142 (158 before the wire codec); canonicalizing the design on the
+// hit path again would add hundreds.
+const exactHitAllocs = 170
+
+// TestExactHitAllocs measures an in-process exact hit of the B19-v7
+// submission through Handler and fails past exactHitAllocs.
+func TestExactHitAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	body := requestBody(t, variantDoc(t, "B19", 7))
+	s := serve.New(serve.Config{Workers: 1, DrainTimeout: 2 * time.Second})
+	t.Cleanup(s.Drain)
+	h := s.Handler()
+	post := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		return rec
+	}
+	rec := post()
+	var snap serve.Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil || rec.Code != http.StatusAccepted {
+		t.Fatalf("cold submit: HTTP %d %v: %s", rec.Code, err, rec.Body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for err := error(nil); snap.State != serve.StateDone; {
+		if ctx.Err() != nil || snap.State == serve.StateFailed {
+			t.Fatalf("cold job %s: %s %s", snap.ID, snap.State, snap.Error)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if snap, err = s.Job(snap.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if rec := post(); rec.Code != http.StatusAccepted || !bytes.Contains(rec.Body.Bytes(), []byte(`"solve_kind": "exact_hit"`)) {
+			t.Fatalf("exact hit: HTTP %d: %s", rec.Code, rec.Body)
+		}
+	})
+	t.Logf("exact hit through Handler: %.0f allocs", allocs)
+	if allocs > exactHitAllocs {
+		t.Fatalf("exact hit allocates %.0f times, bound %d", allocs, exactHitAllocs)
+	}
+}
+
+// TestResolvedOptionsHitExact: a request that spells out a default
+// option is an exact hit on one that leaves it out, for bench and
+// design workloads alike.
+func TestResolvedOptionsHitExact(t *testing.T) {
+	_, hs, _ := testServer(t, serve.Config{Workers: 1})
+	cl := testClient(hs)
+	ctx := context.Background()
+	doc := variantDoc(t, "B1", 1)
+	for _, group := range [][]*serve.JobRequest{
+		{{Bench: "B1"}, {Bench: "B1", Mode: "rotate"}, {Bench: "B1", Seed: 1}, {Bench: "B1", TimeLimitMs: 120000}},
+		{{Design: doc}, {Design: doc, Seed: 1}, {Design: doc, Mode: "rotate", TimeLimitMs: 120000}},
+	} {
+		var want []byte
+		for i, req := range group {
+			snap, err := cl.Submit(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantKind := "exact_hit"
+			if i == 0 {
+				wantKind = "cold"
+				snap = waitState(t, hs, snap.ID, serve.StateDone, 60*time.Second)
+			}
+			if snap.SolveKind != wantKind || snap.State != serve.StateDone {
+				t.Fatalf("request %d (%s %q mode %q seed %d limit %d): %s %s, want a finished %s", i, req.Bench, nameOf(req.Design),
+					req.Mode, req.Seed, req.TimeLimitMs, snap.SolveKind, snap.State, wantKind)
+			}
+			raw, _, err := cl.Result(ctx, snap.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = raw
+			} else if !bytes.Equal(raw, want) {
+				t.Fatalf("request %d (%s %q) answered other bytes", i, req.Bench, nameOf(req.Design))
+			}
+		}
+	}
+}
+
+func nameOf(doc *arch.Document) string {
+	if doc == nil {
+		return ""
+	}
+	return doc.Name
+}
