@@ -79,13 +79,6 @@ type Options struct {
 	BinarySearchSteps int
 	// RoundThreshold is the LP pre-mapping threshold (paper: 0.95).
 	RoundThreshold float64
-	// ContextsPerBatch solves this many contexts jointly per MILP.
-	// 0 derives a batch size from the problem scale; negative forces a
-	// single joint MILP over all contexts. Large instances use small
-	// batches to keep the simplex basis tractable (DESIGN.md guard
-	// rails); the stress budget rows chain across batches so the final
-	// floorplan still satisfies ST_target globally.
-	ContextsPerBatch int
 	// TimeLimit is the wall-clock budget of one ST_target probe
 	// (including its lazy-path repair rounds); on timeout the probe
 	// counts as infeasible. 0 means unbounded.
@@ -217,7 +210,6 @@ func DefaultOptions() Options {
 		DeltaFrac:          1.0 / 16,
 		BinarySearchSteps:  7,
 		RoundThreshold:     0.95,
-		ContextsPerBatch:   0,
 		TimeLimit:          2 * time.Minute,
 		Seed:               1,
 		RotationRestarts:   24,

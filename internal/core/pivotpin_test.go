@@ -195,3 +195,66 @@ func TestSimplexPivotPathPinned(t *testing.T) {
 		t.Errorf("warm re-solve (k=40): got %#v, want %#v", got, wantWarmRHS)
 	}
 }
+
+// warmPin is the fingerprint of one Remap run on the warm path: a hash
+// of the floorplan plus the solver effort and warm-start counters.
+type warmPin struct {
+	mapHash                      uint64
+	iters, solves, warm, rejects int
+}
+
+// TestWarmRemapPinned pins Remap with WarmHeuristics, which warm-starts
+// the per-batch relaxations and every rounding-dive re-solve, on B13 and
+// B2 in both modes. Refactorizing a warm basis and refreshing its basic
+// values must reproduce every floorplan, iteration count, LP count and
+// warm accept/reject count exactly.
+func TestWarmRemapPinned(t *testing.T) {
+	if core.RaceDetectorEnabled {
+		t.Skip("skipping heavyweight sequential flow test under -race")
+	}
+	cases := []struct {
+		bench string
+		mode  core.Mode
+		want  warmPin
+	}{
+		{"B13", core.Freeze, warmPin{0xc25025b482b3ae8d, 1651, 93, 85, 6}},
+		{"B13", core.Rotate, warmPin{0x931acd07dea93745, 2350, 93, 75, 16}},
+		{"B2", core.Freeze, warmPin{0x953a9dfb082b83ed, 25691, 1891, 1823, 64}},
+		{"B2", core.Rotate, warmPin{0x3a0ad84c7cb5352, 36892, 1851, 1725, 122}},
+	}
+	for _, c := range cases {
+		spec, ok := bench.SpecByName(c.bench)
+		if !ok {
+			t.Fatalf("unknown benchmark %s", c.bench)
+		}
+		d, err := bench.Synthesize(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m0, err := place.Place(d, place.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Mode = c.mode
+		opts.WarmHeuristics = true
+		r, err := core.Remap(context.Background(), d, m0, opts)
+		if err != nil {
+			t.Fatalf("%s %v: %v", c.bench, c.mode, err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, pe := range r.Mapping {
+			binary.LittleEndian.PutUint64(buf[:], uint64(d.Fabric.Index(pe)))
+			h.Write(buf[:])
+		}
+		got := warmPin{h.Sum64(), r.Stats.SimplexIters, r.Stats.LPSolves,
+			r.Stats.WarmStarts, r.Stats.WarmStartRejects}
+		if got.warm == 0 {
+			t.Errorf("%s %v: no warm start accepted", c.bench, c.mode)
+		}
+		if got != c.want {
+			t.Errorf("%s %v: got %#v, want %#v", c.bench, c.mode, got, c.want)
+		}
+	}
+}

@@ -122,14 +122,7 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 		return nil, err
 	}
 
-	perBatch := opts.ContextsPerBatch
-	switch {
-	case perBatch == 0:
-		perBatch = autoBatch(d, 250)
-	case perBatch < 0:
-		perBatch = d.NumContexts
-	}
-	batchList := batches(d.NumContexts, perBatch)
+	batchList := contextBatches(d)
 
 	// Step 2's timing inputs depend only on the baseline, so they are
 	// derived here, outside every phase span (a phase's span lasts until

@@ -101,11 +101,14 @@ func TestRemapDCT(t *testing.T) {
 	checkRemapInvariants(t, d, m0, r)
 }
 
+// TestRemapChunkedMatchesInvariants: an instance whose contexts Step
+// 2.3 solves in several chained batches keeps every remap invariant.
 func TestRemapChunkedMatchesInvariants(t *testing.T) {
 	d, m0 := buildSmall(t, dfg.IIR(6), 6, 6)
-	opts := DefaultOptions()
-	opts.ContextsPerBatch = 2
-	r, err := Remap(context.Background(), d, m0, opts)
+	if n := len(contextBatches(d)); n < 2 {
+		t.Fatalf("IIR(6) on 6x6 solves in %d batch, want at least 2", n)
+	}
+	r, err := Remap(context.Background(), d, m0, DefaultOptions())
 	if err != nil {
 		t.Fatalf("Remap chunked: %v", err)
 	}

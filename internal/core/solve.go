@@ -458,6 +458,14 @@ func batches(numContexts, per int) [][]int {
 	return out
 }
 
+// contextBatches splits the design's contexts into the batches Step 2.3
+// solves one joint MILP each, autoBatch(d, 250) contexts per batch. The
+// stress budget rows chain across batches, so the final floorplan still
+// satisfies ST_target globally.
+func contextBatches(d *arch.Design) [][]int {
+	return batches(d.NumContexts, autoBatch(d, 250))
+}
+
 // autoBatch picks a contexts-per-batch keeping the expected simplex
 // basis below roughly maxRows rows. Per context the formulation carries
 // an assignment row per op, a capacity row per PE, and roughly 1.5

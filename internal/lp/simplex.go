@@ -139,6 +139,19 @@ type solver struct {
 	// ctx carries the solve's cancellation signal; polled by the pivot
 	// loops every ctxCheckIters iterations. nil disables the checks.
 	ctx context.Context
+
+	// Storage of factorize and refresh, kept across solves so that a
+	// warm re-solve allocates none of it. facB/facR hold the row headers
+	// of the elimination's [B | R]; rNZ[r] lists R row r's pattern and
+	// rListed marks it, one bit per position (r*m+k); perm records the
+	// pivot rows; mark is scratch flags (the warm basis's columns, the
+	// used pivot rows); resid is refresh's residual.
+	facB, facR [][]float64
+	rNZ        [][]int32
+	rListed    []uint64
+	perm       []int
+	mark       []bool
+	resid      []float64
 }
 
 const (
@@ -217,6 +230,14 @@ func newCore(s *solver, p *Problem, opt Options) {
 		nzIdx:     s.nzIdx[:0],
 		nzVal:     s.nzVal[:0],
 		rhoIdx:    s.rhoIdx[:0],
+
+		facB:    s.facB,
+		facR:    s.facR,
+		rNZ:     s.rNZ,
+		rListed: s.rListed,
+		perm:    s.perm,
+		mark:    s.mark,
+		resid:   s.resid,
 	}
 	s.newPattern()
 	for i := range s.rowIdx {
@@ -931,16 +952,21 @@ func (s *solver) stamp(sol *Solution) *Solution {
 }
 
 // refresh recomputes basic values from the nonbasic solution to curb
-// drift from accumulated pivot updates. Self-instrumented (every call
-// site — periodic hygiene, warm install, dual reverify — is timed
-// uniformly as the refresh phase).
+// drift from accumulated pivot updates. xB = Binv*r is a scatter over
+// r's nonzero entries in ascending order, each down the rows listed for
+// its binv column: every xB[i] adds the same nonzero products in the
+// same order as a dense sweep of row i, and a sum that starts at +0 is
+// unchanged by the ±0 terms the scatter skips (unlisted entries, r's
+// zeros). Self-instrumented (every call site — periodic hygiene, warm
+// install, dual reverify — is timed uniformly as the refresh phase).
 func (s *solver) refresh() {
 	var t0 int64
 	if s.prof != nil {
 		t0 = s.prof.clock()
 	}
 	s.refreshes++
-	r := append([]float64(nil), s.b...)
+	r := append(s.resid[:0], s.b...)
+	s.resid = r
 	for j := 0; j < s.n; j++ {
 		if s.vstat[j] == basic || s.x[j] == 0 {
 			continue
@@ -950,20 +976,22 @@ func (s *solver) refresh() {
 			r[i] -= c.val[k] * s.x[j]
 		}
 	}
-	for i := 0; i < s.m; i++ {
-		v := 0.0
-		if row := s.binv[i]; row != nil {
-			for k := 0; k < s.m; k++ {
-				v += row[k] * r[k]
-			}
-		} else {
-			// The dense sum over an implicit row adds ±0 to +0 before
-			// the diagonal term and ±0 to a nonzero or +0 sum after it
-			// (r is finite), so it is exactly this one term.
-			v += s.diag[i] * r[i]
+	xB := s.xB
+	clear(xB)
+	for k, rk := range r {
+		if rk == 0 {
+			continue
 		}
-		s.xB[i] = v
-		s.x[s.basis[i]] = v
+		for _, i := range s.colNZ[k] {
+			if row := s.binv[i]; row != nil {
+				xB[i] += row[k] * rk
+			} else {
+				xB[i] += s.diag[i] * rk
+			}
+		}
+	}
+	for i, bi := range s.basis {
+		s.x[bi] = xB[i]
 	}
 	if s.prof != nil {
 		s.prof.direct(phRefresh, t0)

@@ -307,3 +307,68 @@ func BenchmarkCloneResolve(b *testing.B) {
 		}
 	}
 }
+
+// warmGateChild returns a CloneBounds copy of gateProblem(300, 1) with
+// one basic column's upper bound halved toward its lower bound, and the
+// optimal basis of the untightened problem: a warm re-solve as one
+// rounding-dive step makes it, which the dual simplex repairs.
+func warmGateChild(tb testing.TB) (*Problem, *Basis) {
+	tb.Helper()
+	q := gateProblem(300, 1)
+	root, err := Solve(context.Background(), q, Options{})
+	if err != nil || root.Status != Optimal {
+		tb.Fatalf("root solve: %v %+v", err, root)
+	}
+	for j, v := range root.X {
+		lb, ub := q.Bounds(j)
+		if v-lb < 0.1 || ub-v < 0.1 {
+			continue
+		}
+		child := q.CloneBounds()
+		child.SetBounds(j, lb, lb+(v-lb)/2)
+		sol, err := Solve(context.Background(), child, Options{WarmStart: root.Basis})
+		if err == nil && sol.Warm && sol.Status == Optimal && sol.Iters > 0 {
+			return child, root.Basis
+		}
+	}
+	tb.Fatal("no bound tightening of the gate LP re-solves warm")
+	return nil, nil
+}
+
+// TestWarmResolveAllocation is the allocation gate of the warm path:
+// once a tightened CloneBounds copy of an m = 300 LP has re-solved warm,
+// each further warm re-solve, factorization included, allocates under
+// 2 % of the 8·m² bytes a dense basis inverse would take.
+func TestWarmResolveAllocation(t *testing.T) {
+	const m, solves = 300, 20
+	child, basis := warmGateChild(t)
+	opt := Options{WarmStart: basis}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < solves; i++ {
+		sol, err := Solve(context.Background(), child, opt)
+		if err != nil || !sol.Warm {
+			t.Fatalf("warm re-solve %d: %v %+v", i, err, sol)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perSolve := float64(after.TotalAlloc-before.TotalAlloc) / solves
+	if limit := 0.02 * 8 * m * m; perSolve >= limit {
+		t.Fatalf("warm re-solve allocates %.0f bytes, want under %.0f (2%% of 8·m²)", perSolve, limit)
+	}
+	t.Logf("warm re-solve of m=%d allocates %.0f bytes", m, perSolve)
+}
+
+// BenchmarkWarmResolve re-solves the warm allocation gate's tightened
+// clone from the untightened optimum's basis.
+func BenchmarkWarmResolve(b *testing.B) {
+	child, basis := warmGateChild(b)
+	opt := Options{WarmStart: basis}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Solve(context.Background(), child, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

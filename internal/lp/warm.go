@@ -91,7 +91,9 @@ func newWarmSolver(s *solver, p *Problem, opt Options, ws *Basis) string {
 	if basicCount != s.m {
 		return rejectStaleBasis
 	}
-	seen := make([]bool, s.n)
+	seen := resize(s.mark, s.n)
+	s.mark = seen
+	clear(seen)
 	for i, bj := range ws.basis {
 		j := int(bj)
 		if j < 0 || j >= s.n || s.vstat[j] != basic || seen[j] {
@@ -153,10 +155,12 @@ func newWarmSolver(s *solver, p *Problem, opt Options, ws *Basis) string {
 // factorize computes the explicit basis inverse for the current basis
 // assignment by Gauss-Jordan elimination with partial pivoting, and
 // lists its nonzero pattern, reporting false on a (near-)singular basis.
-// The elimination works on [B | I] in rows taken from the storage. B's
-// writes are listed in the (still empty) binv pattern, so B is zeroed
-// at exactly those positions before its rows go back; R's rows become
-// binv's, and one left holding only its diagonal goes implicit.
+// The elimination works on [B | R], R = I, in rows taken from the
+// storage. B's pattern lives in the (still empty) binv lists and R's in
+// rNZ/rListed; every write to either matrix is at a listed position, so
+// both are zeroed at exactly those positions before their rows go back.
+// R's rows become binv's, listed from R's pattern where nonzero, and one
+// left holding only its diagonal goes implicit.
 func (s *solver) factorize() bool {
 	var t0 int64
 	if s.prof != nil {
@@ -164,10 +168,17 @@ func (s *solver) factorize() bool {
 		defer func() { s.prof.direct(phSetup, t0) }()
 	}
 	m := s.m
-	B, R := make([][]float64, m), make([][]float64, m)
+	B, R := resize(s.facB, m), resize(s.facR, m)
+	s.facB, s.facR = B, R
+	// The rows end up in binv or free; drop the headers' aliases of them.
+	defer func() { clear(B); clear(R) }()
+	s.rNZ = resize(s.rNZ, m)
+	s.rListed = resize(s.rListed, (m*m+63)/64) // all zero: see unlistR
 	for r := 0; r < m; r++ {
 		B[r], R[r] = s.newRow(), s.newRow()
 		R[r][r] = 1
+		s.rNZ[r] = s.rNZ[r][:0]
+		s.listR(r, r)
 	}
 	maxAbs := 0.0
 	for k, j := range s.basis {
@@ -189,17 +200,22 @@ func (s *solver) factorize() bool {
 	s.free = append(s.free, B...)
 	s.clearPattern()
 	if !ok {
-		for _, row := range R {
-			clear(row)
+		for r, row := range R {
+			for _, k := range s.rNZ[r] {
+				row[k] = 0
+				s.unlistR(r, int(k))
+			}
 		}
 		s.free = append(s.free, R...)
 		return false
 	}
 	for col := 0; col < m; col++ {
-		row := R[perm[col]]
-		for k, v := range row {
-			if v != 0 {
-				s.list(col, k)
+		pr := perm[col]
+		row := R[pr]
+		for _, k := range s.rNZ[pr] {
+			s.unlistR(pr, int(k))
+			if row[k] != 0 {
+				s.list(col, int(k))
 			}
 		}
 		if ks := s.rowNZ[col]; len(ks) == 1 && int(ks[0]) == col {
@@ -214,44 +230,62 @@ func (s *solver) factorize() bool {
 }
 
 // eliminate reduces [B | I] -> [P | R] with R*B = P; then Binv = P^T * R,
-// i.e. Binv[col] = R[perm[col]]. Each elimination touches only the
-// nonzero positions of the scaled pivot row: skipped entries would
-// subtract f*0. Every position of B it fills in is listed. ok is false
-// when no pivot above pivTolAbs is left for some column.
+// i.e. Binv[col] = R[perm[col]]. It touches nonzeros only, and computes
+// what a dense sweep over all m rows and positions computes, bit for
+// bit:
+//   - the pivot search walks B's column list and breaks ties to the
+//     lowest row, as an ascending scan keeping the first maximum does;
+//   - the pivot rows are scaled at their listed positions, the rest
+//     being zeros;
+//   - only the rows listed in the pivot column are eliminated, over the
+//     nonzero positions of the scaled pivot rows: skipped entries would
+//     subtract f*0.
+//
+// Each position still receives its updates in pivot order, so the list
+// orders change no value. Every position of B or R it fills in is
+// listed. ok is false when no pivot above pivTolAbs is left for some
+// column.
 func (s *solver) eliminate(B, R [][]float64, pivTolAbs float64) (perm []int, ok bool) {
 	m := s.m
-	perm = make([]int, m)
-	usedRow := make([]bool, m)
-	nzB, nzR := make([]int32, 0, m), make([]int32, 0, m)
+	perm = resize(s.perm, m)
+	used := resize(s.mark, m)
+	s.perm, s.mark = perm, used
+	clear(used)
+	nzB, nzR := s.nzIdx[:0], s.rhoIdx[:0]
+	defer func() { s.nzIdx, s.rhoIdx = nzB[:0], nzR[:0] }()
 	for col := 0; col < m; col++ {
 		pr, pv := -1, pivTolAbs
-		for r := 0; r < m; r++ {
-			if usedRow[r] {
+		for _, r32 := range s.colNZ[col] {
+			r := int(r32)
+			if used[r] {
 				continue
 			}
-			if a := math.Abs(B[r][col]); a > pv {
+			if a := math.Abs(B[r][col]); a > pv || (a == pv && r < pr) {
 				pr, pv = r, a
 			}
 		}
 		if pr < 0 {
 			return nil, false
 		}
-		usedRow[pr] = true
+		used[pr] = true
 		perm[col] = pr
 		inv := 1 / B[pr][col]
 		rowB, rowR := B[pr], R[pr]
 		nzB, nzR = nzB[:0], nzR[:0]
-		for k := 0; k < m; k++ {
+		for _, k := range s.rowNZ[pr] {
 			rowB[k] *= inv
-			rowR[k] *= inv
 			if rowB[k] != 0 {
-				nzB = append(nzB, int32(k))
-			}
-			if rowR[k] != 0 {
-				nzR = append(nzR, int32(k))
+				nzB = append(nzB, k)
 			}
 		}
-		for r := 0; r < m; r++ {
+		for _, k := range s.rNZ[pr] {
+			rowR[k] *= inv
+			if rowR[k] != 0 {
+				nzR = append(nzR, k)
+			}
+		}
+		for _, r32 := range s.colNZ[col] {
+			r := int(r32)
 			if r == pr {
 				continue
 			}
@@ -267,11 +301,32 @@ func (s *solver) eliminate(B, R [][]float64, pivTolAbs float64) (perm []int, ok 
 				tb[k] -= f * rowB[k]
 			}
 			for _, k := range nzR {
+				if tr[k] == 0 {
+					s.listR(r, int(k))
+				}
 				tr[k] -= f * rowR[k]
 			}
 		}
 	}
 	return perm, true
+}
+
+// listR records position (r, k) in R's pattern unless already there.
+func (s *solver) listR(r, k int) {
+	b := r*s.m + k
+	if s.rListed[b>>6]&(1<<(b&63)) != 0 {
+		return
+	}
+	s.rListed[b>>6] |= 1 << (b & 63)
+	s.rNZ[r] = append(s.rNZ[r], int32(k))
+}
+
+// unlistR clears position (r, k)'s bit in R's pattern. factorize clears
+// every bit it set before it returns, so the bitset is all zero between
+// factorizations.
+func (s *solver) unlistR(r, k int) {
+	b := r*s.m + k
+	s.rListed[b>>6] &^= 1 << (b & 63)
 }
 
 // primalFeasible reports whether every basic value sits within its bounds.
