@@ -124,16 +124,27 @@ func denseRefresh(s *solver, binv [][]float64) []float64 {
 // factorizeMatches factorizes s's basis both ways and compares the
 // verdict, perm, the implicit-row set, diag and every binv entry, then
 // refreshes the basic values both ways and compares them by bits. s's
-// binv and pattern must be empty, as newWarmSolver leaves them.
+// binv and pattern must be empty, as newWarmSolver leaves them. It runs
+// factorize's three steps itself, to check between the elimination and
+// the install that B's and R's patterns list every nonzero of B and R
+// and that B's row and column bitsets are exact transposes.
 func factorizeMatches(s *solver) (ok bool, err error) {
 	wantPerm, want, wantOK := denseFactorize(s)
-	if got := s.factorize(); got != wantOK {
+	B, R, tol := s.loadFactors()
+	perm, elimOK := s.eliminate(B, R, tol)
+	for _, err := range []error{
+		checkBits(&s.pat, s.m), checkCovers(&s.pat, B, "B"),
+		checkBits(&s.rpat, s.m), checkCovers(&s.rpat, R, "R"),
+	} {
+		if err != nil {
+			return wantOK, fmt.Errorf("after elimination: %v", err)
+		}
+	}
+	if got := s.installInverse(B, R, perm, elimOK); got != wantOK {
 		return got, fmt.Errorf("factorize ok = %v, dense %v", got, wantOK)
 	}
-	for i, w := range s.rListed {
-		if w != 0 {
-			return wantOK, fmt.Errorf("R pattern word %d = %#x after factorize", i, w)
-		}
+	if err := zeroWords(s.rpat.rows, "R pattern"); err != nil {
+		return wantOK, fmt.Errorf("after factorize: %v", err)
 	}
 	if !wantOK {
 		return false, checkReleased(s)
@@ -160,13 +171,18 @@ func factorizeMatches(s *solver) (ok bool, err error) {
 			}
 			continue
 		}
-		if len(s.rowNZ[col]) != nz {
-			return true, fmt.Errorf("row %d lists %d positions, dense has %d nonzeros", col, len(s.rowNZ[col]), nz)
-		}
-		for _, k := range s.rowNZ[col] {
+		listed := 0
+		for k := range row {
+			if !rowBit(&s.pat, col, k) {
+				continue
+			}
+			listed++
 			if got := s.binv[col][k]; math.Float64bits(got) != math.Float64bits(row[k]) {
 				return true, fmt.Errorf("binv[%d][%d] = %v, dense %v", col, k, got, row[k])
 			}
+		}
+		if listed != nz {
+			return true, fmt.Errorf("row %d lists %d positions, dense has %d nonzeros", col, listed, nz)
 		}
 		for k, v := range s.binv[col] {
 			if v != row[k] {

@@ -15,15 +15,17 @@
 // basis inverse. The inverse is stored by rows, and a row is allocated
 // only when the solve first writes it: until then it holds just its
 // diagonal (a cold start's inverse is diagonal). The solver tracks where
-// that inverse may be nonzero, by column and by row, and skips only
-// terms with an exact-zero factor, so every nonzero floating-point
-// operation runs with the same operands in the same order as a dense
-// kernel: FTRAN over the column patterns, pricing by a scatter over the
-// nonzero duals through a row-wise copy of the columns that can enter,
-// duals and the rank-1 Gauss–Jordan pivot update over the row patterns.
-// The column-wise copy of the rows is built once per problem and shared
-// by its CloneBounds copies, and each copy keeps its solver storage
-// between its solves, zeroed at the positions a solve listed. Periodic
+// that inverse may be nonzero in two bitsets, one per row and one per
+// column, and skips only terms with an exact-zero factor, so every
+// nonzero floating-point operation runs with the same operands in the
+// same order as a dense kernel: FTRAN over the column bits, pricing by a
+// scatter over the nonzero duals through a row-wise copy of the columns
+// that can enter, duals and the rank-1 Gauss–Jordan pivot update over
+// the row bits. The update finds its fill-in a word at a time and then
+// runs without a branch. The column-wise copy of the rows is built once
+// per problem and shared by its CloneBounds copies, and each copy keeps
+// its solver storage between its solves, zeroed at the positions and
+// words a solve set. Periodic
 // primal refresh keeps the numerics clean, and a Bland's-rule fallback
 // guarantees termination under degeneracy.
 //

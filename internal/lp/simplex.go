@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -82,16 +83,10 @@ type solver struct {
 	free [][]float64
 	rows int
 
-	// colNZ[k] lists the rows where binv column k may be nonzero and
-	// rowNZ[r] the columns where binv row r may be nonzero, in fill
-	// order. Both are supersets: an entry that cancels to exactly zero
-	// stays listed. listed holds one bit per binv position (r*m+k), so
-	// an entry that cancels and later refills is listed once. The lists
-	// start as views into patSlab; one that outgrows its view grows on
-	// its own and is dropped when the pattern is cleared.
-	colNZ, rowNZ [][]int32
-	listed       []uint64
-	patSlab      []int32
+	// pat is binv's nonzero pattern, by rows and by columns: a
+	// superset, where an entry that cancels to exactly zero stays
+	// listed. An implicit row lists only its diagonal.
+	pat pattern
 
 	// y and w hold the duals and the FTRAN column of the pivot loops;
 	// ph1 is the phase-1 cost vector.
@@ -111,12 +106,13 @@ type solver struct {
 	elig []int32
 	// wNZ lists, ascending, the rows where the last FTRAN's w is nonzero.
 	wNZ []int32
-	// nzIdx/nzVal: scratch for the nonzero positions and values of the
-	// scaled pivot row of the last pivot; rhoIdx: scratch for the
-	// nonzero positions of the dual simplex's pivot row.
-	nzIdx  []int32
-	nzVal  []float64
-	rhoIdx []int32
+	// nz/nzVal: scratch for the nonzero positions (ascending) and values
+	// of the scaled pivot row of the last pivot; factorize's elimination
+	// also uses nz, and nzR, for its pivot rows of B and R. rhoIdx:
+	// scratch for the nonzero positions of the dual simplex's pivot row.
+	nz, nzR nzSet
+	nzVal   []float64
+	rhoIdx  []int32
 
 	artStart int // first artificial variable index (== n if none)
 
@@ -142,13 +138,11 @@ type solver struct {
 
 	// Storage of factorize and refresh, kept across solves so that a
 	// warm re-solve allocates none of it. facB/facR hold the row headers
-	// of the elimination's [B | R]; rNZ[r] lists R row r's pattern and
-	// rListed marks it, one bit per position (r*m+k); perm records the
-	// pivot rows; mark is scratch flags (the warm basis's columns, the
-	// used pivot rows); resid is refresh's residual.
+	// of the elimination's [B | R]; rpat is R's pattern, by rows only;
+	// perm records the pivot rows; mark is scratch flags (the warm
+	// basis's columns, the used pivot rows); resid is refresh's residual.
 	facB, facR [][]float64
-	rNZ        [][]int32
-	rListed    []uint64
+	rpat       pattern
 	perm       []int
 	mark       []bool
 	resid      []float64
@@ -213,33 +207,32 @@ func newCore(s *solver, p *Problem, opt Options) {
 		xB:     resize(s.xB, m),
 		rc:     resize(s.rc, nStruct),
 
-		binv:    resize(s.binv, m),
-		diag:    resize(s.diag, m),
-		free:    free,
-		colNZ:   s.colNZ,
-		rowNZ:   s.rowNZ,
-		listed:  s.listed,
-		patSlab: s.patSlab,
-		y:       resize(s.y, m),
-		w:       resize(s.w, m),
-		ph1:     s.ph1,
+		binv: resize(s.binv, m),
+		diag: resize(s.diag, m),
+		free: free,
+		pat:  s.pat,
+		y:    resize(s.y, m),
+		w:    resize(s.w, m),
+		ph1:  s.ph1,
 
 		priceRows: s.priceRows,
 		elig:      s.elig[:0],
 		wNZ:       s.wNZ[:0],
-		nzIdx:     s.nzIdx[:0],
+		nz:        s.nz,
+		nzR:       s.nzR,
 		nzVal:     s.nzVal[:0],
 		rhoIdx:    s.rhoIdx[:0],
 
-		facB:    s.facB,
-		facR:    s.facR,
-		rNZ:     s.rNZ,
-		rListed: s.rListed,
-		perm:    s.perm,
-		mark:    s.mark,
-		resid:   s.resid,
+		facB:  s.facB,
+		facR:  s.facR,
+		rpat:  s.rpat,
+		perm:  s.perm,
+		mark:  s.mark,
+		resid: s.resid,
 	}
-	s.newPattern()
+	s.pat.size(m, true)
+	s.nz.size(m)
+	s.nzR.size(m)
 	for i := range s.rowIdx {
 		s.rowIdx[i] = int32(i)
 	}
@@ -364,7 +357,7 @@ func newSolver(s *solver, p *Problem, opt Options) {
 	// is the same diagonal: every binv row starts implicit.
 	for i := 0; i < m; i++ {
 		sj := nStruct + i // slack of row i (newCore appends in row order)
-		s.list(i, i)
+		s.pat.set(i, i)
 		if resid[i] >= s.lb[sj]-feasTol && resid[i] <= s.ub[sj]+feasTol {
 			s.basis[i] = sj
 			s.vstat[sj] = basic
@@ -431,73 +424,26 @@ func (s *solver) newRow() []float64 {
 
 // release zeroes what the last solve wrote to the storage, so the next
 // solve can reuse it: each materialized binv row is zeroed at its listed
-// positions (a superset of its nonzeros) and freed, and the listed bits
-// are cleared. It also drops the solve's references to the problem,
-// context and profiler. A fresh solver releases nothing.
+// positions (a superset of its nonzeros) and freed, and the pattern
+// words the solve set are cleared: those of the materialized rows, the
+// implicit rows' diagonal words, and the column words those rows
+// reach. It never clears all m·w words. It also drops the solve's
+// references to the problem, context and profiler. A fresh solver
+// releases nothing.
 func (s *solver) release() {
 	for r, row := range s.binv {
 		if row == nil {
+			s.pat.clearDiag(r)
 			continue
 		}
-		for _, k := range s.rowNZ[r] {
-			row[k] = 0
-		}
+		s.pat.clearRow(r, row)
 		s.free = append(s.free, row)
 		s.binv[r] = nil
 	}
 	s.rows = 0
-	s.clearPattern()
+	s.nz.reset()
+	s.nzR.reset()
 	s.csc, s.rowFam, s.ctx, s.prof = nil, nil, nil, nil
-}
-
-// patCap is the room each binv pattern list gets in the shared slab
-// before it grows on its own.
-const patCap = 16
-
-// newPattern sizes the colNZ/rowNZ lists, their slab and the listed
-// bitset for m rows and empties the lists. The bitset is all zero: it
-// is either new or was cleared by clearPattern.
-func (s *solver) newPattern() {
-	m := s.m
-	s.listed = resize(s.listed, (m*m+63)/64)
-	s.colNZ, s.rowNZ = resize(s.colNZ, m), resize(s.rowNZ, m)
-	s.patSlab = resize(s.patSlab, 2*m*patCap)
-	s.emptyLists()
-}
-
-// clearPattern unlists every listed position and empties the lists.
-func (s *solver) clearPattern() {
-	m := s.m
-	for r, ks := range s.rowNZ {
-		for _, k := range ks {
-			b := r*m + int(k)
-			s.listed[b>>6] &^= 1 << (b & 63)
-		}
-	}
-	s.emptyLists()
-}
-
-// emptyLists points every pattern list at its empty view of the slab.
-func (s *solver) emptyLists() {
-	for i := range s.rowNZ {
-		a := 2 * i * patCap
-		s.colNZ[i] = s.patSlab[a : a : a+patCap]
-		s.rowNZ[i] = s.patSlab[a+patCap : a+patCap : a+2*patCap]
-	}
-}
-
-// list records binv position (r, k) in the pattern unless already there.
-// Kept out of line: inlined, it crowds the rank-1 update's inner loop.
-//
-//go:noinline
-func (s *solver) list(r, k int) {
-	b := r*s.m + k
-	if s.listed[b>>6]&(1<<(b&63)) != 0 {
-		return
-	}
-	s.listed[b>>6] |= 1 << (b & 63)
-	s.rowNZ[r] = append(s.rowNZ[r], int32(k))
-	s.colNZ[k] = append(s.colNZ[k], int32(r))
 }
 
 // unitCol returns the column coef*e_i (coef is +1 or -1) of a slack or
@@ -605,8 +551,11 @@ func (s *solver) computeDuals(cost, y []float64) {
 			y[i] += cb * s.diag[i]
 			continue
 		}
-		for _, k := range s.rowNZ[i] {
-			y[k] += cb * row[k]
+		for wi, word := range s.pat.row(i) {
+			for base := wi << 6; word != 0; word &= word - 1 {
+				k := base | bits.TrailingZeros64(word)
+				y[k] += cb * row[k]
+			}
 		}
 	}
 }
@@ -768,9 +717,7 @@ func (s *solver) iterate(cost []float64) Status {
 			}
 		} else {
 			s.degenCount = 0
-			if s.bland && s.degenCount == 0 {
-				s.bland = false
-			}
+			s.bland = false
 		}
 
 		if leaving < 0 {
@@ -795,7 +742,7 @@ func (s *solver) iterate(cost []float64) Status {
 		s.pivot(leaving, entering, leave, w)
 		// Incremental dual update: y' = y + d_entering * Binv'[leaving,:].
 		if enterD != 0 {
-			for q, k := range s.nzIdx {
+			for q, k := range s.nz.idx {
 				y[k] += enterD * s.nzVal[q]
 			}
 		}
@@ -848,20 +795,23 @@ func (s *solver) buildEligible() {
 }
 
 // ftran computes w = Binv * A[j]: for each entry i of column j in
-// entry order, w[r] += binv[r][i]*v over the rows listed for binv column
-// i. Each w[r] adds the same nonzero products in the same order as a
-// dense sweep; an implicit row r is listed only for column r. The
+// entry order, w[r] += binv[r][i]*v over the rows listed in binv column
+// i's bits. Each w[r] adds the same nonzero products in the same order
+// as a dense sweep; an implicit row r is listed only in column r. The
 // nonzero rows of w are then left, ascending, in wNZ.
 func (s *solver) ftran(j int, w []float64) {
 	clear(w)
 	c := s.col(j)
 	for k, i := range c.idx {
 		v := c.val[k]
-		for _, r := range s.colNZ[i] {
-			if row := s.binv[r]; row != nil {
-				w[r] += row[i] * v
-			} else {
-				w[r] += s.diag[r] * v
+		for wi, word := range s.pat.col(int(i)) {
+			for base := wi << 6; word != 0; word &= word - 1 {
+				r := base | bits.TrailingZeros64(word)
+				if row := s.binv[r]; row != nil {
+					w[r] += row[i] * v
+				} else {
+					w[r] += s.diag[r] * v
+				}
 			}
 		}
 	}
@@ -892,8 +842,9 @@ func (s *solver) step(enter int, dir, t float64, w []float64) {
 // (atLower or atUpper) on that bound. Binv takes the rank-1 update over
 // the nonzero rows of w and the nonzero positions of the scaled pivot
 // row: skipped entries would subtract f*0. Those positions and values
-// are left in nzIdx/nzVal; positions the update fills in are listed.
-// Every row the update writes is materialized first.
+// are left in nz/nzVal. Each updated row first lists them, a word at a
+// time (the fill is nz &^ row), so the update itself runs without a
+// branch. Every row the update writes is materialized first.
 func (s *solver) pivot(r, enter int, leave int8, w []float64) {
 	lv := s.basis[r]
 	s.vstat[lv] = leave
@@ -917,15 +868,21 @@ func (s *solver) pivot(r, enter int, leave int8, w []float64) {
 
 	rowR := s.writeRow(r)
 	invPiv := 1 / w[r]
-	nzIdx, nzVal := s.nzIdx[:0], s.nzVal[:0]
-	for _, k := range s.rowNZ[r] {
-		rowR[k] *= invPiv
-		if v := rowR[k]; v != 0 {
-			nzIdx = append(nzIdx, k)
-			nzVal = append(nzVal, v)
+	nz := &s.nz
+	nz.reset()
+	nzVal := s.nzVal[:0]
+	for wi, word := range s.pat.row(r) {
+		for base := wi << 6; word != 0; word &= word - 1 {
+			k := base | bits.TrailingZeros64(word)
+			rowR[k] *= invPiv
+			if v := rowR[k]; v != 0 {
+				nz.add(k)
+				nzVal = append(nzVal, v)
+			}
 		}
 	}
-	s.nzIdx, s.nzVal = nzIdx, nzVal
+	s.nzVal = nzVal
+	nzIdx := nz.idx
 	nzVal = nzVal[:len(nzIdx)] // lets the compiler drop nzVal's bounds check
 	for _, i32 := range s.wNZ {
 		i := int(i32)
@@ -934,10 +891,8 @@ func (s *solver) pivot(r, enter int, leave int8, w []float64) {
 		}
 		f := w[i]
 		row := s.writeRow(i)
+		s.pat.union(i, nz)
 		for t, k := range nzIdx {
-			if row[k] == 0 {
-				s.list(i, int(k)) // fill-in (or a cancelled entry refilling)
-			}
 			row[k] -= f * nzVal[t]
 		}
 	}
@@ -953,8 +908,8 @@ func (s *solver) stamp(sol *Solution) *Solution {
 
 // refresh recomputes basic values from the nonbasic solution to curb
 // drift from accumulated pivot updates. xB = Binv*r is a scatter over
-// r's nonzero entries in ascending order, each down the rows listed for
-// its binv column: every xB[i] adds the same nonzero products in the
+// r's nonzero entries in ascending order, each down the rows listed in
+// its binv column's bits: every xB[i] adds the same nonzero products in the
 // same order as a dense sweep of row i, and a sum that starts at +0 is
 // unchanged by the ±0 terms the scatter skips (unlisted entries, r's
 // zeros). Self-instrumented (every call site — periodic hygiene, warm
@@ -982,11 +937,14 @@ func (s *solver) refresh() {
 		if rk == 0 {
 			continue
 		}
-		for _, i := range s.colNZ[k] {
-			if row := s.binv[i]; row != nil {
-				xB[i] += row[k] * rk
-			} else {
-				xB[i] += s.diag[i] * rk
+		for wi, word := range s.pat.col(k) {
+			for base := wi << 6; word != 0; word &= word - 1 {
+				i := base | bits.TrailingZeros64(word)
+				if row := s.binv[i]; row != nil {
+					xB[i] += row[k] * rk
+				} else {
+					xB[i] += s.diag[i] * rk
+				}
 			}
 		}
 	}

@@ -2,7 +2,7 @@ package lp
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 )
 
 // Basis is an opaque snapshot of an optimal simplex basis, suitable for
@@ -156,8 +156,8 @@ func newWarmSolver(s *solver, p *Problem, opt Options, ws *Basis) string {
 // assignment by Gauss-Jordan elimination with partial pivoting, and
 // lists its nonzero pattern, reporting false on a (near-)singular basis.
 // The elimination works on [B | R], R = I, in rows taken from the
-// storage. B's pattern lives in the (still empty) binv lists and R's in
-// rNZ/rListed; every write to either matrix is at a listed position, so
+// storage. B's pattern lives in the (still empty) binv pattern and R's
+// in rpat; every write to either matrix is at a listed position, so
 // both are zeroed at exactly those positions before their rows go back.
 // R's rows become binv's, listed from R's pattern where nonzero, and one
 // left holding only its diagonal goes implicit.
@@ -167,58 +167,73 @@ func (s *solver) factorize() bool {
 		t0 = s.prof.clock()
 		defer func() { s.prof.direct(phSetup, t0) }()
 	}
+	B, R, tol := s.loadFactors()
+	perm, ok := s.eliminate(B, R, tol)
+	return s.installInverse(B, R, perm, ok)
+}
+
+// loadFactors takes the rows of [B | R] from the storage, loads the
+// basis columns into B and the identity into R, lists both, and returns
+// the elimination's pivot tolerance.
+func (s *solver) loadFactors() (B, R [][]float64, pivTolAbs float64) {
 	m := s.m
-	B, R := resize(s.facB, m), resize(s.facR, m)
+	B, R = resize(s.facB, m), resize(s.facR, m)
 	s.facB, s.facR = B, R
-	// The rows end up in binv or free; drop the headers' aliases of them.
-	defer func() { clear(B); clear(R) }()
-	s.rNZ = resize(s.rNZ, m)
-	s.rListed = resize(s.rListed, (m*m+63)/64) // all zero: see unlistR
+	s.rpat.size(m, false) // all zero: installInverse clears every bit
 	for r := 0; r < m; r++ {
 		B[r], R[r] = s.newRow(), s.newRow()
 		R[r][r] = 1
-		s.rNZ[r] = s.rNZ[r][:0]
-		s.listR(r, r)
+		s.rpat.set(r, r)
 	}
 	maxAbs := 0.0
 	for k, j := range s.basis {
 		c := s.col(j)
 		for t, i := range c.idx {
 			B[i][k] = c.val[t]
-			s.list(int(i), k)
+			s.pat.set(int(i), k)
 			if a := math.Abs(c.val[t]); a > maxAbs {
 				maxAbs = a
 			}
 		}
 	}
-	perm, ok := s.eliminate(B, R, 1e-10*math.Max(1, maxAbs))
+	return B, R, 1e-10 * math.Max(1, maxAbs)
+}
+
+// installInverse hands B's rows back zeroed and, when the elimination
+// succeeded (ok), makes R's rows binv's in perm's order, listed where
+// nonzero; otherwise it hands R's rows back too. Either way both
+// patterns end empty.
+func (s *solver) installInverse(B, R [][]float64, perm []int, ok bool) bool {
+	// The rows end up in binv or free; drop the headers' aliases of them.
+	defer func() { clear(B); clear(R) }()
 	for r, row := range B {
-		for _, k := range s.rowNZ[r] {
-			row[k] = 0
-		}
+		s.pat.clearRow(r, row)
 	}
 	s.free = append(s.free, B...)
-	s.clearPattern()
 	if !ok {
 		for r, row := range R {
-			for _, k := range s.rNZ[r] {
-				row[k] = 0
-				s.unlistR(r, int(k))
-			}
+			s.rpat.clearRow(r, row)
 		}
 		s.free = append(s.free, R...)
 		return false
 	}
-	for col := 0; col < m; col++ {
-		pr := perm[col]
+	for col, pr := range perm {
 		row := R[pr]
-		for _, k := range s.rNZ[pr] {
-			s.unlistR(pr, int(k))
-			if row[k] != 0 {
-				s.list(col, int(k))
+		nnz := 0
+		rw := s.rpat.row(pr)
+		for wi, word := range rw {
+			if word == 0 {
+				continue
+			}
+			rw[wi] = 0
+			for base := wi << 6; word != 0; word &= word - 1 {
+				if k := base | bits.TrailingZeros64(word); row[k] != 0 {
+					s.pat.set(col, k)
+					nnz++
+				}
 			}
 		}
-		if ks := s.rowNZ[col]; len(ks) == 1 && int(ks[0]) == col {
+		if nnz == 1 && row[col] != 0 {
 			s.diag[col], row[col] = row[col], 0
 			s.free = append(s.free, row)
 			continue
@@ -233,35 +248,35 @@ func (s *solver) factorize() bool {
 // i.e. Binv[col] = R[perm[col]]. It touches nonzeros only, and computes
 // what a dense sweep over all m rows and positions computes, bit for
 // bit:
-//   - the pivot search walks B's column list and breaks ties to the
-//     lowest row, as an ascending scan keeping the first maximum does;
+//   - the pivot search walks B's column bits in ascending row order and
+//     keeps the first maximum, as the dense scan does;
 //   - the pivot rows are scaled at their listed positions, the rest
 //     being zeros;
 //   - only the rows listed in the pivot column are eliminated, over the
 //     nonzero positions of the scaled pivot rows: skipped entries would
 //     subtract f*0.
 //
-// Each position still receives its updates in pivot order, so the list
-// orders change no value. Every position of B or R it fills in is
-// listed. ok is false when no pivot above pivTolAbs is left for some
-// column.
+// Each position still receives its updates in pivot order, so the order
+// within one pivot changes no value. Every position of B or R it fills
+// in is listed first, a word at a time, as pivot lists binv's. ok is
+// false when no pivot above pivTolAbs is left for some column.
 func (s *solver) eliminate(B, R [][]float64, pivTolAbs float64) (perm []int, ok bool) {
 	m := s.m
 	perm = resize(s.perm, m)
 	used := resize(s.mark, m)
 	s.perm, s.mark = perm, used
 	clear(used)
-	nzB, nzR := s.nzIdx[:0], s.rhoIdx[:0]
-	defer func() { s.nzIdx, s.rhoIdx = nzB[:0], nzR[:0] }()
+	nzB, nzR := &s.nz, &s.nzR
+	defer func() { nzB.reset(); nzR.reset() }()
 	for col := 0; col < m; col++ {
 		pr, pv := -1, pivTolAbs
-		for _, r32 := range s.colNZ[col] {
-			r := int(r32)
-			if used[r] {
-				continue
-			}
-			if a := math.Abs(B[r][col]); a > pv || (a == pv && r < pr) {
-				pr, pv = r, a
+		colBits := s.pat.col(col)
+		for wi, word := range colBits {
+			for base := wi << 6; word != 0; word &= word - 1 {
+				r := base | bits.TrailingZeros64(word)
+				if a := math.Abs(B[r][col]); a > pv && !used[r] {
+					pr, pv = r, a
+				}
 			}
 		}
 		if pr < 0 {
@@ -271,62 +286,49 @@ func (s *solver) eliminate(B, R [][]float64, pivTolAbs float64) (perm []int, ok 
 		perm[col] = pr
 		inv := 1 / B[pr][col]
 		rowB, rowR := B[pr], R[pr]
-		nzB, nzR = nzB[:0], nzR[:0]
-		for _, k := range s.rowNZ[pr] {
-			rowB[k] *= inv
-			if rowB[k] != 0 {
-				nzB = append(nzB, k)
+		nzB.reset()
+		nzR.reset()
+		for wi, word := range s.pat.row(pr) {
+			for base := wi << 6; word != 0; word &= word - 1 {
+				k := base | bits.TrailingZeros64(word)
+				if rowB[k] *= inv; rowB[k] != 0 {
+					nzB.add(k)
+				}
 			}
 		}
-		for _, k := range s.rNZ[pr] {
-			rowR[k] *= inv
-			if rowR[k] != 0 {
-				nzR = append(nzR, k)
+		for wi, word := range s.rpat.row(pr) {
+			for base := wi << 6; word != 0; word &= word - 1 {
+				k := base | bits.TrailingZeros64(word)
+				if rowR[k] *= inv; rowR[k] != 0 {
+					nzR.add(k)
+				}
 			}
 		}
-		for _, r32 := range s.colNZ[col] {
-			r := int(r32)
-			if r == pr {
-				continue
-			}
-			f := B[r][col]
-			if f == 0 {
-				continue
-			}
-			tb, tr := B[r], R[r]
-			for _, k := range nzB {
-				if tb[k] == 0 {
-					s.list(r, int(k))
+		// Filling B never lists a row in column col: each row eliminated
+		// here already is, so colBits holds still under the loop.
+		for wi, word := range colBits {
+			for base := wi << 6; word != 0; word &= word - 1 {
+				r := base | bits.TrailingZeros64(word)
+				if r == pr {
+					continue
 				}
-				tb[k] -= f * rowB[k]
-			}
-			for _, k := range nzR {
-				if tr[k] == 0 {
-					s.listR(r, int(k))
+				f := B[r][col]
+				if f == 0 {
+					continue
 				}
-				tr[k] -= f * rowR[k]
+				tb, tr := B[r], R[r]
+				s.pat.union(r, nzB)
+				for _, k := range nzB.idx {
+					tb[k] -= f * rowB[k]
+				}
+				s.rpat.union(r, nzR)
+				for _, k := range nzR.idx {
+					tr[k] -= f * rowR[k]
+				}
 			}
 		}
 	}
 	return perm, true
-}
-
-// listR records position (r, k) in R's pattern unless already there.
-func (s *solver) listR(r, k int) {
-	b := r*s.m + k
-	if s.rListed[b>>6]&(1<<(b&63)) != 0 {
-		return
-	}
-	s.rListed[b>>6] |= 1 << (b & 63)
-	s.rNZ[r] = append(s.rNZ[r], int32(k))
-}
-
-// unlistR clears position (r, k)'s bit in R's pattern. factorize clears
-// every bit it set before it returns, so the bitset is all zero between
-// factorizations.
-func (s *solver) unlistR(r, k int) {
-	b := r*s.m + k
-	s.rListed[b>>6] &^= 1 << (b & 63)
 }
 
 // primalFeasible reports whether every basic value sits within its bounds.
@@ -434,16 +436,18 @@ func (s *solver) runWarm() (*Solution, bool, error) {
 
 // pivotRowAlphas fills rc[j] = rho'A_j, rho = Binv[r,:], for the
 // structural columns that can enter, by a scatter over rho's nonzero
-// positions in ascending order: each column adds the same nonzero terms
-// in the same row order as a gather down the column.
+// positions in ascending order (the order of row r's bits): each column
+// adds the same nonzero terms in the same row order as a gather down
+// the column.
 func (s *solver) pivotRowAlphas(r int) {
 	nz := s.rhoIdx[:0]
-	for _, k := range s.rowNZ[r] {
-		if s.at(r, int(k)) != 0 {
-			nz = append(nz, k)
+	for wi, word := range s.pat.row(r) {
+		for base := wi << 6; word != 0; word &= word - 1 {
+			if k := base | bits.TrailingZeros64(word); s.at(r, k) != 0 {
+				nz = append(nz, int32(k))
+			}
 		}
 	}
-	slices.Sort(nz)
 	s.rhoIdx = nz
 	rc := s.rc
 	clear(rc)
