@@ -125,7 +125,6 @@ func run() int {
 		fabric    = flag.String("fabric", "8x8", "fabric WxH (kernels only)")
 		mode      = flag.String("mode", "rotate", "re-mapping mode: freeze or rotate")
 		seed      = flag.Int64("seed", 1, "random seed")
-		debug     = flag.Bool("debug", false, "trace Algorithm 1 on stdout (human-readable span log)")
 		warmH     = flag.Bool("warm-heuristics", false, "reuse simplex bases inside the LP-rounding heuristics (faster; floorplans may differ from cold runs)")
 		save      = flag.String("save", "", "write the design + both floorplans as JSON to this file")
 		traceF    = flag.String("trace", "", "write a JSONL span trace (one event per span) to this file")
@@ -163,9 +162,6 @@ func run() int {
 			fmt.Println("wrote span trace to", *traceF)
 		}()
 		sinks = append(sinks, js)
-	}
-	if *debug {
-		sinks = append(sinks, obs.NewDebugSink(os.Stdout))
 	}
 	reg := obs.NewRegistry()
 	var tracer *obs.Tracer

@@ -15,7 +15,9 @@
 // job's trace_id (-log-format selects text or JSON records); -trace
 // writes the span stream as JSONL, -trace-jobs additionally keeps a
 // bounded per-job copy behind GET /v1/jobs/{id}/trace, and -pprof
-// mounts the runtime profiles under /debug/pprof/.
+// mounts the runtime profiles under /debug/pprof/. The daemon starts no
+// CPU profile of its own, so GET /debug/pprof/profile always has the
+// runtime's one CPU profiler to itself.
 //
 // -telemetry-dir enables the longitudinal telemetry pipeline: one
 // durable wide event per job, windowed percentiles behind GET
@@ -57,7 +59,6 @@ func run() int {
 		workers      = flag.Int("workers", 2, "solver worker pool size")
 		deadline     = flag.Duration("default-deadline", 0, "default per-job deadline, queue wait included (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight jobs before force-canceling")
-		debug        = flag.Bool("debug", false, "trace solver spans on stdout")
 		tracePath    = flag.String("trace", "", "write the span stream as JSON Lines to this file")
 		traceJobs    = flag.Bool("trace-jobs", false, "keep a bounded per-job span trace behind GET /v1/jobs/{id}/trace")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -66,9 +67,6 @@ func run() int {
 		telemDir     = flag.String("telemetry-dir", "", "durable solve-telemetry directory; enables GET /v1/stats and GET /debug/dash (empty disables)")
 		slowPct      = flag.Float64("slow-percentile", 0.99, "auto-capture the flight journal of solves beyond this latency percentile of their shape bucket (<=0 disables)")
 		kernelProf   = flag.Bool("kernel-profile", false, "arm the LP kernel profiler on every job: phase-attributed solver time in journals, reports, metrics, /v1/stats, and /debug/dash")
-		profRingDir  = flag.String("profile-ring", "", "continuous CPU profiling: keep rolling fixed-window pprof captures in this directory (empty disables)")
-		profWindow   = flag.Duration("profile-window", 30*time.Second, "length of one continuous-profiling capture window")
-		profKeep     = flag.Int("profile-keep", 8, "rolling pprof captures kept on disk (oldest pruned; slow-solve copies are kept separately)")
 		tenantCap    = flag.Int("tenant-cap", 0, "distinct tenant labels in metrics/telemetry before rollup into \"other\" (0 = default 32)")
 		sloOn        = flag.Bool("slo", true, "run the SLO engine behind GET /v1/slo (requires -telemetry-dir)")
 		sloAvail     = flag.Float64("slo-availability", 0.99, "availability objective: target fraction of non-canceled jobs that do not fail")
@@ -94,9 +92,6 @@ func run() int {
 
 	reg := obs.NewRegistry()
 	var sinks []obs.Sink
-	if *debug {
-		sinks = append(sinks, obs.NewDebugSink(os.Stdout))
-	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
@@ -155,25 +150,6 @@ func run() int {
 		defer pipeline.Close() //nolint:errcheck // drain already flushed jobs
 	}
 
-	// The continuous profiler rides next to telemetry: rolling CPU
-	// captures, with the window covering a slow-outlier solve copied
-	// aside under the job's id (next to its captured flight journal).
-	var ring *telemetry.ProfRing
-	if *profRingDir != "" {
-		r, err := telemetry.StartProfRing(telemetry.RingConfig{
-			Dir:    *profRingDir,
-			Window: *profWindow,
-			Keep:   *profKeep,
-			Logger: logger,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "agingfloord: %v\n", err)
-			return 1
-		}
-		ring = r
-		defer ring.Close()
-	}
-
 	srv := serve.New(serve.Config{
 		Workers:         *workers,
 		DefaultDeadline: *deadline,
@@ -186,7 +162,6 @@ func run() int {
 		FlightEvents:    *flightEvs,
 		Telemetry:       pipeline,
 		KernelProfile:   *kernelProf,
-		ProfileRing:     ring,
 		SLO:             sloEngine,
 		TenantCap:       *tenantCap,
 	})

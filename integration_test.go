@@ -12,7 +12,6 @@ import (
 	"agingfp/internal/hls"
 	"agingfp/internal/nbti"
 	"agingfp/internal/place"
-	"agingfp/internal/route"
 	"agingfp/internal/thermal"
 	"agingfp/internal/timing"
 	"agingfp/internal/viz"
@@ -20,7 +19,7 @@ import (
 
 // TestFullPipeline drives the complete tool chain the way a user would:
 // behavioral source -> DFG -> schedule -> baseline placement -> aging-
-// aware re-mapping -> routing -> reliability -> serialization -> SVG.
+// aware re-mapping -> reliability -> serialization -> SVG.
 func TestFullPipeline(t *testing.T) {
 	src := `
 		// 8-tap dot product
@@ -58,17 +57,6 @@ func TestFullPipeline(t *testing.T) {
 	}
 	if result.NewCPD > sta0.CPD+1e-9 {
 		t.Fatalf("CPD regressed: %.3f -> %.3f", sta0.CPD, result.NewCPD)
-	}
-
-	// Routing must realize both floorplans at Manhattan length.
-	for name, m := range map[string]arch.Mapping{"baseline": baseline, "aging-aware": result.Mapping} {
-		routes, err := route.RouteAll(design, m)
-		if err != nil {
-			t.Fatalf("route %s: %v", name, err)
-		}
-		if err := route.Validate(design, m, routes); err != nil {
-			t.Fatalf("route %s: %v", name, err)
-		}
 	}
 
 	// Reliability under NBTI and under combined wear.

@@ -294,7 +294,7 @@ func (f *fold) lp(sol *lp.Solution, offered bool) {
 	}
 	f.rec.NoteLP(sol.Iters, sol.Degenerate, sol.Refreshes)
 	if p := sol.Profile; p != nil {
-		f.rec.NoteKernel(p.Kernel())
+		f.rec.NoteKernel(p)
 		for name, ph := range p.Phases {
 			f.reg.Gauge(obs.Labeled(PhaseSecondsMetric, "phase", name)).Add(float64(ph.Nanos) / 1e9)
 		}

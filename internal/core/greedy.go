@@ -70,14 +70,6 @@ func GreedyLevel(d *arch.Design, frozen map[int]arch.Coord) arch.Mapping {
 	return m
 }
 
-// GreedyFeasible reports whether LPT leveling can meet the given
-// accumulated-stress budget with the given frozen ops. Used as a cheap
-// sufficient (not necessary) feasibility certificate in Step 1.
-func GreedyFeasible(d *arch.Design, frozen map[int]arch.Coord, stBudget float64) bool {
-	m := GreedyLevel(d, frozen)
-	return arch.ComputeStress(d, m).Max() <= stBudget+1e-12
-}
-
 // addStress adds each placed op's stress rate to its PE's entry of acc
 // in ascending op order. Float sums depend on their order and Go's map
 // order is random, so summing in map order would let the same input

@@ -33,7 +33,7 @@
 // metrics registry or flight recorder, from its options or from the
 // context. A Solution carries everything a caller needs to account for
 // the solve — iterations, degenerate pivots, refreshes, the warm-start
-// outcome and reject reason, and the kernel Profile when Options.Profile
+// outcome and reject reason, and the kernel profile when Options.Profile
 // armed it — and the caller (internal/core) folds that into its views.
 package lp
 
@@ -43,6 +43,8 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+
+	"agingfp/internal/flight"
 )
 
 // Sense is a row's comparison sense.
@@ -328,9 +330,11 @@ type Solution struct {
 	// Refreshes counts primal refreshes / basis refactorizations the
 	// solve performed (periodic hygiene plus warm-start installs).
 	Refreshes int
-	// Profile is the kernel profile (phase-attributed wall-clock and
-	// basis-health stats); non-nil only when Options.Profile was set.
-	Profile *Profile
+	// Profile is the kernel profile of this one solve (Solves 1):
+	// phase-attributed wall-clock, basis-health stats and pivots by
+	// constraint family, in the form flight.Recorder.NoteKernel merges.
+	// Non-nil only when Options.Profile was set.
+	Profile *flight.Kernel
 }
 
 // Options tunes the solver.
@@ -345,7 +349,7 @@ type Options struct {
 	// unusable snapshots are rejected and the solve proceeds cold, so a
 	// warm start never changes the result, only the work to reach it.
 	WarmStart *Basis
-	// Profile enables the kernel profiler: the Solution carries a Profile
+	// Profile enables the kernel profiler: the Solution carries a profile
 	// attributing wall-clock to simplex phases. Profiler-off solves pay
 	// only nil checks.
 	Profile bool
@@ -445,7 +449,7 @@ func Solve(ctx context.Context, p *Problem, opt Options) (*Solution, error) {
 	return sol, nil
 }
 
-// finishSolve builds the Profile when the solve was profiled.
+// finishSolve builds the kernel profile when the solve was profiled.
 func finishSolve(opt Options, s *solver, sol *Solution, tStart int64) {
 	if prof := opt.prof; prof != nil {
 		sol.Profile = prof.build(s, prof.clock()-tStart)

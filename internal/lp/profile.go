@@ -7,7 +7,7 @@ import (
 )
 
 // Internal phase indices; the hot loop indexes fixed arrays, names are
-// applied only when the Profile is built.
+// applied only when the profile is built.
 const (
 	phSetup = iota
 	phPricing
@@ -25,96 +25,6 @@ var phaseNames = [numPhases]string{flight.PhaseSetup, flight.PhasePricing, fligh
 // totals extrapolated from the sample, keeping profiler-on overhead
 // under the ~2% budget while phase *counts* stay exact.
 const DefaultProfileRate = 16
-
-// PhaseStat is one phase's accumulated effort in a Profile.
-type PhaseStat struct {
-	// Count is the exact number of times the phase ran (always-on).
-	Count int64 `json:"count"`
-	// Sampled is how many of those runs were wall-clock timed.
-	Sampled int64 `json:"sampled"`
-	// Nanos is the wall-clock attributed to the phase: directly-timed
-	// phases exactly, loop phases extrapolated as
-	// sampledNanos * Count / Sampled.
-	Nanos int64 `json:"nanos"`
-}
-
-// Profile is the kernel profile of one LP solve, attached to
-// Solution.Profile when Options.Profile is set. It attributes the solve's
-// wall-clock to the named simplex phases and carries the basis-health
-// stats the sparse-LU rework will be judged against.
-type Profile struct {
-	// TotalNanos is the measured wall-clock of the whole solve (setup
-	// through stamping, including a rejected warm attempt when the solve
-	// fell back cold).
-	TotalNanos int64 `json:"total_nanos"`
-	// SampleRate is the iteration-sampling stride used.
-	SampleRate int `json:"sample_rate"`
-	// Iters is the simplex iteration count (== Solution.Iters).
-	Iters int `json:"iters"`
-	// M/N are the row and total column counts; BinvBytes is the
-	// basis-inverse storage the solve materialized: 8·M bytes per
-	// materialized row at the end of the solve (no row is freed within
-	// one) plus 8·M for the diagonal of the implicit rows.
-	M         int   `json:"m"`
-	N         int   `json:"n"`
-	BinvBytes int64 `json:"binv_bytes"`
-	// RefreshEvery is the primal-refresh cadence (iterations between
-	// refreshes) the solve ran with.
-	RefreshEvery int `json:"refresh_every"`
-	// Refreshes/Degenerate mirror the Solution counters;
-	// MaxDegenerateRun is the longest consecutive degenerate-pivot run.
-	Refreshes        int `json:"refreshes"`
-	Degenerate       int `json:"degenerate"`
-	MaxDegenerateRun int `json:"max_degenerate_run"`
-	// Phases attributes wall-clock by phase name.
-	Phases map[string]*PhaseStat `json:"phases"`
-	// FamilyPivots counts pivots by the constraint family of the leaving
-	// row (Problem.SetRowFamily), "other" for unlabeled rows.
-	FamilyPivots map[string]int64 `json:"family_pivots,omitempty"`
-}
-
-// Coverage reports the fraction of TotalNanos the phases account for.
-func (p *Profile) Coverage() float64 {
-	if p == nil || p.TotalNanos <= 0 {
-		return 0
-	}
-	var attr int64
-	for _, ph := range p.Phases {
-		attr += ph.Nanos
-	}
-	return float64(attr) / float64(p.TotalNanos)
-}
-
-// Kernel converts the per-solve profile into a flight-journal kernel
-// contribution (what Recorder.NoteKernel merges).
-func (p *Profile) Kernel() *flight.Kernel {
-	k := &flight.Kernel{
-		Solves:           1,
-		TotalNanos:       p.TotalNanos,
-		SampleRate:       p.SampleRate,
-		RefreshEvery:     p.RefreshEvery,
-		MaxM:             p.M,
-		MaxN:             p.N,
-		BinvBytes:        p.BinvBytes,
-		Iters:            int64(p.Iters),
-		Degenerate:       int64(p.Degenerate),
-		MaxDegenerateRun: p.MaxDegenerateRun,
-		Refreshes:        int64(p.Refreshes),
-	}
-	for name, ph := range p.Phases {
-		if k.Phases == nil {
-			k.Phases = make(map[string]*flight.KernelPhase, len(p.Phases))
-		}
-		k.Phases[name] = &flight.KernelPhase{Count: ph.Count, Sampled: ph.Sampled, Nanos: ph.Nanos}
-	}
-	for fam, n := range p.FamilyPivots {
-		if k.FamilyPivots == nil {
-			k.FamilyPivots = make(map[string]int64, len(p.FamilyPivots))
-		}
-		k.FamilyPivots[fam] += n
-	}
-	return k
-}
 
 // profiler is the measurement state threaded through one Solve. Two
 // accumulator families per phase keep the extrapolation honest:
@@ -193,21 +103,28 @@ func (p *profiler) pivotFamily(fam string) {
 	p.famPivots[fam]++
 }
 
-// build assembles the Profile from the accumulators and the final
-// solver's dimensions. total is the measured whole-solve wall-clock.
-func (p *profiler) build(s *solver, total int64) *Profile {
-	pr := &Profile{
+// build assembles the solve's kernel profile from the accumulators and
+// the final solver's dimensions: one solve, in the form the flight
+// recorder aggregates. total is the measured whole-solve wall-clock,
+// setup through stamping, including a rejected warm attempt when the
+// solve fell back cold. BinvBytes is the basis-inverse storage the
+// solve materialized: 8·M bytes per materialized row at the end of the
+// solve (no row is freed within one) plus 8·M for the diagonal of the
+// implicit rows.
+func (p *profiler) build(s *solver, total int64) *flight.Kernel {
+	k := &flight.Kernel{
+		Solves:           1,
 		TotalNanos:       total,
 		SampleRate:       p.rate,
-		Iters:            s.iters,
-		M:                s.m,
-		N:                s.n,
-		BinvBytes:        8 * int64(s.m) * int64(s.rows+1),
 		RefreshEvery:     refreshN,
-		Refreshes:        s.refreshes,
-		Degenerate:       s.degenTotal,
+		MaxM:             s.m,
+		MaxN:             s.n,
+		BinvBytes:        8 * int64(s.m) * int64(s.rows+1),
+		Iters:            int64(s.iters),
+		Degenerate:       int64(s.degenTotal),
 		MaxDegenerateRun: s.degenRunMax,
-		Phases:           make(map[string]*PhaseStat, numPhases),
+		Refreshes:        int64(s.refreshes),
+		Phases:           make(map[string]*flight.KernelPhase, numPhases),
 	}
 	for ph := 0; ph < numPhases; ph++ {
 		count := p.directCount[ph] + p.loopCount[ph]
@@ -218,16 +135,16 @@ func (p *profiler) build(s *solver, total int64) *Profile {
 		if p.sampleN[ph] > 0 {
 			nanos += int64(float64(p.sampledNanos[ph]) * float64(p.loopCount[ph]) / float64(p.sampleN[ph]))
 		}
-		pr.Phases[phaseNames[ph]] = &PhaseStat{
+		k.Phases[phaseNames[ph]] = &flight.KernelPhase{
 			Count:   count,
 			Sampled: p.directCount[ph] + p.sampleN[ph],
 			Nanos:   nanos,
 		}
 	}
 	if len(p.famPivots) > 0 {
-		pr.FamilyPivots = p.famPivots
+		k.FamilyPivots = p.famPivots
 	}
-	return pr
+	return k
 }
 
 // rowFamilyOf names the constraint family of row i, "other" when

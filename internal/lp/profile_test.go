@@ -93,14 +93,14 @@ func TestProfileStructure(t *testing.T) {
 	if prof == nil {
 		t.Fatal("no profile attached")
 	}
-	if prof.SampleRate != 1 {
-		t.Fatalf("SampleRate = %d, want 1", prof.SampleRate)
+	if prof.SampleRate != 1 || prof.Solves != 1 {
+		t.Fatalf("SampleRate = %d, Solves = %d, want 1 and 1", prof.SampleRate, prof.Solves)
 	}
-	if prof.Iters != sol.Iters {
+	if prof.Iters != int64(sol.Iters) {
 		t.Fatalf("profile iters %d != solution iters %d", prof.Iters, sol.Iters)
 	}
-	if prof.M != p.NumRows() || prof.N < p.NumVars() {
-		t.Fatalf("dims %dx%d, want rows=%d vars>=%d", prof.M, prof.N, p.NumRows(), p.NumVars())
+	if prof.MaxM != p.NumRows() || prof.MaxN < p.NumVars() {
+		t.Fatalf("dims %dx%d, want rows=%d vars>=%d", prof.MaxM, prof.MaxN, p.NumRows(), p.NumVars())
 	}
 	// BinvBytes counts the rows the solve materialized plus the diagonal
 	// vector; an unprofiled solver on the same problem takes the same
@@ -110,8 +110,8 @@ func TestProfileStructure(t *testing.T) {
 	if _, err := s.run(); err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(8 * prof.M * (s.rows + 1)); prof.BinvBytes != want || s.rows > prof.M {
-		t.Fatalf("BinvBytes = %d, want %d (%d of %d rows materialized)", prof.BinvBytes, want, s.rows, prof.M)
+	if want := int64(8 * prof.MaxM * (s.rows + 1)); prof.BinvBytes != want || s.rows > prof.MaxM {
+		t.Fatalf("BinvBytes = %d, want %d (%d of %d rows materialized)", prof.BinvBytes, want, s.rows, prof.MaxM)
 	}
 	for _, name := range []string{flight.PhaseSetup, flight.PhasePricing, flight.PhaseFtran, flight.PhaseRatio, flight.PhaseUpdate} {
 		ph := prof.Phases[name]

@@ -11,11 +11,9 @@
 // A Span is a named interval with a start time, a duration fixed at
 // End, a parent, and a flat attribute list. Instant events (Span.Event
 // / Tracer.Event) are zero-duration points parented to a span. Sinks
-// receive exactly one Event per span, emitted at End; sinks that also
-// implement StartSink are additionally notified at span start, which is
-// how the human-readable debug sink prints progress in chronological
-// order. Sinks must be safe for concurrent use: the Freeze and Rotate
-// arms of the flow trace into one Tracer from two goroutines.
+// receive exactly one Event per span, emitted at End. Sinks must be safe
+// for concurrent use: the Freeze and Rotate arms of the flow trace into
+// one Tracer from two goroutines.
 package obs
 
 import (
@@ -70,28 +68,9 @@ func Duration(key string, v time.Duration) Attr {
 	return Attr{Key: key, kind: kindDuration, i: int64(v)}
 }
 
-// Value returns the attribute's value boxed as an interface, for sinks
-// and tests that prefer uniform handling over the appendJSON fast path.
-func (a Attr) Value() interface{} {
-	switch a.kind {
-	case kindString:
-		return a.s
-	case kindInt:
-		return a.i
-	case kindFloat:
-		return a.f
-	case kindBool:
-		return a.i != 0
-	case kindDuration:
-		return time.Duration(a.i)
-	default:
-		return nil
-	}
-}
-
 // Event is what sinks receive: one completed span (Instant false) or
 // one instant event (Instant true). Sinks must not retain the Event or
-// its Attrs slice after Emit/SpanStart returns.
+// its Attrs slice after Emit returns.
 type Event struct {
 	// Name is the span or event name (dotted lowercase taxonomy, e.g.
 	// "core.probe").
@@ -101,8 +80,7 @@ type Event struct {
 	ID, Parent uint64
 	// Start is the span start (or the instant of an instant event).
 	Start time.Time
-	// Duration is the span length; 0 for instant events and span-start
-	// notifications.
+	// Duration is the span length; 0 for instant events.
 	Duration time.Duration
 	// Instant marks a point event rather than a completed span.
 	Instant bool
@@ -116,23 +94,13 @@ type Sink interface {
 	Emit(e *Event)
 }
 
-// StartSink is an optional Sink extension notified when a span starts
-// (with the span's start attrs and zero Duration), letting a sink
-// render chronological progress; the matching Emit still follows at
-// span End.
-type StartSink interface {
-	Sink
-	SpanStart(e *Event)
-}
-
 // Tracer fans spans out to its sinks and carries an optional metrics
 // Registry. A nil *Tracer is fully inert; construct live tracers with
 // New.
 type Tracer struct {
-	sinks  []Sink
-	starts []StartSink
-	reg    *Registry
-	ids    atomic.Uint64
+	sinks []Sink
+	reg   *Registry
+	ids   atomic.Uint64
 }
 
 // New returns a tracer emitting to the given sinks (nil sinks are
@@ -141,12 +109,8 @@ type Tracer struct {
 func New(sinks ...Sink) *Tracer {
 	t := &Tracer{}
 	for _, s := range sinks {
-		if s == nil {
-			continue
-		}
-		t.sinks = append(t.sinks, s)
-		if ss, ok := s.(StartSink); ok {
-			t.starts = append(t.starts, ss)
+		if s != nil {
+			t.sinks = append(t.sinks, s)
 		}
 	}
 	return t
@@ -244,12 +208,6 @@ func (t *Tracer) startSpan(parent uint64, name string, attrs []Attr) Span {
 		// Copy: the caller's variadic slice must not escape, so the
 		// disabled path stays allocation-free at every call site.
 		s.attrs = append(make([]Attr, 0, len(attrs)+4), attrs...)
-	}
-	if len(t.starts) > 0 {
-		ev := Event{Name: name, ID: s.id, Parent: parent, Start: s.start, Attrs: s.attrs}
-		for _, ss := range t.starts {
-			ss.SpanStart(&ev)
-		}
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -71,13 +72,13 @@ func TestJSONLRoundTrip(t *testing.T) {
 	sink := obs.NewJSONLSink(&buf)
 	tr := obs.New(sink)
 
-	root := tr.Start("root", obs.String("mode", "rotate \"quoted\"\n"))
+	root := tr.Start("root", obs.String("mode", "rotate \"quoted\" <&>\n"))
 	probe := root.Child("probe", obs.Float("st", 0.5))
 	dive := probe.Child("dive")
 	dive.Event("backjump", obs.Int("depth", 3))
 	time.Sleep(2 * time.Millisecond)
 	dive.End(obs.Int("pins", 7))
-	probe.End(obs.Bool("ok", true))
+	probe.End(obs.Bool("ok", true), obs.Float("gap", math.NaN()))
 	root.End()
 	tr.Event("loose", obs.Duration("dt", 1500*time.Millisecond))
 	if err := sink.Close(); err != nil {
@@ -127,7 +128,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Errorf("dive duration %dus, want >= slept 2000us", byName["dive"].DurUS)
 	}
 	// Attr round-trips: start attrs and End attrs merge on one event.
-	if got := byName["root"].Attrs["mode"]; got != "rotate \"quoted\"\n" {
+	if got := byName["root"].Attrs["mode"]; got != "rotate \"quoted\" <&>\n" {
 		t.Errorf("root mode attr = %q", got)
 	}
 	if got := byName["dive"].Attrs["pins"]; got != float64(7) {
@@ -136,40 +137,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got := byName["probe"].Attrs; got["st"] != 0.5 || got["ok"] != true {
 		t.Errorf("probe attrs = %v", got)
 	}
+	if gap, ok := byName["probe"].Attrs["gap"]; !ok || gap != nil {
+		t.Errorf("NaN attr = %v (present %v), want null", gap, ok)
+	}
 	if got := byName["loose"].Attrs["dt"]; got != 1.5 {
 		t.Errorf("duration attr = %v, want 1.5 (seconds)", got)
-	}
-}
-
-// TestDebugSinkRendering checks the human-readable sink: chronological
-// start/event/end lines, indentation by depth, and attr rendering.
-func TestDebugSinkRendering(t *testing.T) {
-	var buf bytes.Buffer
-	tr := obs.New(obs.NewDebugSink(&buf))
-	root := tr.Start("core.remap", obs.String("mode", "freeze"))
-	p := root.Child("core.probe", obs.Float("st", 0.25))
-	p.Event("core.probe.round", obs.Int("round", 0))
-	p.End(obs.Bool("ok", true))
-	root.End()
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("got %d lines, want 5:\n%s", len(lines), buf.String())
-	}
-	want := []string{
-		"> core.remap mode=freeze",
-		"  > core.probe st=0.25",
-		"    . core.probe.round round=0",
-		"  < core.probe",
-		"< core.remap",
-	}
-	for i, w := range want {
-		if !strings.Contains(lines[i], w) {
-			t.Errorf("line %d = %q, want it to contain %q", i, lines[i], w)
-		}
-	}
-	if !strings.Contains(lines[3], "ok=true") {
-		t.Errorf("span end line %q missing End attr", lines[3])
 	}
 }
 
@@ -177,7 +149,7 @@ func TestDebugSinkRendering(t *testing.T) {
 // tracer (the RemapBoth shape) under -race.
 func TestTracerConcurrency(t *testing.T) {
 	var buf bytes.Buffer
-	tr := obs.New(obs.NewJSONLSink(&buf), obs.NewDebugSink(&bytes.Buffer{})).WithMetrics(obs.NewRegistry())
+	tr := obs.New(obs.NewJSONLSink(&buf)).WithMetrics(obs.NewRegistry())
 	done := make(chan struct{})
 	for g := 0; g < 2; g++ {
 		go func(g int) {

@@ -1,100 +1,14 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
+
+	"agingfp/internal/wire"
 )
-
-// DebugSink renders trace activity as human-readable lines — the
-// replacement for the flow's historical ad-hoc -debug prints. Lines are
-// printed chronologically (span starts, instant events, span ends) with
-// nesting shown by indentation and a monotonic offset from the first
-// event:
-//
-//	+0.000s    > core.remap mode=rotate seed=1
-//	+0.012s    . core.probe.round st_target=0.5120 round=0 status=infeasible
-//	+0.034s    < core.probe (21.7ms) ok=false
-//
-// Safe for concurrent use.
-type DebugSink struct {
-	mu    sync.Mutex
-	w     io.Writer
-	t0    time.Time
-	depth map[uint64]int
-}
-
-// NewDebugSink returns a debug sink writing to w.
-func NewDebugSink(w io.Writer) *DebugSink {
-	return &DebugSink{w: w, depth: map[uint64]int{}}
-}
-
-func (d *DebugSink) line(e *Event, marker string, dur time.Duration, closing bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.t0.IsZero() {
-		d.t0 = e.Start
-	}
-	depth := 0
-	if e.Parent != 0 {
-		depth = d.depth[e.Parent] + 1
-	}
-	switch {
-	case closing:
-		delete(d.depth, e.ID)
-	case !e.Instant:
-		d.depth[e.ID] = depth
-	}
-	at := e.Start.Sub(d.t0)
-	if closing {
-		at += dur
-	}
-	buf := make([]byte, 0, 96)
-	buf = append(buf, fmt.Sprintf("%+9.3fs %*s%s %s", at.Seconds(), 2*depth, "", marker, e.Name)...)
-	if closing {
-		buf = append(buf, fmt.Sprintf(" (%s)", dur.Round(10*time.Microsecond))...)
-	}
-	for _, a := range e.Attrs {
-		buf = append(buf, ' ')
-		buf = append(buf, a.Key...)
-		buf = append(buf, '=')
-		buf = appendDebugValue(buf, a)
-	}
-	buf = append(buf, '\n')
-	d.w.Write(buf)
-}
-
-// SpanStart implements StartSink.
-func (d *DebugSink) SpanStart(e *Event) { d.line(e, ">", 0, false) }
-
-// Emit implements Sink.
-func (d *DebugSink) Emit(e *Event) {
-	if e.Instant {
-		d.line(e, ".", 0, false)
-		return
-	}
-	d.line(e, "<", e.Duration, true)
-}
-
-func appendDebugValue(buf []byte, a Attr) []byte {
-	switch a.kind {
-	case kindString:
-		return append(buf, a.s...)
-	case kindInt:
-		return strconv.AppendInt(buf, a.i, 10)
-	case kindFloat:
-		return strconv.AppendFloat(buf, a.f, 'g', 6, 64)
-	case kindBool:
-		return strconv.AppendBool(buf, a.i != 0)
-	case kindDuration:
-		return append(buf, time.Duration(a.i).Round(time.Microsecond).String()...)
-	default:
-		return append(buf, '?')
-	}
-}
 
 // JSONLSink writes one JSON object per completed span or instant event,
 // suitable for chrome://tracing-style post-processing:
@@ -124,7 +38,7 @@ func (s *JSONLSink) Emit(e *Event) {
 	defer s.mu.Unlock()
 	b := s.buf
 	b = append(b, `{"name":`...)
-	b = appendJSONString(b, e.Name)
+	b = wire.AppendString(b, e.Name)
 	b = append(b, `,"id":`...)
 	b = strconv.AppendUint(b, e.ID, 10)
 	if e.Parent != 0 {
@@ -144,7 +58,7 @@ func (s *JSONLSink) Emit(e *Event) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(b, a.Key)
+			b = wire.AppendString(b, a.Key)
 			b = append(b, ':')
 			b = appendJSONValue(b, a)
 		}
@@ -179,61 +93,20 @@ func (s *JSONLSink) flushLocked() {
 func appendJSONValue(b []byte, a Attr) []byte {
 	switch a.kind {
 	case kindString:
-		return appendJSONString(b, a.s)
+		return wire.AppendString(b, a.s)
 	case kindInt:
 		return strconv.AppendInt(b, a.i, 10)
 	case kindFloat:
-		return appendJSONFloat(b, a.f)
+		if math.IsNaN(a.f) || math.IsInf(a.f, 0) {
+			return append(b, "null"...) // JSON has no NaN or Inf literal
+		}
+		return wire.AppendFloat(b, a.f)
 	case kindBool:
 		return strconv.AppendBool(b, a.i != 0)
 	case kindDuration:
 		// Durations serialize as float seconds.
-		return appendJSONFloat(b, time.Duration(a.i).Seconds())
+		return wire.AppendFloat(b, time.Duration(a.i).Seconds())
 	default:
 		return append(b, "null"...)
 	}
-}
-
-// appendJSONFloat renders f as a valid JSON number (JSON has no
-// NaN/Inf literals; they become null).
-func appendJSONFloat(b []byte, f float64) []byte {
-	if f != f || f > 1e308 || f < -1e308 {
-		return append(b, "null"...)
-	}
-	return strconv.AppendFloat(b, f, 'g', -1, 64)
-}
-
-// appendJSONString appends s as a JSON string literal, escaping the
-// characters JSON requires (quote, backslash, control characters).
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-			i++
-		case c == '\n':
-			b = append(b, '\\', 'n')
-			i++
-		case c == '\t':
-			b = append(b, '\\', 't')
-			i++
-		case c < 0x20:
-			b = append(b, fmt.Sprintf(`\u%04x`, c)...)
-			i++
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			i++
-		default:
-			r, size := utf8.DecodeRuneInString(s[i:])
-			if r == utf8.RuneError && size == 1 {
-				b = append(b, `�`...)
-			} else {
-				b = append(b, s[i:i+size]...)
-			}
-			i += size
-		}
-	}
-	return append(b, '"')
 }

@@ -84,10 +84,6 @@ type Config struct {
 	// journals and reports grow a kernel section, and wide events carry
 	// per-phase times. Requires FlightEvents recording.
 	KernelProfile bool
-	// ProfileRing, when set, links slow-solve outliers to the daemon's
-	// continuous CPU-profile ring: the capture window covering the slow
-	// job is copied aside under the job's id.
-	ProfileRing *telemetry.ProfRing
 	// SSEKeepAlive is the idle interval after which the /events stream
 	// emits a `: keep-alive` comment, so reverse proxies do not reap
 	// quiet connections and dead clients are detected by the failed
@@ -964,11 +960,8 @@ func (s *Server) finish(j *job, end ending) {
 	s.logJob(j, "job finished", attrs...)
 	tp := s.cfg.Telemetry
 	if out := tp.Record(ev); out.Slow {
-		// Link the continuous profiler to the outlier: the CPU capture
-		// window in flight right now covered (at least the tail of) the
-		// slow solve. Its flight journal goes next to the event store, so
+		// The outlier's flight journal goes next to the event store, so
 		// the decision log is on disk before anyone asks.
-		s.cfg.ProfileRing.Mark(j.id)
 		if j.flight != nil {
 			path := tp.CaptureSlow(j.id, j.flight.Snapshot().WriteJSON)
 			s.logJob(j, "slow solve captured",

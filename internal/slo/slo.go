@@ -6,10 +6,12 @@
 // The engine deliberately does NOT read the telemetry aggregation ring:
 // the slow burn pair needs a 6-hour window, twice the default ring span,
 // and objective classification needs only two integers per event. So the
-// engine keeps its own ring of per-objective good/eligible counters
-// (tiny: two int64 per objective per minute cell) and subscribes to the
-// pipeline through telemetry.Config.Observers — which also feeds it the
-// durable history replayed at open, so error budgets survive restarts.
+// engine keeps its own telemetry.Ring of per-objective good/eligible
+// counters (tiny: two int64 per objective per minute cell), which slots,
+// drops and windows events by the same rule as the aggregation ring,
+// and subscribes to the pipeline through telemetry.Config.Observers —
+// which also feeds it the durable history replayed at open, so error
+// budgets survive restarts.
 //
 // Alerting follows the multi-window multi-burn-rate recipe: a "fast"
 // pair (5m + 1h) catches sharp regressions within minutes, a "slow" pair
@@ -141,7 +143,6 @@ func (c Config) withDefaults() Config {
 // sloCell is one ring slot: per-objective good and eligible counts,
 // indexed in objective declaration order.
 type sloCell struct {
-	start    int64 // unix nanoseconds of the slot start; 0 = empty
 	good     []int64
 	eligible []int64
 }
@@ -161,7 +162,7 @@ type Engine struct {
 	objs []Objective
 
 	mu     sync.Mutex
-	cells  []sloCell
+	ring   *telemetry.Ring[sloCell]
 	alerts []pairState
 }
 
@@ -188,7 +189,7 @@ func New(objs []Objective, cfg Config) *Engine {
 	e := &Engine{
 		cfg:    cfg,
 		objs:   kept,
-		cells:  make([]sloCell, int(slowPair.long/ringStep)+1),
+		ring:   telemetry.NewRing[sloCell](ringStep, int(slowPair.long/ringStep)+1),
 		alerts: make([]pairState, len(kept)),
 	}
 	// Publish the gauges at boot so dashboards see a full budget and a
@@ -218,22 +219,16 @@ func (e *Engine) Record(ev *telemetry.SolveEvent) {
 	if when.IsZero() {
 		when = e.cfg.Now()
 	}
-	slotStart := when.Truncate(ringStep).UnixNano()
-	idx := int((slotStart / int64(ringStep)) % int64(len(e.cells)))
-	if idx < 0 {
-		idx += len(e.cells)
-	}
 
 	touched := make([]int, 0, len(e.objs))
 	e.mu.Lock()
-	c := &e.cells[idx]
-	if c.start != slotStart {
-		if c.start > slotStart {
-			e.mu.Unlock()
-			return // beyond the ring horizon
-		}
+	c := e.ring.Slot(when)
+	if c == nil {
+		e.mu.Unlock()
+		return // beyond the ring horizon
+	}
+	if c.good == nil {
 		*c = sloCell{
-			start:    slotStart,
 			good:     make([]int64, len(e.objs)),
 			eligible: make([]int64, len(e.objs)),
 		}
@@ -258,26 +253,13 @@ func (e *Engine) Record(ev *telemetry.SolveEvent) {
 
 // counts merges the ring over the trailing window.
 func (e *Engine) counts(obj int, window time.Duration) (good, eligible int64) {
-	span := ringStep * time.Duration(len(e.cells))
-	if window <= 0 || window > span {
-		window = span
-	}
 	now := e.cfg.Now()
-	since := now.Add(-window).Truncate(ringStep)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := range e.cells {
-		c := &e.cells[i]
-		if c.start == 0 {
-			continue
-		}
-		start := time.Unix(0, c.start)
-		if start.Before(since) || start.After(now) {
-			continue
-		}
+	e.ring.Each(now, window, func(c *sloCell) {
 		good += c.good[obj]
 		eligible += c.eligible[obj]
-	}
+	})
 	return good, eligible
 }
 
@@ -402,10 +384,7 @@ func (e *Engine) Status(window time.Duration) *Status {
 	if e == nil {
 		return nil
 	}
-	span := ringStep * time.Duration(len(e.cells))
-	if window <= 0 || window > span {
-		window = span
-	}
+	window = e.ring.Clamp(window)
 	now := e.cfg.Now()
 	out := &Status{
 		Window: window.String(),

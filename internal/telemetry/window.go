@@ -101,14 +101,33 @@ func (b *bucketStats) merge(o *bucketStats) {
 	}
 }
 
-// cell is one time slot of the ring: totals plus per-shape-bucket,
-// per-benchmark, and per-tenant breakdowns.
+// cell is one time slot of the ring, or the merge of a window's
+// slots: totals plus per-shape-bucket, per-benchmark, and per-tenant
+// breakdowns.
 type cell struct {
-	start   int64 // unix nanoseconds of the slot start; 0 = empty
 	total   *bucketStats
 	shapes  map[string]*bucketStats
 	benches map[string]*bucketStats
 	tenants map[string]*bucketStats
+}
+
+func newCell(alpha float64) cell {
+	return cell{
+		total:   newBucketStats(alpha),
+		shapes:  make(map[string]*bucketStats),
+		benches: make(map[string]*bucketStats),
+		tenants: make(map[string]*bucketStats),
+	}
+}
+
+// bucket returns the breakdown entry for key, created on first use.
+func bucket(m map[string]*bucketStats, key string, alpha float64) *bucketStats {
+	b := m[key]
+	if b == nil {
+		b = newBucketStats(alpha)
+		m[key] = b
+	}
+	return b
 }
 
 // DefaultTenantCap bounds the distinct tenant identities the aggregator
@@ -160,15 +179,14 @@ func (t *TenantTracker) Label(tenant string) string {
 	return TenantOther
 }
 
-// Aggregator maintains a fixed ring of time cells (Step wide, Cells
-// long) holding windowed traffic statistics. Events are slotted by
-// their own timestamps — so replaying the durable store after a restart
-// rebuilds exactly the history the previous process had — and queries
-// merge the cells inside the requested window.
+// Aggregator maintains a Ring of time cells (Step wide, Cells long)
+// holding windowed traffic statistics. Events are slotted by their own
+// timestamps — so replaying the durable store after a restart rebuilds
+// exactly the history the previous process had — and queries merge the
+// cells inside the requested window.
 //
 // All methods are safe for concurrent use.
 type Aggregator struct {
-	step  time.Duration
 	alpha float64
 	now   func() time.Time
 
@@ -178,8 +196,8 @@ type Aggregator struct {
 	// DefaultTenantCap.
 	tenants *TenantTracker
 
-	mu    sync.Mutex
-	cells []cell
+	mu   sync.Mutex
+	ring *Ring[cell]
 }
 
 const (
@@ -203,66 +221,32 @@ func NewAggregator(step time.Duration, cells int, alpha float64, now func() time
 	if now == nil {
 		now = time.Now
 	}
-	return &Aggregator{step: step, alpha: alpha, now: now, tenants: NewTenantTracker(0), cells: make([]cell, cells)}
+	return &Aggregator{alpha: alpha, now: now, tenants: NewTenantTracker(0), ring: NewRing[cell](step, cells)}
 }
 
-func (a *Aggregator) lock()   { a.mu.Lock() }
-func (a *Aggregator) unlock() { a.mu.Unlock() }
-
 // Span is the total history the ring can hold.
-func (a *Aggregator) Span() time.Duration { return a.step * time.Duration(len(a.cells)) }
-
-// Step is the cell width.
-func (a *Aggregator) Step() time.Duration { return a.step }
+func (a *Aggregator) Span() time.Duration { return a.ring.Span() }
 
 // Record slots ev by its own timestamp. Events older than the cell
 // currently occupying their slot are dropped — they are beyond the
 // ring's horizon and still live in the durable store.
 func (a *Aggregator) Record(ev *SolveEvent) {
-	slotStart := ev.Time.Truncate(a.step).UnixNano()
-	idx := int((slotStart / int64(a.step)) % int64(len(a.cells)))
-	if idx < 0 {
-		idx += len(a.cells)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	c := a.ring.Slot(ev.Time)
+	if c == nil {
+		return // older than the ring horizon
 	}
-	a.lock()
-	defer a.unlock()
-	c := &a.cells[idx]
-	if c.start != slotStart {
-		if c.start > slotStart {
-			return // older than the ring horizon
-		}
-		*c = cell{
-			start:   slotStart,
-			total:   newBucketStats(a.alpha),
-			shapes:  make(map[string]*bucketStats),
-			benches: make(map[string]*bucketStats),
-			tenants: make(map[string]*bucketStats),
-		}
+	if c.total == nil {
+		*c = newCell(a.alpha)
 	}
 	c.total.record(ev)
-	shape := ev.ShapeBucket()
-	sb := c.shapes[shape]
-	if sb == nil {
-		sb = newBucketStats(a.alpha)
-		c.shapes[shape] = sb
-	}
-	sb.record(ev)
+	bucket(c.shapes, ev.ShapeBucket(), a.alpha).record(ev)
 	if ev.Bench != "" {
-		bb := c.benches[ev.Bench]
-		if bb == nil {
-			bb = newBucketStats(a.alpha)
-			c.benches[ev.Bench] = bb
-		}
-		bb.record(ev)
+		bucket(c.benches, ev.Bench, a.alpha).record(ev)
 	}
 	if ev.Tenant != "" {
-		label := a.tenants.Label(ev.Tenant)
-		tb := c.tenants[label]
-		if tb == nil {
-			tb = newBucketStats(a.alpha)
-			c.tenants[label] = tb
-		}
-		tb.record(ev)
+		bucket(c.tenants, a.tenants.Label(ev.Tenant), a.alpha).record(ev)
 	}
 }
 
@@ -369,83 +353,62 @@ type WindowStats struct {
 	ReplaySkipped int64 `json:"replay_skipped,omitempty"`
 }
 
+// merge folds every cell inside the trailing window ending at now into
+// one, visiting the cells in slot order.
+func (a *Aggregator) merge(now time.Time, window time.Duration) cell {
+	m := newCell(a.alpha)
+	into := func(dst, src map[string]*bucketStats) {
+		for k, b := range src {
+			bucket(dst, k, a.alpha).merge(b)
+		}
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.ring.Each(now, window, func(c *cell) {
+		m.total.merge(c.total)
+		into(m.shapes, c.shapes)
+		into(m.benches, c.benches)
+		into(m.tenants, c.tenants)
+	})
+	return m
+}
+
+// summarizeAll summarizes each entry of a breakdown; nil when empty.
+func summarizeAll(m map[string]*bucketStats) map[string]BucketSummary {
+	if len(m) == 0 {
+		return nil
+	}
+	out := make(map[string]BucketSummary, len(m))
+	for k, b := range m {
+		out[k] = summarize(b)
+	}
+	return out
+}
+
 // Stats merges every cell inside the trailing window (clamped to the
 // ring span) into one summary document.
 func (a *Aggregator) Stats(window time.Duration) *WindowStats {
-	if window <= 0 || window > a.Span() {
-		window = a.Span()
-	}
+	window = a.ring.Clamp(window)
 	now := a.now()
-	since := now.Add(-window)
+	m := a.merge(now, window)
+	total := m.total
 	out := &WindowStats{
-		Window: window.String(),
-		Step:   a.step.String(),
-		Since:  since,
-		Until:  now,
+		Window:         window.String(),
+		Step:           a.ring.Step().String(),
+		Since:          now.Add(-window),
+		Until:          now,
+		Jobs:           total.jobs,
+		JobsPerMin:     float64(total.jobs) / window.Minutes(),
+		QueueWaitP50Ms: total.queueWaitMs.Quantile(0.50),
+		QueueWaitP99Ms: total.queueWaitMs.Quantile(0.99),
+		Total:          summarize(total),
+		Shapes:         summarizeAll(m.shapes),
+		Benchmarks:     summarizeAll(m.benches),
+		Tenants:        summarizeAll(m.tenants),
 	}
-	total := newBucketStats(a.alpha)
-	shapes := map[string]*bucketStats{}
-	benches := map[string]*bucketStats{}
-	tenants := map[string]*bucketStats{}
-
-	a.lock()
-	for i := range a.cells {
-		c := &a.cells[i]
-		if c.start == 0 {
-			continue
-		}
-		start := time.Unix(0, c.start)
-		if start.Before(since.Truncate(a.step)) || start.After(now) {
-			continue
-		}
-		total.merge(c.total)
-		for k, b := range c.shapes {
-			if shapes[k] == nil {
-				shapes[k] = newBucketStats(a.alpha)
-			}
-			shapes[k].merge(b)
-		}
-		for k, b := range c.benches {
-			if benches[k] == nil {
-				benches[k] = newBucketStats(a.alpha)
-			}
-			benches[k].merge(b)
-		}
-		for k, b := range c.tenants {
-			if tenants[k] == nil {
-				tenants[k] = newBucketStats(a.alpha)
-			}
-			tenants[k].merge(b)
-		}
-	}
-	a.unlock()
-
-	out.Jobs = total.jobs
-	out.JobsPerMin = float64(total.jobs) / window.Minutes()
 	if total.jobs > 0 {
 		out.FailureRate = float64(total.failures) / float64(total.jobs)
 		out.CacheHitRate = float64(total.cacheHits) / float64(total.jobs)
-	}
-	out.QueueWaitP50Ms = total.queueWaitMs.Quantile(0.50)
-	out.QueueWaitP99Ms = total.queueWaitMs.Quantile(0.99)
-	out.Total = summarize(total)
-	if len(shapes) > 0 {
-		out.Shapes = make(map[string]BucketSummary, len(shapes))
-		for k, b := range shapes {
-			out.Shapes[k] = summarize(b)
-		}
-	}
-	if len(benches) > 0 {
-		out.Benchmarks = make(map[string]BucketSummary, len(benches))
-		for k, b := range benches {
-			out.Benchmarks[k] = summarize(b)
-		}
-	}
-	if len(tenants) > 0 {
-		out.Tenants = make(map[string]BucketSummary, len(tenants))
-		for k, b := range tenants {
-			out.Tenants[k] = summarize(b)
-		}
 	}
 	return out
 }
@@ -460,37 +423,23 @@ type TenantWindow struct {
 	Summary BucketSummary `json:"summary"`
 }
 
-// TenantStats summarizes one tenant over the trailing window. A tenant
-// with no traffic in the window returns a zero summary (the identity is
-// echoed back, so the response is still self-describing).
+// TenantStats summarizes one tenant over the trailing window, from the
+// same merge Stats reads. A tenant with no traffic in the window
+// returns a zero summary (the identity is echoed back, so the response
+// is still self-describing).
 func (a *Aggregator) TenantStats(tenant string, window time.Duration) *TenantWindow {
-	if window <= 0 || window > a.Span() {
-		window = a.Span()
-	}
+	window = a.ring.Clamp(window)
 	now := a.now()
-	since := now.Add(-window).Truncate(a.step)
-	merged := newBucketStats(a.alpha)
-	a.lock()
-	for i := range a.cells {
-		c := &a.cells[i]
-		if c.start == 0 {
-			continue
-		}
-		start := time.Unix(0, c.start)
-		if start.Before(since) || start.After(now) {
-			continue
-		}
-		if b := c.tenants[tenant]; b != nil {
-			merged.merge(b)
-		}
+	b := a.merge(now, window).tenants[tenant]
+	if b == nil {
+		b = newBucketStats(a.alpha)
 	}
-	a.unlock()
 	return &TenantWindow{
 		Tenant:  tenant,
 		Window:  window.String(),
 		Since:   now.Add(-window),
 		Until:   now,
-		Summary: summarize(merged),
+		Summary: summarize(b),
 	}
 }
 
@@ -498,27 +447,15 @@ func (a *Aggregator) TenantStats(tenant string, window time.Duration) *TenantWin
 // bucket over the trailing window, with the number of solved samples
 // behind it — the slow-solve capture threshold.
 func (a *Aggregator) ShapeQuantile(shape string, q float64, window time.Duration) (ms float64, samples int64) {
-	if window <= 0 || window > a.Span() {
-		window = a.Span()
-	}
 	now := a.now()
-	since := now.Add(-window).Truncate(a.step)
 	merged := NewSketch(a.alpha)
-	a.lock()
-	for i := range a.cells {
-		c := &a.cells[i]
-		if c.start == 0 {
-			continue
-		}
-		start := time.Unix(0, c.start)
-		if start.Before(since) || start.After(now) {
-			continue
-		}
+	a.mu.Lock()
+	a.ring.Each(now, window, func(c *cell) {
 		if b := c.shapes[shape]; b != nil {
 			merged.Merge(b.elapsedMs)
 		}
-	}
-	a.unlock()
+	})
+	a.mu.Unlock()
 	return merged.Quantile(q), merged.Count()
 }
 
@@ -533,34 +470,22 @@ type SeriesPoint struct {
 // Series returns one point per cell across the trailing window, oldest
 // first, empty cells included as zeros — the dashboard's time axis.
 func (a *Aggregator) Series(window time.Duration) []SeriesPoint {
-	if window <= 0 || window > a.Span() {
-		window = a.Span()
-	}
-	now := a.now()
-	n := int(window / a.step)
-	if n < 1 {
-		n = 1
-	}
-	byStart := map[int64]*cell{}
-	a.lock()
-	for i := range a.cells {
-		if a.cells[i].start != 0 {
-			byStart[a.cells[i].start] = &a.cells[i]
-		}
-	}
-	end := now.Truncate(a.step)
+	step := a.ring.Step()
+	n := max(int(a.ring.Clamp(window)/step), 1)
+	end := a.now().Truncate(step)
 	out := make([]SeriesPoint, 0, n)
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for i := n - 1; i >= 0; i-- {
-		start := end.Add(-time.Duration(i) * a.step)
+		start := end.Add(-time.Duration(i) * step)
 		p := SeriesPoint{Start: start}
-		if c := byStart[start.UnixNano()]; c != nil {
+		if c := a.ring.At(start); c != nil {
 			p.Jobs = c.total.jobs
 			p.Failures = c.total.failures
 			p.P90Ms = c.total.elapsedMs.Quantile(0.90)
 		}
 		out = append(out, p)
 	}
-	a.unlock()
 	return out
 }
 
@@ -569,41 +494,26 @@ func (a *Aggregator) Series(window time.Duration) []SeriesPoint {
 // slice — the dashboard heatmap's matrix. Row labels (shapes, sorted),
 // column labels (slice start times, HH:MM), and vals[row][col] align.
 func (a *Aggregator) ShapeHeat(window time.Duration, cols int) (shapes, colLabels []string, vals [][]float64) {
-	if window <= 0 || window > a.Span() {
-		window = a.Span()
-	}
 	if cols < 1 {
 		cols = 1
 	}
-	cells := int(window / a.step)
-	if cells < 1 {
-		cells = 1
-	}
+	step := a.ring.Step()
+	cells := max(int(a.ring.Clamp(window)/step), 1)
 	perCol := (cells + cols - 1) / cols
 	nCols := (cells + perCol - 1) / perCol
 
-	now := a.now()
-	end := now.Truncate(a.step)
-	byStart := map[int64]*cell{}
-	a.lock()
-	for i := range a.cells {
-		if a.cells[i].start != 0 {
-			byStart[a.cells[i].start] = &a.cells[i]
-		}
-	}
+	end := a.now().Truncate(step)
 	counts := map[string][]float64{} // shape -> per-column jobs
 	colLabels = make([]string, nCols)
+	a.mu.Lock()
 	for col := 0; col < nCols; col++ {
 		// Columns run oldest to newest; each spans perCol cells. A cell's
 		// offset d counts steps back from the newest cell (d = 0).
 		dLow := (nCols - 1 - col) * perCol
-		dHigh := dLow + perCol - 1
-		if dHigh > cells-1 {
-			dHigh = cells - 1
-		}
-		colLabels[col] = end.Add(-time.Duration(dHigh) * a.step).Format("15:04")
+		dHigh := min(dLow+perCol-1, cells-1)
+		colLabels[col] = end.Add(-time.Duration(dHigh) * step).Format("15:04")
 		for d := dLow; d <= dHigh; d++ {
-			c := byStart[end.Add(-time.Duration(d)*a.step).UnixNano()]
+			c := a.ring.At(end.Add(-time.Duration(d) * step))
 			if c == nil {
 				continue
 			}
@@ -615,7 +525,7 @@ func (a *Aggregator) ShapeHeat(window time.Duration, cols int) (shapes, colLabel
 			}
 		}
 	}
-	a.unlock()
+	a.mu.Unlock()
 
 	shapes = make([]string, 0, len(counts))
 	for s := range counts {

@@ -45,11 +45,18 @@ func TestAggregatorWindowing(t *testing.T) {
 		t.Fatalf("p50 = %g, want ~100 within sketch error", st.Total.P50Ms)
 	}
 
-	// Events beyond the ring horizon are dropped: a 30-cell ring wraps a
-	// 30-minute-old event onto the newest cell's slot, which is occupied
-	// by a newer start and must win.
+	// A 30-minute-old event lies in the oldest cell of the full-span
+	// window and is kept.
 	before := a.Stats(a.Span()).Jobs
 	a.Record(solvedEvent(testBase.Add(-30*time.Minute), "B1", 20, 4, 100))
+	if after := a.Stats(a.Span()).Jobs; after != before+1 {
+		t.Fatalf("event inside the full-span window: totals %d -> %d, want +1", before, after)
+	}
+	// Events beyond the ring horizon are dropped: a 30-minute ring wraps
+	// a 31-minute-old event onto the newest cell's slot, which is
+	// occupied by a newer start and must win.
+	before++
+	a.Record(solvedEvent(testBase.Add(-31*time.Minute), "B1", 20, 4, 100))
 	if after := a.Stats(a.Span()).Jobs; after != before {
 		t.Fatalf("event older than the ring changed totals: %d -> %d", before, after)
 	}
