@@ -208,13 +208,12 @@ func BenchmarkWarmVsColdSimplex(b *testing.B) {
 		b.Fatal(err)
 	}
 	s0 := arch.ComputeStress(d, m0)
-	opts := core.DefaultOptions()
 	base := s0.Max()
 	var probes []*lp.Problem
 	for k := 0; k < 6; k++ {
 		target := base * (1 - 0.01*float64(k))
 		rng := rand.New(rand.NewSource(11)) // same seed: identical candidate sets, so identical LP structure
-		probes = append(probes, core.FullProblemLP(d, m0, target, opts, rng))
+		probes = append(probes, core.FullProblemLP(d, m0, target, rng))
 	}
 	want := make([]float64, len(probes))
 	for k, p := range probes {

@@ -35,9 +35,6 @@ func RunBudgetAblation(ctx context.Context, spec Spec, cfg Config) (*BudgetAblat
 	if cfg.Thermal.RVertical == 0 {
 		cfg.Thermal = thermal.DefaultConfig()
 	}
-	if cfg.Remap.PathThresholdFrac == 0 {
-		cfg.Remap = core.DefaultOptions()
-	}
 	d, err := Synthesize(spec)
 	if err != nil {
 		return nil, err
@@ -50,8 +47,9 @@ func RunBudgetAblation(ctx context.Context, spec Spec, cfg Config) (*BudgetAblat
 
 	out := &BudgetAblation{Spec: spec, OrigCPD: res0.CPD, ClockNs: d.ClockPeriodNs}
 	for _, relaxed := range []bool{false, true} {
-		opts := cfg.Remap
+		opts := core.DefaultOptions()
 		opts.Seed = spec.Seed
+		opts.Trace = cfg.Trace
 		if relaxed {
 			opts.CPDBudgetNs = d.ClockPeriodNs
 		}

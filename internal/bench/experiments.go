@@ -39,9 +39,6 @@ func RunFig2b(ctx context.Context, spec Spec, cfg Config) (*Fig2b, error) {
 	if cfg.Thermal.RVertical == 0 {
 		cfg.Thermal = thermal.DefaultConfig()
 	}
-	if cfg.Remap.PathThresholdFrac == 0 {
-		cfg.Remap = core.DefaultOptions()
-	}
 	d, err := Synthesize(spec)
 	if err != nil {
 		return nil, err
@@ -50,7 +47,7 @@ func RunFig2b(ctx context.Context, spec Spec, cfg Config) (*Fig2b, error) {
 	if err != nil {
 		return nil, err
 	}
-	rr, err := core.Remap(ctx, d, m0, cfg.Remap)
+	rr, err := core.Remap(ctx, d, m0, core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -208,9 +205,6 @@ type GreedyComparison struct {
 
 // RunGreedy runs E7 for one spec.
 func RunGreedy(ctx context.Context, spec Spec, cfg Config) (*GreedyComparison, error) {
-	if cfg.Remap.PathThresholdFrac == 0 {
-		cfg.Remap = core.DefaultOptions()
-	}
 	d, err := Synthesize(spec)
 	if err != nil {
 		return nil, err
@@ -226,7 +220,7 @@ func RunGreedy(ctx context.Context, spec Spec, cfg Config) (*GreedyComparison, e
 	gs := arch.ComputeStress(d, gm)
 	gres := timing.Analyze(d, gm)
 
-	rr, err := core.Remap(ctx, d, m0, cfg.Remap)
+	rr, err := core.Remap(ctx, d, m0, core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,6 @@ import (
 
 // Config parameterizes a suite run.
 type Config struct {
-	// Remap tunes the re-mapper; zero value selects core.DefaultOptions.
-	Remap core.Options
 	// Model is the NBTI calibration; zero value selects the default.
 	Model nbti.Model
 	// Thermal is the compact thermal calibration; zero value selects the
@@ -44,16 +42,14 @@ type Config struct {
 	Progress func(string)
 	// Trace observes the suite: one "bench.run" span per benchmark whose
 	// end event carries the structured result (increases, CPDs, LP-solve
-	// counts), with the re-mapper's own spans nested beneath it. Copied
-	// into Remap.Trace unless the caller set that separately. nil (the
-	// default) costs nothing.
+	// counts), with the re-mapper's own spans nested beneath it. nil
+	// (the default) costs nothing.
 	Trace *obs.Tracer
 }
 
 // DefaultConfig returns the standard experiment configuration.
 func DefaultConfig() Config {
 	return Config{
-		Remap:          core.DefaultOptions(),
 		Model:          nbti.DefaultModel(),
 		Thermal:        thermal.DefaultConfig(),
 		Scale:          1.0,
@@ -114,18 +110,14 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 	if cfg.Thermal.RVertical == 0 {
 		cfg.Thermal = thermal.DefaultConfig()
 	}
-	if cfg.Remap.PathThresholdFrac == 0 {
-		cfg.Remap = core.DefaultOptions()
-	}
-	cfg.Remap.Seed = spec.Seed
-	if cfg.Remap.Trace == nil {
-		cfg.Remap.Trace = cfg.Trace
-	}
+	opts := core.DefaultOptions()
+	opts.Seed = spec.Seed
+	opts.Trace = cfg.Trace
 	start := time.Now()
-	bsp := cfg.Remap.Trace.Start("bench.run",
+	bsp := opts.Trace.Start("bench.run",
 		obs.String("name", spec.Name), obs.Int("contexts", spec.Contexts),
 		obs.String("band", spec.Band.String()), obs.Int64("seed", spec.Seed))
-	cfg.Remap.TraceParent = bsp
+	opts.TraceParent = bsp
 	// The span's end event is the structured per-benchmark result record.
 	var r *Result
 	defer func() {
@@ -158,7 +150,7 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("bench: %s: %w", spec.Name, err)
 	}
 
-	fr, ro, err := core.RemapBoth(ctx, d, m0, cfg.Remap)
+	fr, ro, err := core.RemapBoth(ctx, d, m0, opts)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", spec.Name, err)
 	}
@@ -166,7 +158,7 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 		// Both searches struck out on this seed; one retry with a
 		// different search seed recovers plain search-noise failures
 		// (the MILP feasibility dive is randomized).
-		retry := cfg.Remap
+		retry := opts
 		retry.Seed = spec.Seed + 9173
 		fr2, ro2, err := core.RemapBoth(ctx, d, m0, retry)
 		if err != nil {

@@ -31,10 +31,9 @@ func RunWear(ctx context.Context, spec Spec, cfg Config, k int) (*WearResult, er
 	if cfg.Thermal.RVertical == 0 {
 		cfg.Thermal = thermal.DefaultConfig()
 	}
-	if cfg.Remap.PathThresholdFrac == 0 {
-		cfg.Remap = core.DefaultOptions()
-	}
-	cfg.Remap.Seed = spec.Seed
+	opts := core.DefaultOptions()
+	opts.Seed = spec.Seed
+	opts.Trace = cfg.Trace
 	d, err := Synthesize(spec)
 	if err != nil {
 		return nil, err
@@ -47,7 +46,7 @@ func RunWear(ctx context.Context, spec Spec, cfg Config, k int) (*WearResult, er
 	if err != nil {
 		return nil, err
 	}
-	ws, err := core.DiversifiedRemap(ctx, d, m0, cfg.Remap, k)
+	ws, err := core.DiversifiedRemap(ctx, d, m0, opts, k)
 	if err != nil {
 		return nil, err
 	}

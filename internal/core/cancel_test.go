@@ -118,20 +118,15 @@ func TestOptionsValidate(t *testing.T) {
 	if err := DefaultOptions().Validate(); err != nil {
 		t.Fatalf("DefaultOptions invalid: %v", err)
 	}
+	if err := (Options{}).Validate(); err != nil {
+		t.Fatalf("zero Options invalid: %v", err)
+	}
 	cases := []struct {
 		name   string
 		mutate func(*Options)
 	}{
 		{"mode", func(o *Options) { o.Mode = Mode(9) }},
-		{"path-threshold", func(o *Options) { o.PathThresholdFrac = 0 }},
-		{"round-threshold", func(o *Options) { o.RoundThreshold = 0.5 }},
-		{"max-paths", func(o *Options) { o.MaxPaths = -1 }},
-		{"delta-frac", func(o *Options) { o.DeltaFrac = 1.5 }},
-		{"binary-steps", func(o *Options) { o.BinarySearchSteps = -2 }},
 		{"time-limit", func(o *Options) { o.TimeLimit = -time.Second }},
-		{"rotation-restarts", func(o *Options) { o.RotationRestarts = -1 }},
-		{"crit-eps", func(o *Options) { o.CritEpsNs = -0.1 }},
-		{"repair-rounds", func(o *Options) { o.PathRepairRounds = -1 }},
 		{"cpd-budget", func(o *Options) { o.CPDBudgetNs = -1 }},
 	}
 	for _, tc := range cases {
@@ -145,7 +140,7 @@ func TestOptionsValidate(t *testing.T) {
 	// Remap itself rejects invalid options before doing any work.
 	d, m0 := buildSmall(t, dfg.FIR(16), 6, 6)
 	bad := DefaultOptions()
-	bad.RoundThreshold = 2
+	bad.Mode = Mode(2)
 	if _, err := Remap(context.Background(), d, m0, bad); err == nil {
 		t.Fatal("Remap accepted invalid options")
 	}

@@ -7,10 +7,11 @@
 // accumulated NBTI stress across the fabric — raising the MTTF — while
 // provably not increasing the critical path delay:
 //
-//  1. Step 1 determines a lower bound for the per-PE accumulated stress
-//     budget ST_target by binary search over delay-unaware feasibility
-//     MILPs (solved with the paper's LP-relax / round>0.95 / residual-ILP
-//     scheme).
+//  1. Step 1 sets the per-PE accumulated stress budget ST_target that
+//     the search starts from. The paper binary-searches delay-unaware
+//     feasibility MILPs for a lower bound; this repo takes the LPT greedy
+//     level (GreedyLevel), an achievable delay-unaware budget that tests
+//     check against the exact min-max stress (DESIGN.md §4b.3).
 //  2. Step 2.1 freezes each context's critical paths as rigid shapes and
 //     rotates them among the 8 grid isometries to minimize the overlap of
 //     critical-path operations on particular PEs (Rotate mode; Freeze
@@ -60,36 +61,45 @@ func (m Mode) String() string {
 	}
 }
 
-// Options tunes the re-mapper. The zero value is NOT usable; start from
-// DefaultOptions.
+// The parameters of Algorithm 1 are constants, not options. The first
+// three are the paper's; the rest are the repo's own values.
+const (
+	// pathThresholdFrac keeps timing paths within this fraction of the
+	// delay budget as monitored constraints (§V.B.2: paths within 20 %
+	// of the CPD).
+	pathThresholdFrac = 0.8
+	// roundThreshold is the LP pre-mapping threshold (§V.A: assignments
+	// whose relaxed value exceeds 0.95 are pre-mapped).
+	roundThreshold = 0.95
+	// deltaFrac is Algorithm 1's ST_target relaxation step Δ, as a
+	// fraction of (ST_up - ST_low).
+	deltaFrac = 1.0 / 16
+	// maxPaths and maxPathsPerContext cap the monitored path set, the
+	// paper's "M longest paths" (DESIGN.md §4b.9).
+	maxPaths, maxPathsPerContext = 2048, 256
+	// rotationRestarts is the number of random orientation pools Step
+	// 2.1 scores (DESIGN.md §4b.9).
+	rotationRestarts = 24
+	// critEpsNs is the slack, in ns, under which an op is critical and
+	// frozen in Step 2.1 (DESIGN.md §4b.9).
+	critEpsNs = 1e-6
+	// pathRepairRounds bounds the lazy-path repair rounds per ST_target
+	// probe (DESIGN.md §4b.1).
+	pathRepairRounds = 8
+)
+
+// Options tunes the re-mapper. The zero value is a valid Freeze run
+// with seed 0 and no probe time limit; DefaultOptions is the Rotate run
+// every tool starts from.
 type Options struct {
 	// Mode selects Freeze or Rotate.
 	Mode Mode
-	// PathThresholdFrac keeps timing paths within this fraction of the
-	// CPD as monitored constraints (paper default: paths within 20% of
-	// the CPD, i.e. 0.8).
-	PathThresholdFrac float64
-	// MaxPaths / MaxPathsPerContext cap the monitored path set (the
-	// paper's "M longest paths" filter).
-	MaxPaths, MaxPathsPerContext int
-	// DeltaFrac is the ST_target relaxation step Delta of Algorithm 1,
-	// as a fraction of (ST_up - ST_low).
-	DeltaFrac float64
-	// BinarySearchSteps bounds the Step-1 binary search probes.
-	BinarySearchSteps int
-	// RoundThreshold is the LP pre-mapping threshold (paper: 0.95).
-	RoundThreshold float64
 	// TimeLimit is the wall-clock budget of one ST_target probe
 	// (including its lazy-path repair rounds); on timeout the probe
 	// counts as infeasible. 0 means unbounded.
 	TimeLimit time.Duration
 	// Seed drives rotation selection and candidate sampling.
 	Seed int64
-	// RotationRestarts is the number of randomized orientation
-	// assignments evaluated in Step 2.1.
-	RotationRestarts int
-	// CritEpsNs is the slack tolerance identifying critical ops.
-	CritEpsNs float64
 	// Trace receives structured spans, instant events, and (when a
 	// registry is attached) metrics for the whole flow; see
 	// internal/obs for the span taxonomy. nil falls back to the
@@ -103,10 +113,10 @@ type Options struct {
 	// makes the run a trace root.
 	TraceParent obs.Span
 	// Flight, when non-nil, journals every decision Algorithm 1 makes —
-	// Step-1 probes, relaxations, rotation scoring, pre-maps, warm-start
-	// outcomes, infeasibility attributions, LP effort — into the
-	// per-solve flight recorder (internal/flight). nil falls back to the
-	// context-carried recorder (flight.WithRecorder); nil both ways
+	// the Step-1 level, relaxations, rotation scoring, pre-maps,
+	// warm-start outcomes, infeasibility attributions, LP effort — into
+	// the per-solve flight recorder (internal/flight). nil falls back to
+	// the context-carried recorder (flight.WithRecorder); nil both ways
 	// disables journaling at zero cost. A recorder armed with
 	// EnableKernel turns on the LP kernel profiler for every solve of
 	// the flow. Note: under RemapBoth the two concurrent arms interleave
@@ -122,13 +132,6 @@ type Options struct {
 	// slack, fewer ops are frozen, and MTTF gains grow — still with zero
 	// real performance cost. Values below the original CPD are ignored.
 	CPDBudgetNs float64
-	// Step1MILP determines the Step-1 lower bound with the paper's
-	// delay-unaware binary-search MILP. The default (false) uses the
-	// LPT greedy leveler's achieved maximum, which is a feasible
-	// delay-unaware budget computable in microseconds and within a few
-	// percent of the MILP bound on these assignment-structured
-	// instances (tested in TestStep1GreedyVsMILP).
-	Step1MILP bool
 	// WarmHeuristics enables simplex basis reuse inside the LP-rounding
 	// heuristics: the per-batch relaxation warm-starts from the previous
 	// probe's basis, and the rounding dive's re-solves reuse the last
@@ -141,14 +144,6 @@ type Options struct {
 	// stay reproducible; the exact branch-and-bound layer (internal/milp)
 	// always reuses bases, where it provably cannot change results.
 	WarmHeuristics bool
-	// PathRepairRounds bounds the lazy-constraint loop per ST_target:
-	// when the re-timed floorplan's CPD regressed through a path that was
-	// below the monitoring threshold, the violating paths are added to
-	// the constraint set and the MILP re-solved at the same budget.
-	// Algorithm 1 instead only relaxes ST_target in this case; the lazy
-	// rows recover the paper's "no CPD increase observed" behaviour on
-	// workloads where sub-threshold paths do regress (see DESIGN.md).
-	PathRepairRounds int
 
 	// prior carries a previous solve's artifacts for a seeded re-solve.
 	// Unexported on purpose: the only entry point is RemapFromPrior,
@@ -159,40 +154,13 @@ type Options struct {
 // Validate rejects nonsense option values with a descriptive error.
 // Remap validates its options itself; Validate exists so configuration
 // layers (flag parsing, the job server) can fail fast before queueing
-// work. Note the asymmetry with the zero-value solver options: core's
-// zero Options is NOT usable (PathThresholdFrac and RoundThreshold have
-// no zero-selects-default), which is exactly what the first two checks
-// catch.
+// work.
 func (o Options) Validate() error {
 	if o.Mode != Freeze && o.Mode != Rotate {
 		return fmt.Errorf("core: unknown Mode %d", int(o.Mode))
 	}
-	if o.PathThresholdFrac <= 0 || o.PathThresholdFrac > 1 {
-		return fmt.Errorf("core: Options.PathThresholdFrac %g outside (0, 1] (start from DefaultOptions)", o.PathThresholdFrac)
-	}
-	if o.RoundThreshold <= 0.5 || o.RoundThreshold > 1 {
-		return fmt.Errorf("core: Options.RoundThreshold %g outside (0.5, 1] (the paper uses 0.95)", o.RoundThreshold)
-	}
-	if o.MaxPaths < 0 || o.MaxPathsPerContext < 0 {
-		return fmt.Errorf("core: negative path caps (MaxPaths %d, MaxPathsPerContext %d)", o.MaxPaths, o.MaxPathsPerContext)
-	}
-	if o.DeltaFrac < 0 || o.DeltaFrac > 1 {
-		return fmt.Errorf("core: Options.DeltaFrac %g outside [0, 1]", o.DeltaFrac)
-	}
-	if o.BinarySearchSteps < 0 {
-		return fmt.Errorf("core: Options.BinarySearchSteps %d is negative", o.BinarySearchSteps)
-	}
 	if o.TimeLimit < 0 {
 		return fmt.Errorf("core: Options.TimeLimit %v is negative (0 means unbounded)", o.TimeLimit)
-	}
-	if o.RotationRestarts < 0 {
-		return fmt.Errorf("core: Options.RotationRestarts %d is negative", o.RotationRestarts)
-	}
-	if o.CritEpsNs < 0 {
-		return fmt.Errorf("core: Options.CritEpsNs %g is negative", o.CritEpsNs)
-	}
-	if o.PathRepairRounds < 0 {
-		return fmt.Errorf("core: Options.PathRepairRounds %d is negative", o.PathRepairRounds)
 	}
 	if o.CPDBudgetNs < 0 {
 		return fmt.Errorf("core: Options.CPDBudgetNs %g is negative (0 uses the original CPD)", o.CPDBudgetNs)
@@ -200,25 +168,17 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// DefaultOptions mirrors the paper's published parameters.
+// DefaultOptions is the complete method (Rotate) at seed 1, with a
+// two-minute budget per ST_target probe.
 func DefaultOptions() Options {
 	return Options{
-		Mode:               Rotate,
-		PathThresholdFrac:  0.8,
-		MaxPaths:           2048,
-		MaxPathsPerContext: 256,
-		DeltaFrac:          1.0 / 16,
-		BinarySearchSteps:  7,
-		RoundThreshold:     0.95,
-		TimeLimit:          2 * time.Minute,
-		Seed:               1,
-		RotationRestarts:   24,
-		CritEpsNs:          1e-6,
-		PathRepairRounds:   8,
+		Mode:      Rotate,
+		TimeLimit: 2 * time.Minute,
+		Seed:      1,
 	}
 }
 
-// Stats records solver effort for the scaling experiments (E4).
+// Stats records one run's solver effort.
 //
 // Duration convention: every duration in Stats is wall-clock, not CPU
 // time — a phase that fans out over N workers accrues once, and a
@@ -233,13 +193,13 @@ func DefaultOptions() Options {
 // after a merge it still describes the run that carries the struct.
 type Stats struct {
 	// LPSolves counts simplex solves (the rounding dive's unit of work).
-	// ILPSolves/ILPNodes count branch-and-bound usage; the production
-	// dive replaces B&B, so they are non-zero only in experiments that
-	// exercise the monolithic solver.
+	// ILPSolves/ILPNodes are never set: the rounding dive replaced
+	// branch and bound in the flow. They remain because the benchmark's
+	// addStats sums them.
 	LPSolves, ILPSolves int
-	// ILPNodes is the total branch-and-bound node count.
+	// ILPNodes is always 0 (see ILPSolves).
 	ILPNodes int
-	// STProbes is the number of Step-1 binary-search probes.
+	// STProbes counts Step-1 probes: one per run, the greedy level.
 	STProbes int
 	// ProbeTimeouts counts Step-2.3 ST_target probes abandoned on
 	// Options.TimeLimit. A run that found nothing with timeouts on the
@@ -258,7 +218,7 @@ type Stats struct {
 	// plumbing: rejects should be rare.
 	WarmStarts, WarmStartRejects int
 	// Step1Time is wall-clock spent determining the Step-1 stress
-	// lower bound (greedy level or binary-search MILP).
+	// lower bound (the greedy level).
 	Step1Time time.Duration
 	// RotateTime is wall-clock spent in Step 2.1 critical-path
 	// freezing/rotation (orientation search included).
@@ -323,7 +283,8 @@ type Result struct {
 	Mapping arch.Mapping
 	// STTarget is the accumulated-stress budget the solution satisfies.
 	STTarget float64
-	// STLowerBound is Step 1's delay-unaware lower bound.
+	// STLowerBound is Step 1's delay-unaware level: the greedy level,
+	// or ST_low if that is higher.
 	STLowerBound float64
 	// OrigMaxStress / NewMaxStress are the worst per-PE accumulated
 	// stress before and after.

@@ -29,13 +29,13 @@ func BatchDive(d *arch.Design, m0 arch.Mapping) (rows int, dive func() (lpSolves
 	res0 := timing.Analyze(d, m0)
 	stress0 := arch.ComputeStress(d, m0)
 	frozenPos := map[int]arch.Coord{}
-	for op := range timing.CriticalOps(d, m0, res0, opts.CritEpsNs) {
+	for op := range timing.CriticalOps(d, m0, res0, critEpsNs) {
 		frozenPos[op] = m0[op]
 	}
 	paths := timing.EnumeratePaths(d, m0, res0, timing.EnumerateOptions{
-		ThresholdFrac: opts.PathThresholdFrac,
-		MaxPaths:      opts.MaxPaths,
-		MaxPerContext: opts.MaxPathsPerContext,
+		ThresholdFrac: pathThresholdFrac,
+		MaxPaths:      maxPaths,
+		MaxPerContext: maxPathsPerContext,
 	})
 	committed := make([]float64, d.Fabric.NumPEs())
 	addStress(d, committed, frozenPos)
@@ -68,7 +68,7 @@ func BatchDive(d *arch.Design, m0 arch.Mapping) (rows int, dive func() (lpSolves
 			return stats.LPSolves, false, fmt.Errorf("relaxation ended %v", rel.Status)
 		}
 		f.dive(0, len(bp.movable))
-		_, ok, _, err := roundingDive(ctx, bp, rel.X, nil, opts, f, rand.New(rand.NewSource(opts.Seed)), false, time.Time{}, 0, 0)
+		_, ok, _, err := roundingDive(ctx, bp, rel.X, nil, f, rand.New(rand.NewSource(opts.Seed)), false, time.Time{}, 0, 0)
 		return stats.LPSolves, ok, err
 	}
 }

@@ -14,8 +14,8 @@ import (
 // stretches wires, so its floorplans usually violate the original CPD.
 // The re-mapper uses it in two roles:
 //
-//   - as a fast feasibility pre-check inside Step 1's binary search (if
-//     LPT meets a stress budget, the MILP probe can be skipped), and
+//   - as Step 1: its maximum per-PE stress is the delay-unaware lower
+//     bound for ST_target (DESIGN.md §4b.3), and
 //   - as the comparison baseline of ablation E7, quantifying the CPD
 //     damage a naive leveler causes — the paper's core argument for the
 //     delay-aware MILP.

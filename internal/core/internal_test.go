@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"agingfp/internal/arch"
 	"agingfp/internal/dfg"
@@ -190,14 +191,14 @@ func TestRemapRejectsBadOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad1 := DefaultOptions()
-	bad1.PathThresholdFrac = 0
+	bad1.Mode = Mode(-1)
 	if _, err := Remap(context.Background(), d, m0, bad1); err == nil {
-		t.Fatal("zero path threshold accepted")
+		t.Fatal("unknown mode accepted")
 	}
 	bad2 := DefaultOptions()
-	bad2.RoundThreshold = 0.3
+	bad2.TimeLimit = -time.Millisecond
 	if _, err := Remap(context.Background(), d, m0, bad2); err == nil {
-		t.Fatal("rounding threshold below 0.5 accepted")
+		t.Fatal("negative time limit accepted")
 	}
 	short := m0[:1]
 	if _, err := Remap(context.Background(), d, short, DefaultOptions()); err == nil {

@@ -51,7 +51,7 @@ func fullProblemLP(t *testing.T, name string, k int) *lp.Problem {
 	}
 	base := arch.ComputeStress(d, m0).Max()
 	rng := rand.New(rand.NewSource(11))
-	return core.FullProblemLP(d, m0, base*(1-0.01*float64(k)), core.DefaultOptions(), rng)
+	return core.FullProblemLP(d, m0, base*(1-0.01*float64(k)), rng)
 }
 
 // phase1LP builds a seeded sparse LP that no slack basis fits: rows of

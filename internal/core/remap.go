@@ -132,38 +132,29 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 	// set may be empty, and the lazy repair rounds supply any rows.
 	crit := map[int]bool{}
 	if budget <= res0.CPD+1e-12 {
-		crit = timing.CriticalOps(d, m0, res0, opts.CritEpsNs)
+		crit = timing.CriticalOps(d, m0, res0, critEpsNs)
 	}
 	var paths []*timing.Path
-	if frac := opts.PathThresholdFrac * budget / res0.CPD; frac <= 1 {
+	if frac := pathThresholdFrac * budget / res0.CPD; frac <= 1 {
 		paths = timing.EnumeratePaths(d, m0, res0, timing.EnumerateOptions{
 			ThresholdFrac: frac,
-			MaxPaths:      opts.MaxPaths,
-			MaxPerContext: opts.MaxPathsPerContext,
+			MaxPaths:      maxPaths,
+			MaxPerContext: maxPathsPerContext,
 		})
 	}
 
-	// Step 1: delay-unaware lower bound for ST_target. The default uses
-	// the LPT level (an achievable delay-unaware budget); Step1MILP runs
-	// the paper's binary-search MILP instead.
+	// Step 1: the delay-unaware level the ST_target search starts from,
+	// taken as the LPT level. It is an achievable budget, though not
+	// always the lowest one (DESIGN.md §4b.3).
 	s1T := time.Now()
 	f.phase("step1", 0)
-	var stLB float64
-	if opts.Step1MILP {
-		var err error
-		stLB, err = stressLowerBound(ctx, d, m0, stress0, stLow, stUp, batchList, opts, rng, f)
-		if err != nil {
-			return fail(err)
-		}
-	} else {
-		stLB = arch.ComputeStress(d, GreedyLevel(d, nil)).Max()
-		if stLB < stLow {
-			stLB = stLow
-		}
-		f.phase("step1", stLB)
-		f.event(flight.Event{Kind: flight.KindStep1Probe,
-			ST: stLB, Status: "feasible", Cause: "greedy"})
+	stLB := arch.ComputeStress(d, GreedyLevel(d, nil)).Max()
+	if stLB < stLow {
+		stLB = stLow
 	}
+	f.phase("step1", stLB)
+	f.event(flight.Event{Kind: flight.KindStep1Probe,
+		ST: stLB, Status: "feasible", Cause: "greedy"})
 	result.STLowerBound = stLB
 	result.Stats.Step1Time += time.Since(s1T)
 
@@ -207,14 +198,7 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 	}
 
 	// Step 2.3: solve, relaxing ST_target by Delta on failure.
-	delta := (stUp - stLow) * opts.DeltaFrac
-	if delta <= 0 {
-		delta = stUp/16 + 1e-9
-	}
-	repairRounds := opts.PathRepairRounds
-	if repairRounds < 1 {
-		repairRounds = 1
-	}
+	delta := (stUp - stLow) * deltaFrac
 	pathSeen := make(map[string]bool, len(paths))
 	for _, p := range paths {
 		pathSeen[pathIdent(p)] = true
@@ -256,7 +240,7 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 		if opts.TimeLimit > 0 {
 			deadline = time.Now().Add(opts.TimeLimit)
 		}
-		for round := 0; round < repairRounds; round++ {
+		for round := 0; round < pathRepairRounds; round++ {
 			if err := ctx.Err(); err != nil {
 				status = "canceled"
 				return nil, 0, false, err
@@ -292,7 +276,7 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 			}
 			// A path below the monitoring threshold regressed past the
 			// CPD: add the violators as lazy rows and re-solve at the
-			// same budget (see Options.PathRepairRounds).
+			// same budget (see pathRepairRounds).
 			repT := time.Now()
 			added := 0
 			for _, p := range violatedPaths(d, mNew, newRes, budget) {
@@ -699,56 +683,4 @@ func solveAllBatches(ctx context.Context, d *arch.Design, m0 arch.Mapping, froze
 		return nil, false, fmt.Errorf("core: batched solution illegal: %w", err)
 	}
 	return mCur, true, nil
-}
-
-// stressLowerBound implements Step 1: binary search for the smallest
-// ST_target admitting a delay-unaware floorplan, between the original
-// floorplan's mean (ST_low) and max (ST_up) accumulated stress, one
-// step1_probe event per budget probe.
-func stressLowerBound(ctx context.Context, d *arch.Design, m0 arch.Mapping, stress0 arch.StressMap,
-	lo, hi float64, batchList [][]int, opts Options, rng *rand.Rand, f *fold) (float64, error) {
-
-	// The LPT level is a fast sufficient certificate: any budget at or
-	// above it is feasible without solving a MILP.
-	greedyMax := arch.ComputeStress(d, GreedyLevel(d, nil)).Max()
-
-	// Consecutive probes solve the same batch LPs with only the budget
-	// changed; with Options.WarmHeuristics each batch warm-starts from the
-	// previous probe's basis (see the option's caveats).
-	cache := newWarmCache(len(batchList), opts.WarmHeuristics)
-
-	feasible := func(st float64) (bool, error) {
-		f.phase("step1", st)
-		if greedyMax <= st+1e-12 {
-			f.event(flight.Event{Kind: flight.KindStep1Probe,
-				ST: st, Status: "feasible", Cause: "greedy"})
-			return true, nil
-		}
-		_, ok, err := solveAllBatches(ctx, d, m0, nil, nil, st, 0, stress0, batchList, opts, rng, f, time.Time{}, cache)
-		verdict := "infeasible"
-		if err == nil && ok {
-			verdict = "feasible"
-		}
-		f.event(flight.Event{Kind: flight.KindStep1Probe,
-			ST: st, Status: verdict, Cause: "milp"})
-		return err == nil && ok, err
-	}
-
-	steps := opts.BinarySearchSteps
-	if steps <= 0 {
-		steps = 7
-	}
-	for i := 0; i < steps; i++ {
-		mid := (lo + hi) / 2
-		ok, err := feasible(mid)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
 }

@@ -74,7 +74,7 @@ func orientationPool(orients []int, numContexts int, rng *rand.Rand) []int {
 // rotateFrozen chooses an orientation per context for the frozen
 // critical-path ops and returns their new positions.
 //
-// The assignment is selected among RotationRestarts random pools (each
+// The assignment is selected among rotationRestarts random pools (each
 // satisfying the paper's distinctness rule) by minimizing
 //
 //	sum over PEs of (stacked frozen stress)^2  +  cross-arc growth penalty
@@ -150,23 +150,19 @@ func rotateFrozen(ctx context.Context, d *arch.Design, m arch.Mapping, frozen ma
 		return score
 	}
 
-	restarts := opts.RotationRestarts
-	if restarts < 1 {
-		restarts = 1
-	}
 	// Candidate pools are drawn serially (the rng sequence fixes them, so
 	// results stay reproducible for a given seed); scoring — the expensive
 	// part, O(frozen ops + cross arcs) per pool — fans out over a bounded
 	// worker set. The argmin below runs serially in pool order with a
 	// strict <, so ties resolve exactly as the sequential loop did.
-	assigns := make([][]int, restarts)
+	assigns := make([][]int, rotationRestarts)
 	for r := range assigns {
 		assigns[r] = orientationPool(orients, d.NumContexts, rng)
 	}
-	scores := make([]float64, restarts)
+	scores := make([]float64, rotationRestarts)
 	workers := maxParallelism
-	if workers > restarts {
-		workers = restarts
+	if workers > rotationRestarts {
+		workers = rotationRestarts
 	}
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -182,7 +178,7 @@ func rotateFrozen(ctx context.Context, d *arch.Design, m arch.Mapping, frozen ma
 			}
 		}()
 	}
-	for r := 0; r < restarts; r++ {
+	for r := 0; r < rotationRestarts; r++ {
 		next <- r
 	}
 	close(next)
@@ -198,14 +194,14 @@ func rotateFrozen(ctx context.Context, d *arch.Design, m arch.Mapping, frozen ma
 
 	// Journal the restart scores serially in index order (the workers
 	// above stored them by index, so the journal stays deterministic).
-	for r := 0; r < restarts; r++ {
+	for r := 0; r < rotationRestarts; r++ {
 		f.event(flight.Event{Kind: flight.KindRotateScore,
 			Round: r, Obj: scores[r], N: len(crossArcs)})
 	}
 
 	best, bestScore := assigns[0], scores[0]
 	bestR := 0
-	for r := 1; r < restarts; r++ {
+	for r := 1; r < rotationRestarts; r++ {
 		if scores[r] < bestScore {
 			best, bestScore = assigns[r], scores[r]
 			bestR = r

@@ -16,18 +16,18 @@ import (
 // contexts in one batch, Freeze mode) at the given stress budget; shared
 // by the two scaling-experiment entry points so they solve the identical
 // MILP.
-func buildFullProblem(d *arch.Design, m0 arch.Mapping, stTarget float64, opts Options, rng *rand.Rand) *batchProblem {
+func buildFullProblem(d *arch.Design, m0 arch.Mapping, stTarget float64, rng *rand.Rand) *batchProblem {
 	res0 := timing.Analyze(d, m0)
 	stress0 := arch.ComputeStress(d, m0)
-	crit := timing.CriticalOps(d, m0, res0, opts.CritEpsNs)
+	crit := timing.CriticalOps(d, m0, res0, critEpsNs)
 	frozenPos := make(map[int]arch.Coord, len(crit))
 	for op := range crit {
 		frozenPos[op] = m0[op]
 	}
 	paths := timing.EnumeratePaths(d, m0, res0, timing.EnumerateOptions{
-		ThresholdFrac: opts.PathThresholdFrac,
-		MaxPaths:      opts.MaxPaths,
-		MaxPerContext: opts.MaxPathsPerContext,
+		ThresholdFrac: pathThresholdFrac,
+		MaxPaths:      maxPaths,
+		MaxPerContext: maxPathsPerContext,
 	})
 	inBatch := make(map[int]bool, d.NumContexts)
 	for c := 0; c < d.NumContexts; c++ {
@@ -53,7 +53,7 @@ func SolveRemapOnce(ctx context.Context, d *arch.Design, m0 arch.Mapping, stTarg
 		ctx = context.Background()
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	bp := buildFullProblem(d, m0, stTarget, opts, rng)
+	bp := buildFullProblem(d, m0, stTarget, rng)
 	f := newFold(ctx, opts).run(&Stats{})
 	f.open(opts.TraceParent, "core.solve_once", obs.Float("st_target", stTarget))
 	asn, ok, _, err := solveBatch(ctx, bp, opts, f, rng, time.Time{}, nil, 0)
@@ -77,7 +77,7 @@ func SolveRemapMonolithic(ctx context.Context, d *arch.Design, m0 arch.Mapping, 
 		ctx = context.Background()
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	bp := buildFullProblem(d, m0, stTarget, opts, rng)
+	bp := buildFullProblem(d, m0, stTarget, rng)
 	if bp.infeasibleReason != "" {
 		return &milp.Result{Status: milp.Infeasible}, nil
 	}
@@ -90,6 +90,6 @@ func SolveRemapMonolithic(ctx context.Context, d *arch.Design, m0 arch.Mapping, 
 // FullProblemLP returns the LP relaxation of the single-batch
 // formulation that both scaling entry points solve, for benchmarks of
 // the simplex layer on a realistic assignment LP.
-func FullProblemLP(d *arch.Design, m0 arch.Mapping, stTarget float64, opts Options, rng *rand.Rand) *lp.Problem {
-	return buildFullProblem(d, m0, stTarget, opts, rng).lp
+func FullProblemLP(d *arch.Design, m0 arch.Mapping, stTarget float64, rng *rand.Rand) *lp.Problem {
+	return buildFullProblem(d, m0, stTarget, rng).lp
 }

@@ -80,7 +80,7 @@ func (c *warmCache) export() []*lp.Basis {
 //
 //	Step A: solve the LP relaxation (OP_ijk in [0,1]);
 //	Step B/C: iterative LP rounding with op-level diving — bulk pre-map
-//	        assignments whose LP value clears RoundThreshold (capacity
+//	        assignments whose LP value clears roundThreshold (capacity
 //	        rows guarantee at most one op can exceed 0.95 per PE-context
 //	        slot, so pre-mapping never double-books a PE), pin the
 //	        best-scored op otherwise, and backjump on infeasibility.
@@ -137,7 +137,7 @@ func solveBatch(ctx context.Context, bp *batchProblem, opts Options, f *fold, rn
 			warm = rel.Basis
 		}
 		f.dive(r, len(bp.movable))
-		asn, ok, frac, err := roundingDive(ctx, bp, rel.X, warm, opts, f, rng, r > 0, deadline, slot, r)
+		asn, ok, frac, err := roundingDive(ctx, bp, rel.X, warm, f, rng, r > 0, deadline, slot, r)
 		if err != nil {
 			return nil, false, "", err
 		}
@@ -175,7 +175,7 @@ type softFix struct {
 // batch and restart locate the dive in the flight journal: one "dive"
 // event per call, which ends the core.dive span the caller opened, and
 // one "premap" event per pin round.
-func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBasis *lp.Basis, opts Options, f *fold, rng *rand.Rand, perturb bool, deadline time.Time, batch, restart int) (asnOut map[int]arch.Coord, okOut bool, fracOut float64, errOut error) {
+func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBasis *lp.Basis, f *fold, rng *rand.Rand, perturb bool, deadline time.Time, batch, restart int) (asnOut map[int]arch.Coord, okOut bool, fracOut float64, errOut error) {
 	prob := bp.lp.CloneBounds()
 	useWarm := rootBasis != nil
 	warm := rootBasis
@@ -277,7 +277,7 @@ func roundingDive(ctx context.Context, bp *batchProblem, rootX []float64, rootBa
 					continue // forbidden by an earlier backjump
 				}
 				val := x[v]
-				if val >= opts.RoundThreshold {
+				if val >= roundThreshold {
 					pin(op, i)
 					progress = true
 					bulk = true

@@ -182,15 +182,15 @@ func TestSolverViewsAgree(t *testing.T) {
 	}{
 		{"B1-rotate", "B1", core.Rotate, false, false},
 		{"B4-freeze", "B4", core.Freeze, false, false},
-		// Warm-started Step-1 MILP probes reject some snapshots, so the
-		// reject views are compared on nonzero counts.
-		{"B4-freeze-warm-step1milp", "B4", core.Freeze, false, true},
+		// Warm-started relaxations and dives reject some snapshots, so
+		// the reject views are compared on nonzero counts.
+		{"B13-freeze-warm", "B13", core.Freeze, false, true},
 		// Two concurrent arms writing into one set of sinks.
 		{"B1-both", "B1", core.Rotate, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v := runViews(t, tc.bench, tc.mode, tc.both, func(o *core.Options) {
-				o.WarmHeuristics, o.Step1MILP = tc.warm, tc.warm
+				o.WarmHeuristics = tc.warm
 				o.Flight.EnableKernel(0)
 			})
 			st := v.st
