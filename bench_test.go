@@ -142,10 +142,9 @@ func BenchmarkScalingTwoStep(b *testing.B) {
 // BenchmarkGreedyVsMILP runs the LPT-vs-MILP comparison.
 func BenchmarkGreedyVsMILP(b *testing.B) {
 	spec := benchSpec(b, "B10")
-	cfg := bench.DefaultConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g, err := bench.RunGreedy(context.Background(), spec, cfg)
+		g, err := bench.RunGreedy(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}

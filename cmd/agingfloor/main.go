@@ -314,8 +314,8 @@ func run() int {
 	}
 	fmt.Printf("\nMTTF: %.2f years -> %.2f years  (increase %.2fx)\n",
 		before.Hours/8760, before.Hours*ratio/8760, ratio)
-	fmt.Printf("solver effort: %d LP solves, %d ILP solves, %d B&B nodes, %d ST probes\n",
-		r.Stats.LPSolves, r.Stats.ILPSolves, r.Stats.ILPNodes, r.Stats.STProbes)
+	fmt.Printf("solver effort: %d LP solves, %d ST probes\n",
+		r.Stats.LPSolves, r.Stats.STProbes)
 	fmt.Printf("simplex: %d iterations, %d warm starts (%d rejected)\n",
 		r.Stats.SimplexIters, r.Stats.WarmStarts, r.Stats.WarmStartRejects)
 	fmt.Printf("phase wall-clock: step1 %v, rotate %v, step2 %v, timing %v (elapsed %v)\n",

@@ -138,7 +138,7 @@ func main() {
 		var rows []*bench.GreedyComparison
 		for _, name := range []string{"B1", "B10", "B13", "B19"} {
 			s, _ := bench.SpecByName(name)
-			g, err := bench.RunGreedy(context.Background(), s, cfg)
+			g, err := bench.RunGreedy(context.Background(), s)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "greedy: %v\n", err)
 				os.Exit(1)

@@ -59,7 +59,7 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatalf("CPD regressed: %.3f -> %.3f", sta0.CPD, result.NewCPD)
 	}
 
-	// Reliability under NBTI and under combined wear.
+	// Reliability under NBTI.
 	model, tcfg := nbti.DefaultModel(), thermal.DefaultConfig()
 	before, err := core.Evaluate(design, baseline, model, tcfg)
 	if err != nil {
@@ -71,14 +71,6 @@ func TestFullPipeline(t *testing.T) {
 	}
 	if after.Hours < before.Hours-1e-9 {
 		t.Fatalf("re-mapping shortened MTTF: %.0f -> %.0f h", before.Hours, after.Hours)
-	}
-	combined := nbti.DefaultCombined()
-	cb, _, _, err := nbti.FabricMTTFUnder(combined, before.Stress, before.Temp, design.NumContexts)
-	if err != nil {
-		t.Fatalf("combined wear: %v", err)
-	}
-	if cb >= before.Hours {
-		t.Fatalf("combined wear (%.0f h) not below NBTI-only (%.0f h)", cb, before.Hours)
 	}
 
 	// Serialization round-trips both floorplans.

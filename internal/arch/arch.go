@@ -15,7 +15,6 @@ package arch
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"agingfp/internal/dfg"
@@ -161,13 +160,6 @@ func (d *Design) buildCtxOpsLocked() {
 	d.ctxOpsV = true
 }
 
-// InvalidateCaches drops derived data after in-place schedule edits.
-func (d *Design) InvalidateCaches() {
-	d.ctxMu.Lock()
-	d.ctxOpsV = false
-	d.ctxMu.Unlock()
-}
-
 // NumOps returns the number of operations in the design.
 func (d *Design) NumOps() int { return d.Graph.NumOps() }
 
@@ -228,10 +220,6 @@ func (d *Design) Validate() error {
 	}
 	return nil
 }
-
-// TotalOpsUsed returns the summed per-context op count — the "PE #"
-// column of the paper's Table I (PE usage instances across contexts).
-func (d *Design) TotalOpsUsed() int { return d.Graph.NumOps() }
 
 // UtilizationRate returns the average per-context fabric utilization:
 // ops / (contexts * PEs). Table I's low/medium/high bands correspond to
@@ -326,22 +314,6 @@ func (s StressMap) Mean() float64 {
 	return s.Total() / float64(n)
 }
 
-// ArgMax returns the coordinate of the most-stressed PE (ties broken by
-// row-major order).
-func (s StressMap) ArgMax() Coord {
-	best := Coord{}
-	bv := math.Inf(-1)
-	for y, row := range s {
-		for x, v := range row {
-			if v > bv {
-				bv = v
-				best = Coord{X: x, Y: y}
-			}
-		}
-	}
-	return best
-}
-
 // ComputeStress accumulates per-PE stress for mapping m of design d:
 // each op adds its stress rate to the PE it occupies, summed across all
 // contexts (§III: accumulated stress time).
@@ -349,16 +321,6 @@ func ComputeStress(d *Design, m Mapping) StressMap {
 	s := NewStressMap(d.Fabric)
 	for op, c := range m {
 		s[c.Y][c.X] += d.StressRate(op)
-	}
-	return s
-}
-
-// ContextStress returns the per-PE stress contributed by context c alone,
-// used as the per-configuration power map for the thermal model.
-func ContextStress(d *Design, m Mapping, c int) StressMap {
-	s := NewStressMap(d.Fabric)
-	for _, op := range d.ContextOps(c) {
-		s[m[op].Y][m[op].X] += d.StressRate(op)
 	}
 	return s
 }

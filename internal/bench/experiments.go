@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -204,7 +203,7 @@ type GreedyComparison struct {
 }
 
 // RunGreedy runs E7 for one spec.
-func RunGreedy(ctx context.Context, spec Spec, cfg Config) (*GreedyComparison, error) {
+func RunGreedy(ctx context.Context, spec Spec) (*GreedyComparison, error) {
 	d, err := Synthesize(spec)
 	if err != nil {
 		return nil, err
@@ -247,36 +246,4 @@ func FormatGreedy(rows []*GreedyComparison) string {
 			r.OrigCPD, r.GreedyCPD, r.MILPCPD, r.CPDViolation)
 	}
 	return b.String()
-}
-
-// GroupAverages summarizes Table-I results per band; used by tests and
-// EXPERIMENTS.md.
-func GroupAverages(results []*Result) (freeze, rotate map[Band]float64) {
-	freeze = map[Band]float64{}
-	rotate = map[Band]float64{}
-	cnt := map[Band]int{}
-	for _, r := range results {
-		freeze[r.Spec.Band] += r.FreezeIncrease
-		rotate[r.Spec.Band] += r.RotateIncrease
-		cnt[r.Spec.Band]++
-	}
-	for b := Low; b <= High; b++ {
-		if cnt[b] > 0 {
-			freeze[b] /= float64(cnt[b])
-			rotate[b] /= float64(cnt[b])
-		}
-	}
-	return freeze, rotate
-}
-
-// OverallAverage returns the mean Rotate-mode MTTF increase.
-func OverallAverage(results []*Result) float64 {
-	if len(results) == 0 {
-		return math.NaN()
-	}
-	t := 0.0
-	for _, r := range results {
-		t += r.RotateIncrease
-	}
-	return t / float64(len(results))
 }

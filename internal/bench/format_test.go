@@ -44,6 +44,21 @@ func TestFormatTableILayout(t *testing.T) {
 	if !strings.Contains(out, "rotate 2.50") {
 		t.Errorf("low-band rotate average wrong:\n%s", out)
 	}
+	// Freeze and rotate averages per band, a band with no rows, and the
+	// overall rotate average (3+5+1.5)/3.
+	out = FormatTableI([]*Result{
+		fakeResult("B1", 4, 4, Low, 2, 3),
+		fakeResult("B4", 8, 4, Low, 4, 5),
+		fakeResult("B19", 4, 4, High, 1, 1.5),
+	})
+	for _, want := range []string{
+		"| freeze 3.00 rotate 4.00 (n=2) | - | freeze 1.00 rotate 1.50 (n=1) |",
+		"Overall rotate average: 3.17x",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table missing %q:\n%s", want, out)
+		}
+	}
 }
 
 func TestFormatFig5Layout(t *testing.T) {

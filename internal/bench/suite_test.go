@@ -149,27 +149,12 @@ func TestRunSmallBenchmark(t *testing.T) {
 	}
 }
 
-func TestGroupAverages(t *testing.T) {
-	rs := []*Result{
-		{Spec: Spec{Band: Low}, FreezeIncrease: 2, RotateIncrease: 3},
-		{Spec: Spec{Band: Low}, FreezeIncrease: 4, RotateIncrease: 5},
-		{Spec: Spec{Band: High}, FreezeIncrease: 1, RotateIncrease: 1.5},
-	}
-	f, r := GroupAverages(rs)
-	if f[Low] != 3 || r[Low] != 4 || f[High] != 1 || r[High] != 1.5 {
-		t.Fatalf("averages wrong: %v %v", f, r)
-	}
-	if OverallAverage(rs) != (3+5+1.5)/3 {
-		t.Fatalf("overall %.3f", OverallAverage(rs))
-	}
-}
-
 func TestRunGreedyShowsTimingDamage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-flow run")
 	}
 	s, _ := SpecByName("B10")
-	g, err := RunGreedy(context.Background(), s, DefaultConfig())
+	g, err := RunGreedy(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

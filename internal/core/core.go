@@ -102,10 +102,9 @@ type Options struct {
 	Seed int64
 	// Trace receives structured spans, instant events, and (when a
 	// registry is attached) metrics for the whole flow; see
-	// internal/obs for the span taxonomy. nil falls back to the
-	// context-carried tracer (obs.WithTracer); nil both ways disables
-	// all instrumentation at zero cost, including zero allocations on
-	// the solver hot paths.
+	// internal/obs for the span taxonomy. nil disables all
+	// instrumentation at zero cost, including zero allocations on the
+	// solver hot paths.
 	Trace *obs.Tracer
 	// TraceParent, when live, nests this run's root span under it (how
 	// RemapBoth groups its Freeze and Rotate arms, and how callers like
@@ -115,9 +114,8 @@ type Options struct {
 	// Flight, when non-nil, journals every decision Algorithm 1 makes —
 	// the Step-1 level, relaxations, rotation scoring, pre-maps,
 	// warm-start outcomes, infeasibility attributions, LP effort — into
-	// the per-solve flight recorder (internal/flight). nil falls back to
-	// the context-carried recorder (flight.WithRecorder); nil both ways
-	// disables journaling at zero cost. A recorder armed with
+	// the per-solve flight recorder (internal/flight). nil disables
+	// journaling at zero cost. A recorder armed with
 	// EnableKernel turns on the LP kernel profiler for every solve of
 	// the flow. Note: under RemapBoth the two concurrent arms interleave
 	// their events in one journal; attach a recorder per Remap call when

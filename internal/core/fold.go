@@ -70,18 +70,11 @@ type openSpan struct {
 	sp   obs.Span
 }
 
-// newFold resolves the job's sinks: Options.Trace and Options.Flight
-// when set, otherwise the context's tracer and recorder, plus the
-// context's progress reporter and trace ID. The result has no Stats;
-// derive one per run with run.
+// newFold resolves the job's sinks: Options.Trace and Options.Flight,
+// plus the context's progress reporter and trace ID. The result has no
+// Stats; derive one per run with run.
 func newFold(ctx context.Context, opts Options) *fold {
 	f := &fold{tr: opts.Trace, rec: opts.Flight, rep: obs.ReporterFrom(ctx), traceID: obs.TraceIDFrom(ctx)}
-	if f.tr == nil {
-		f.tr = obs.TracerFrom(ctx)
-	}
-	if f.rec == nil {
-		f.rec = flight.FromContext(ctx)
-	}
 	f.reg = f.tr.Registry()
 	f.profileRate, f.profile = f.rec.KernelProfiling()
 	return f

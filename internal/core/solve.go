@@ -355,28 +355,6 @@ func extractDecided(bp *batchProblem, decided map[int]int) (map[int]arch.Coord, 
 	return out, true, nil
 }
 
-// extractAssignment reads the chosen PE of each movable op from a MILP
-// solution vector.
-func extractAssignment(bp *batchProblem, x []float64) (map[int]arch.Coord, bool, error) {
-	out := make(map[int]arch.Coord, len(bp.movable))
-	for _, op := range bp.movable {
-		chosen := -1
-		for i, v := range bp.varOf[op] {
-			if x[v] > 0.5 {
-				if chosen >= 0 {
-					return nil, false, fmt.Errorf("core: op %d assigned twice", op)
-				}
-				chosen = i
-			}
-		}
-		if chosen < 0 {
-			return nil, false, fmt.Errorf("core: op %d unassigned", op)
-		}
-		out[op] = bp.fab.CoordOf(bp.candOf[op][chosen])
-	}
-	return out, true, nil
-}
-
 // constructionFamily maps buildBatch's infeasibleReason strings onto the
 // flight recorder's constraint families.
 func constructionFamily(reason string) string {

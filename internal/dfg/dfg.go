@@ -256,15 +256,6 @@ func (g *Graph) Stat() Stats {
 	return s
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		Ops:   append([]Op(nil), g.Ops...),
-		Edges: append([]Edge(nil), g.Edges...),
-	}
-	return c
-}
-
 // SortedEdges returns the edges sorted by (From, To); useful for
 // deterministic serialization and test comparisons.
 func (g *Graph) SortedEdges() []Edge {

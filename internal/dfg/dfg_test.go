@@ -159,15 +159,6 @@ func TestStatCounts(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := FIR(4)
-	c := g.Clone()
-	c.AddOp(ALU, "extra")
-	if g.NumOps() == c.NumOps() {
-		t.Fatal("clone shares op slice")
-	}
-}
-
 func TestLayeredGeneratorProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -9,16 +9,12 @@
 //
 // The recorder is nil-safe throughout: every method on a nil *Recorder
 // is a no-op, so solver layers journal unconditionally and pay nothing
-// when no recorder is attached. It travels on the context via
-// WithRecorder/FromContext, mirroring obs.WithReporter, and is bounded:
-// past MaxEvents the event slice stops growing and only the drop count
-// and aggregates advance, so a runaway solve cannot exhaust memory.
+// when no recorder is attached. It reaches the solver in
+// core.Options.Flight and is bounded: past MaxEvents only the drop
+// count and aggregates advance, so a runaway solve cannot exhaust memory.
 package flight
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // DefaultMaxEvents bounds a recorder whose caller did not choose a
 // capacity. Large enough for every event of a B1..B27 solve, small
@@ -139,8 +135,8 @@ type StressAttribution struct {
 }
 
 // Recorder journals events for one solve. Create with NewRecorder,
-// attach to the solve's context with WithRecorder, then Snapshot after
-// the solve returns. All methods are safe for concurrent use and are
+// pass it to the solve in core.Options.Flight, then Snapshot after the
+// solve returns. All methods are safe for concurrent use and are
 // no-ops on a nil receiver.
 type Recorder struct {
 	mu      sync.Mutex
@@ -283,27 +279,4 @@ func copyCounts(m map[string]int64) map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// ctxKey carries the recorder on a context; an unexported type so no
-// other package can collide with it.
-type ctxKey struct{}
-
-// WithRecorder returns a context carrying r. Attaching a nil recorder
-// shadows any recorder further up.
-func WithRecorder(ctx context.Context, r *Recorder) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, ctxKey{}, r)
-}
-
-// FromContext returns the context's recorder, or nil — safe on a nil
-// context.
-func FromContext(ctx context.Context) *Recorder {
-	if ctx == nil {
-		return nil
-	}
-	r, _ := ctx.Value(ctxKey{}).(*Recorder)
-	return r
 }

@@ -210,17 +210,6 @@ func (p *Problem) SetRowFamily(i int, family string) {
 	p.rowFam[i] = family
 }
 
-// RowFamily returns row i's family label, "" when unlabeled.
-func (p *Problem) RowFamily(i int) string {
-	if i < 0 || i >= len(p.rowFam) {
-		return ""
-	}
-	return p.rowFam[i]
-}
-
-// SetObj overwrites variable j's objective coefficient.
-func (p *Problem) SetObj(j int, c float64) { p.c[j] = c }
-
 // Obj returns variable j's objective coefficient.
 func (p *Problem) Obj(j int) float64 { return p.c[j] }
 

@@ -140,31 +140,30 @@ func TestProfileStructure(t *testing.T) {
 // TestKernelProfilerOverhead is the overhead gate: profiled solves must
 // stay within 1.5x of unprofiled wall-clock (the budget is <2%; the
 // slack absorbs shared-runner noise — the precise number comes from
-// BenchmarkWarmVsColdSimplex's cold vs cold-profiled arms).
+// BenchmarkWarmVsColdSimplex's cold vs cold-profiled arms). Unprofiled
+// and profiled trials alternate and each side keeps its best, so a load
+// spike slows one trial of each side rather than a whole side.
 func TestKernelProfilerOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short")
 	}
 	p := profAssignment(20, 11)
-	measure := func(opt Options) time.Duration {
-		best := time.Duration(1<<62 - 1)
-		for trial := 0; trial < 5; trial++ {
-			start := time.Now()
-			for i := 0; i < 4; i++ {
-				sol, err := Solve(context.Background(), p, opt)
-				if err != nil || sol.Status != Optimal {
-					t.Fatalf("solve: %v %v", err, sol.Status)
-				}
-			}
-			if d := time.Since(start); d < best {
-				best = d
+	trial := func(opt Options) time.Duration {
+		start := time.Now()
+		for i := 0; i < 4; i++ {
+			sol, err := Solve(context.Background(), p, opt)
+			if err != nil || sol.Status != Optimal {
+				t.Fatalf("solve: %v %v", err, sol.Status)
 			}
 		}
-		return best
+		return time.Since(start)
 	}
-	measure(Options{}) // warm up allocator and caches
-	off := measure(Options{})
-	on := measure(Options{Profile: true})
+	trial(Options{}) // warm up allocator and caches
+	off, on := time.Duration(1<<62-1), time.Duration(1<<62-1)
+	for i := 0; i < 10; i++ {
+		off = min(off, trial(Options{}))
+		on = min(on, trial(Options{Profile: true}))
+	}
 	if off > 0 && on > off*3/2 {
 		t.Fatalf("profiled solves took %v vs %v unprofiled (> 1.5x)", on, off)
 	}

@@ -51,6 +51,24 @@ func TestMTTFDecreasesWithTemperature(t *testing.T) {
 	}
 }
 
+// More activity and more heat never extend a PE's life.
+func TestMTTFMonotone(t *testing.T) {
+	m := DefaultModel()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		sr := 0.05 + rng.Float64()*0.9
+		temp := 310 + rng.Float64()*40
+		dsr := rng.Float64() * (0.99 - sr)
+		dt := rng.Float64() * 20
+		base := m.MTTFHours(sr, temp)
+		return m.MTTFHours(sr+dsr, temp) <= base+1e-6 &&
+			m.MTTFHours(sr, temp+dt) <= base+1e-6
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestUnstressedPELivesForever(t *testing.T) {
 	m := DefaultModel()
 	if !math.IsInf(m.MTTFHours(0, 340), 1) {

@@ -159,31 +159,21 @@ func TestReporterConcurrent(t *testing.T) {
 // TestContextPropagation checks the With*/From round trips and the inert
 // defaults on bare and nil contexts.
 func TestContextPropagation(t *testing.T) {
-	if obs.TracerFrom(nil) != nil || obs.TraceIDFrom(nil) != "" || obs.ReporterFrom(nil) != nil {
+	if obs.TraceIDFrom(nil) != "" || obs.ReporterFrom(nil) != nil {
 		t.Fatal("nil context must yield inert zero values")
 	}
 	ctx := context.Background()
-	if obs.TracerFrom(ctx) != nil || obs.TraceIDFrom(ctx) != "" || obs.ReporterFrom(ctx) != nil {
+	if obs.TraceIDFrom(ctx) != "" || obs.ReporterFrom(ctx) != nil {
 		t.Fatal("bare context must yield inert zero values")
 	}
-	tr := obs.New()
 	rep := obs.NewReporter()
-	ctx = obs.WithTracer(ctx, tr)
 	ctx = obs.WithTraceID(ctx, "deadbeefcafe0123")
 	ctx = obs.WithReporter(ctx, rep)
-	if obs.TracerFrom(ctx) != tr {
-		t.Fatal("tracer did not round-trip")
-	}
 	if got := obs.TraceIDFrom(ctx); got != "deadbeefcafe0123" {
 		t.Fatalf("trace ID = %q", got)
 	}
 	if obs.ReporterFrom(ctx) != rep {
 		t.Fatal("reporter did not round-trip")
-	}
-	// Deliberate masking: attaching nil hides an outer tracer.
-	masked := obs.WithTracer(ctx, nil)
-	if obs.TracerFrom(masked) != nil {
-		t.Fatal("nil tracer must mask the outer one")
 	}
 }
 

@@ -1,6 +1,8 @@
 package place
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -122,5 +124,36 @@ func TestUsedRegion(t *testing.T) {
 	w, h := UsedRegion(d, m)
 	if w != 6 || h != 4 {
 		t.Fatalf("region %dx%d, want 6x4", w, h)
+	}
+}
+
+// TestAnnealRepairStopsOnCancel: the annealing repair polls its context
+// and leaves the mapping untouched when it stops.
+func TestAnnealRepairStopsOnCancel(t *testing.T) {
+	d, err := hls.BuildDesign("fir", dfg.FIR(16), arch.Fabric{W: 6, H: 6}, hls.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Scatter each context's ops over the fabric so wires blow the clock.
+	m := make(arch.Mapping, d.NumOps())
+	for c := 0; c < d.NumContexts; c++ {
+		for k, op := range d.ContextOps(c) {
+			m[op] = d.Fabric.CoordOf(k * 13 % d.Fabric.NumPEs())
+		}
+	}
+	if timing.Analyze(d, m).CPD <= d.ClockPeriodNs {
+		t.Fatal("scattered mapping meets the clock; nothing to repair")
+	}
+	before := m.Clone()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ok, err := annealRepairTiming(ctx, d, m, rand.New(rand.NewSource(1)), 1_000_000)
+	if ok || !errors.Is(err, context.Canceled) {
+		t.Fatalf("annealRepairTiming on a canceled context: ok=%v err=%v", ok, err)
+	}
+	for op := range m {
+		if m[op] != before[op] {
+			t.Fatalf("op %d moved from %v to %v", op, before[op], m[op])
+		}
 	}
 }

@@ -110,6 +110,14 @@ func (r *JobRequest) options() (core.Options, error) {
 	return opts, nil
 }
 
+// options is the job's solver options with its observers attached: tr,
+// the per-job tracer, and the job's flight recorder.
+func (j *job) options(tr *obs.Tracer) (core.Options, error) {
+	opts, err := j.req.options()
+	opts.Trace, opts.Flight = tr, j.flight
+	return opts, err
+}
+
 // exactKey validates the request's choice of workload and its options
 // and returns them with the exact-tier cache key: the SHA-256 of the
 // decoded workload and the resolved options, so a request that spells
@@ -204,8 +212,6 @@ type MTTFSummary struct {
 type SolveStats struct {
 	LPSolves      int `json:"lp_solves"`
 	SimplexIters  int `json:"simplex_iters"`
-	ILPSolves     int `json:"ilp_solves"`
-	ILPNodes      int `json:"ilp_nodes"`
 	STProbes      int `json:"st_probes"`
 	ProbeTimeouts int `json:"probe_timeouts"`
 }
@@ -344,9 +350,6 @@ type execOut struct {
 // prior solves cold; a non-nil one seeds the re-solve from it. info is
 // updated in place as facts become available.
 func (s *Server) solveInstance(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts core.Options, prior *core.Prior, info *solveInfo) (*canonResult, *core.Result, error) {
-	// The per-job tracer (process sinks + this job's capture buffer),
-	// reporter and recorder ride the context from runJob; the solver
-	// resolves them there.
 	var (
 		res *core.Result
 		err error
@@ -391,8 +394,6 @@ func (s *Server) solveInstance(ctx context.Context, d *arch.Design, m0 arch.Mapp
 	cr.stats = SolveStats{
 		LPSolves:      res.Stats.LPSolves,
 		SimplexIters:  res.Stats.SimplexIters,
-		ILPSolves:     res.Stats.ILPSolves,
-		ILPNodes:      res.Stats.ILPNodes,
 		STProbes:      res.Stats.STProbes,
 		ProbeTimeouts: res.Stats.ProbeTimeouts,
 	}
@@ -439,10 +440,10 @@ func packArtifacts(clientDoc *arch.Document, opPerm, ctxPerm []int, m0 arch.Mapp
 // That is what makes the semantic cache tier sound on bytes: a cold
 // solve of any isomorphic submission and a semantic replay both render
 // the same stored canonical outcome the same way.
-func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, error) {
+func (s *Server) execute(ctx context.Context, j *job, tr *obs.Tracer) (*execOut, *solveInfo, error) {
 	req := j.req
 	if j.delta != nil {
-		return s.executeDelta(ctx, j)
+		return s.executeDelta(ctx, j, tr)
 	}
 
 	if req.Bench != "" {
@@ -456,7 +457,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, err
 		if err != nil {
 			return nil, info, err
 		}
-		opts, err := req.options()
+		opts, err := j.options(tr)
 		if err != nil {
 			return nil, info, err
 		}
@@ -496,7 +497,7 @@ func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, err
 			return nil, info, err
 		}
 	}
-	opts, err := req.options()
+	opts, err := j.options(tr)
 	if err != nil {
 		return nil, info, err
 	}

@@ -162,38 +162,12 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, *serve.JobResul
 	return raw, &res, nil
 }
 
-// Progress fetches the latest solver-progress snapshot.
-func (c *Client) Progress(ctx context.Context, id string) (serve.ProgressSnapshot, error) {
-	var prog serve.ProgressSnapshot
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/progress", nil, &prog)
-	return prog, err
-}
-
 // Report fetches the flight-recorder report. format is "json", "text",
 // or "journal" ("" = server default).
 func (c *Client) Report(ctx context.Context, id, format string) ([]byte, error) {
 	path := "/v1/jobs/" + url.PathEscape(id) + "/report"
 	if format != "" {
 		path += "?format=" + url.QueryEscape(format)
-	}
-	var raw []byte
-	err := c.do(ctx, http.MethodGet, path, nil, &raw)
-	return raw, err
-}
-
-// Trace fetches the job's captured JSONL span trace.
-func (c *Client) Trace(ctx context.Context, id string) ([]byte, error) {
-	var raw []byte
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/trace", nil, &raw)
-	return raw, err
-}
-
-// Stats fetches the windowed telemetry summary ("" = server default
-// window; otherwise a Go duration string like "15m").
-func (c *Client) Stats(ctx context.Context, window string) ([]byte, error) {
-	path := "/v1/stats"
-	if window != "" {
-		path += "?window=" + url.QueryEscape(window)
 	}
 	var raw []byte
 	err := c.do(ctx, http.MethodGet, path, nil, &raw)
@@ -223,20 +197,6 @@ func (c *Client) Cancel(ctx context.Context, id string) (serve.Snapshot, error) 
 	var snap serve.Snapshot
 	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, &snap)
 	return snap, err
-}
-
-// Version fetches the server's build identity.
-func (c *Client) Version(ctx context.Context) ([]byte, error) {
-	var raw []byte
-	err := c.do(ctx, http.MethodGet, "/v1/version", nil, &raw)
-	return raw, err
-}
-
-// OpenAPI fetches the served API description.
-func (c *Client) OpenAPI(ctx context.Context) ([]byte, error) {
-	var raw []byte
-	err := c.do(ctx, http.MethodGet, "/v1/openapi.json", nil, &raw)
-	return raw, err
 }
 
 // Wait polls until the job reaches a terminal state (done, failed,

@@ -11,6 +11,7 @@ import (
 	"agingfp/internal/canon"
 	"agingfp/internal/core"
 	"agingfp/internal/lp"
+	"agingfp/internal/obs"
 	"agingfp/internal/place"
 )
 
@@ -310,13 +311,13 @@ func identityPerm(n int) []int {
 // executeDelta runs one delta job: plan (warm or cold), solve, render
 // in the delta client's numbering, and export fresh artifacts so delta
 // jobs can chain.
-func (s *Server) executeDelta(ctx context.Context, j *job) (*execOut, *solveInfo, error) {
+func (s *Server) executeDelta(ctx context.Context, j *job, tr *obs.Tracer) (*execOut, *solveInfo, error) {
 	plan, err := s.planDelta(ctx, j)
 	if err != nil {
 		return nil, nil, err
 	}
 	info := &solveInfo{ops: plan.design.NumOps(), contexts: plan.design.NumContexts}
-	opts, err := j.req.options()
+	opts, err := j.options(tr)
 	if err != nil {
 		return nil, info, err
 	}

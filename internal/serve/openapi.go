@@ -4,7 +4,7 @@ import "net/http"
 
 // openAPIVersion is the spec revision served at /v1/openapi.json. Bump
 // it when the API surface changes.
-const openAPIVersion = "1.2.0"
+const openAPIVersion = "1.3.0"
 
 // openAPIDocument assembles the OpenAPI 3 description from the route
 // table plus the hand-maintained schema section. Paths come from the
@@ -116,7 +116,7 @@ func openAPISchemas() map[string]interface{} {
 		"Snapshot": obj("id", "trace_id", "tenant", "state", "error", "solve_kind", "base_job",
 			"delta_fallback", "reuse", "cost", "submitted", "started", "finished"),
 		"Cost": obj("tier", "queue_wait_ms", "solve_ms", "lp_solves", "simplex_iters",
-			"ilp_nodes", "st_probes", "phase_ms"),
+			"st_probes", "phase_ms"),
 		"SLOStatus": obj("window", "since", "until", "objectives"),
 		"JobResult": obj("design", "ops", "contexts", "status", "improved", "st_target",
 			"st_lower_bound", "orig_max_stress", "new_max_stress", "orig_cpd_ns",

@@ -231,7 +231,6 @@ type CostReport struct {
 	// Solver-effort counters: the work the hardware actually did.
 	LPSolves     int `json:"lp_solves,omitempty"`
 	SimplexIters int `json:"simplex_iters,omitempty"`
-	ILPNodes     int `json:"ilp_nodes,omitempty"`
 	STProbes     int `json:"st_probes,omitempty"`
 	// PhaseMs breaks the simplex kernel's wall-clock down per phase;
 	// present only when kernel profiling was armed for the job.
@@ -247,7 +246,6 @@ func costFromEvent(ev *telemetry.SolveEvent) *CostReport {
 		SolveMs:      ev.ElapsedMs, // zero for a job no worker ran
 		LPSolves:     ev.LPSolves,
 		SimplexIters: ev.SimplexIters,
-		ILPNodes:     ev.ILPNodes,
 		STProbes:     ev.STProbes,
 	}
 	if ph := ev.PhaseMs(); len(ph) > 0 {
@@ -851,24 +849,20 @@ func (s *Server) runJob(j *job) {
 	defer s.reg.Gauge(`agingfp_serve_workers_busy`).Add(-1)
 	s.logJob(j, "job started", slog.Duration("queue_wait", queueWait))
 
-	// Per-job observability context: a tracer teeing the process-wide
-	// sinks with this job's capture buffer (so the job's spans are both
-	// in the shared stream and individually retrievable), the trace ID,
-	// and the live progress reporter all ride the job's context into the
-	// solver layers.
+	// Per-job observability: a tracer teeing the process-wide sinks with
+	// this job's capture buffer (so the job's spans are both in the
+	// shared stream and individually retrievable) reaches the solver in
+	// its Options with the job's flight recorder; the trace ID and the
+	// live progress reporter ride the job's context.
 	sinks := s.cfg.Trace.Sinks()
 	if j.capture != nil {
 		sinks = append(append([]obs.Sink(nil), sinks...), j.capture.sink)
 	}
 	tr := obs.New(sinks...).WithMetrics(s.reg)
-	ctx := obs.WithTracer(j.ctx, tr)
-	ctx = obs.WithTraceID(ctx, j.traceID)
+	ctx := obs.WithTraceID(j.ctx, j.traceID)
 	ctx = obs.WithReporter(ctx, j.rep)
-	if j.flight != nil {
-		ctx = flight.WithRecorder(ctx, j.flight)
-	}
 
-	eo, info, err := s.execute(ctx, j)
+	eo, info, err := s.execute(ctx, j, tr)
 
 	j.mu.Lock()
 	j.finished = time.Now()

@@ -316,20 +316,12 @@ func (st *SolveStats) scan(s *wire.Scanner) {
 			if s.Field(&seen, 1) {
 				st.SimplexIters = s.Int()
 			}
-		case "ilp_solves":
-			if s.Field(&seen, 2) {
-				st.ILPSolves = s.Int()
-			}
-		case "ilp_nodes":
-			if s.Field(&seen, 3) {
-				st.ILPNodes = s.Int()
-			}
 		case "st_probes":
-			if s.Field(&seen, 4) {
+			if s.Field(&seen, 2) {
 				st.STProbes = s.Int()
 			}
 		case "probe_timeouts":
-			if s.Field(&seen, 5) {
+			if s.Field(&seen, 3) {
 				st.ProbeTimeouts = s.Int()
 			}
 		default:

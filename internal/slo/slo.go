@@ -200,14 +200,6 @@ func New(objs []Objective, cfg Config) *Engine {
 	return e
 }
 
-// Objectives returns the engine's objective set (copy).
-func (e *Engine) Objectives() []Objective {
-	if e == nil {
-		return nil
-	}
-	return append([]Objective(nil), e.objs...)
-}
-
 // Record folds one event into the counter ring and re-evaluates the
 // event's objectives (gauges updated, alerts edge-triggered). Intended
 // to be wired as a telemetry.Config observer.

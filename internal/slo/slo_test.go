@@ -300,9 +300,6 @@ func TestNilSafety(t *testing.T) {
 	if e.Status(0) != nil {
 		t.Fatal("nil engine Status must be nil")
 	}
-	if e.Objectives() != nil {
-		t.Fatal("nil engine Objectives must be nil")
-	}
 	now := time.Date(2026, 1, 2, 12, 0, 30, 0, time.UTC)
 	live := testEngine(t, []Objective{Availability(0.99)}, &now, Config{})
 	live.Record(nil) // must not panic

@@ -87,7 +87,6 @@ type SolveEvent struct {
 	// Solver-effort counters, matching core.Stats.
 	LPSolves      int `json:"lp_solves,omitempty"`
 	SimplexIters  int `json:"simplex_iters,omitempty"`
-	ILPNodes      int `json:"ilp_nodes,omitempty"`
 	STProbes      int `json:"st_probes,omitempty"`
 	ProbeTimeouts int `json:"probe_timeouts,omitempty"`
 	WarmStarts    int `json:"warm_starts,omitempty"`
@@ -116,7 +115,6 @@ func (e *SolveEvent) FillStats(st core.Stats) {
 	e.TimingMs = ms(st.TimingTime)
 	e.LPSolves = st.LPSolves
 	e.SimplexIters = st.SimplexIters
-	e.ILPNodes = st.ILPNodes
 	e.STProbes = st.STProbes
 	e.ProbeTimeouts = st.ProbeTimeouts
 	e.WarmStarts = st.WarmStarts

@@ -224,14 +224,6 @@ func (p *Pipeline) Window() time.Duration {
 	return DefaultWindow
 }
 
-// Dir returns the store directory ("" on a nil pipeline).
-func (p *Pipeline) Dir() string {
-	if p == nil {
-		return ""
-	}
-	return p.cfg.Dir
-}
-
 // slowDir is where captured outlier journals land.
 func (p *Pipeline) slowDir() string { return filepath.Join(p.cfg.Dir, "slow") }
 

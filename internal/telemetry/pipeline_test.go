@@ -162,7 +162,7 @@ func TestPipelineNilSafe(t *testing.T) {
 	if p.CaptureSlow("x", func(io.Writer) error { return nil }) != "" {
 		t.Fatal("nil CaptureSlow must be a no-op")
 	}
-	if p.Window() != 0 || p.Dir() != "" || p.Close() != nil {
+	if p.Window() != 0 || p.Close() != nil {
 		t.Fatal("nil pipeline scalar accessors must return zeros")
 	}
 }

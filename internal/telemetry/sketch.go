@@ -185,11 +185,3 @@ func (s *Sketch) Max() float64 {
 	}
 	return s.max
 }
-
-// Min returns the smallest recorded value (exact), 0 when empty.
-func (s *Sketch) Min() float64 {
-	if s == nil || s.count == 0 {
-		return 0
-	}
-	return s.min
-}

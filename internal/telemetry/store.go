@@ -276,14 +276,6 @@ func (s *Store) Replay(fn func(*SolveEvent) error) (replayed, skipped int, err e
 	return replayed, skipped, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
 // Close seals the active segment. Appends after Close are dropped.
 func (s *Store) Close() error {
 	if s == nil {

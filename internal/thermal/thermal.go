@@ -181,6 +181,3 @@ func MaxK(t [][]float64) float64 {
 	}
 	return m
 }
-
-// At is a bounds-checked accessor used by reporting code.
-func At(t [][]float64, x, y int) float64 { return t[y][x] }

@@ -140,6 +140,44 @@ func TestEnergyBalance(t *testing.T) {
 	}
 }
 
+// TestSolveBalancesEachPE checks Solve pointwise: at every PE of a
+// non-square map with a hot spot, the returned temperatures satisfy the
+// balance the solver iterates,
+//
+//	P = (T - AmbientK)/RVertical + sum_n (T - T_n)/RLateral,
+//
+// at the default tolerance the flow runs with.
+func TestSolveBalancesEachPE(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(7))
+	const w, h = 7, 5
+	p := make([][]float64, h)
+	for y := range p {
+		p[y] = make([]float64, w)
+		for x := range p[y] {
+			p[y][x] = rng.Float64()
+		}
+	}
+	p[1][5] = 3
+	tm, err := Solve(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			out := (tm[y][x] - cfg.AmbientK) / cfg.RVertical
+			for _, n := range [][2]int{{x - 1, y}, {x + 1, y}, {x, y - 1}, {x, y + 1}} {
+				if n[0] >= 0 && n[0] < w && n[1] >= 0 && n[1] < h {
+					out += (tm[y][x] - tm[n[1]][n[0]]) / cfg.RLateral
+				}
+			}
+			if r := math.Abs(out - p[y][x]); r > 1e-6 {
+				t.Fatalf("(%d,%d): power %g W, heat out %g W (residual %g)", x, y, p[y][x], out, r)
+			}
+		}
+	}
+}
+
 func TestSolveValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	if _, err := Solve(nil, cfg); err == nil {
@@ -179,9 +217,6 @@ func TestPowerFromStress(t *testing.T) {
 func TestMaxK(t *testing.T) {
 	if MaxK([][]float64{{1, 5}, {3, 2}}) != 5 {
 		t.Fatal("MaxK wrong")
-	}
-	if At([][]float64{{1, 5}}, 1, 0) != 5 {
-		t.Fatal("At wrong")
 	}
 }
 
