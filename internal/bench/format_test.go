@@ -44,9 +44,12 @@ func TestFormatTableILayout(t *testing.T) {
 	if !strings.Contains(out, "rotate 2.50") {
 		t.Errorf("low-band rotate average wrong:\n%s", out)
 	}
-	// Freeze and rotate averages per band, a band with no rows, and the
-	// overall rotate average (3+5+1.5)/3.
-	out = FormatTableI([]*Result{
+}
+
+// TestGroupAverages checks the per-band freeze and rotate averages of Table
+// I, a band with no rows, and the overall rotate average (3+5+1.5)/3.
+func TestGroupAverages(t *testing.T) {
+	out := FormatTableI([]*Result{
 		fakeResult("B1", 4, 4, Low, 2, 3),
 		fakeResult("B4", 8, 4, Low, 4, 5),
 		fakeResult("B19", 4, 4, High, 1, 1.5),
