@@ -262,21 +262,19 @@ func run() int {
 		return 2
 	}
 
-	// Live status line: a context-carried reporter collects solver
-	// progress, and a goroutine repaints one stderr line from it until
-	// the flow returns.
-	remapCtx := ctx
+	// Live status line: the solver writes its progress to a reporter,
+	// and a goroutine repaints one stderr line from it until the flow
+	// returns.
 	stopProgress := func() {}
 	if *progress {
-		rep := obs.NewReporter()
-		remapCtx = obs.WithReporter(ctx, rep)
-		stopProgress = startProgressLine(rep, os.Stderr)
+		opts.Progress = obs.NewReporter()
+		stopProgress = startProgressLine(opts.Progress, os.Stderr)
 	}
 
 	start := time.Now()
 	var r *core.Result
 	pprof.Do(ctx, pprof.Labels("phase", "remap"), func(context.Context) {
-		r, err = core.Remap(remapCtx, d, m0, opts)
+		r, err = core.Remap(ctx, d, m0, opts)
 	})
 	stopProgress()
 	if errors.Is(err, context.Canceled) {

@@ -12,12 +12,13 @@
 //	curl -N localhost:8080/v1/jobs/job-000001/events
 //
 // Every request and job-lifecycle event is logged to stderr with the
-// job's trace_id (-log-format selects text or JSON records); -trace
-// writes the span stream as JSONL, -trace-jobs additionally keeps a
-// bounded per-job copy behind GET /v1/jobs/{id}/trace, and -pprof
-// mounts the runtime profiles under /debug/pprof/. The daemon starts no
-// CPU profile of its own, so GET /debug/pprof/profile always has the
-// runtime's one CPU profiler to itself.
+// job's trace_id (-log-format selects text or JSON records). -trace
+// writes the span stream as JSONL: each job a worker runs is one
+// serve.job span with the same job_id and trace_id attrs, and the
+// solver's spans sit under it. -pprof mounts the runtime profiles under
+// /debug/pprof/. The daemon starts no CPU profile of its own, so
+// GET /debug/pprof/profile always has the runtime's one CPU profiler to
+// itself.
 //
 // -telemetry-dir enables the longitudinal telemetry pipeline: one
 // durable wide event per job, windowed percentiles behind GET
@@ -60,7 +61,6 @@ func run() int {
 		deadline     = flag.Duration("default-deadline", 0, "default per-job deadline, queue wait included (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight jobs before force-canceling")
 		tracePath    = flag.String("trace", "", "write the span stream as JSON Lines to this file")
-		traceJobs    = flag.Bool("trace-jobs", false, "keep a bounded per-job span trace behind GET /v1/jobs/{id}/trace")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logFormat    = flag.String("log-format", "text", "request/lifecycle log format: text or json")
 		flightEvs    = flag.Int("flight-events", 0, "bound each job's flight journal (0 = default, negative disables GET /v1/jobs/{id}/report)")
@@ -157,7 +157,6 @@ func run() int {
 		Trace:           tracer,
 		Registry:        reg,
 		Logger:          logger,
-		CaptureTraces:   *traceJobs,
 		EnablePprof:     *pprofOn,
 		FlightEvents:    *flightEvs,
 		Telemetry:       pipeline,

@@ -46,7 +46,9 @@ func RunFig2b(ctx context.Context, spec Spec, cfg Config) (*Fig2b, error) {
 	if err != nil {
 		return nil, err
 	}
-	rr, err := core.Remap(ctx, d, m0, core.DefaultOptions())
+	opts := core.DefaultOptions()
+	opts.Seed = spec.Seed
+	rr, err := core.Remap(ctx, d, m0, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +221,9 @@ func RunGreedy(ctx context.Context, spec Spec) (*GreedyComparison, error) {
 	gs := arch.ComputeStress(d, gm)
 	gres := timing.Analyze(d, gm)
 
-	rr, err := core.Remap(ctx, d, m0, core.DefaultOptions())
+	opts := core.DefaultOptions()
+	opts.Seed = spec.Seed
+	rr, err := core.Remap(ctx, d, m0, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -121,6 +121,10 @@ type Options struct {
 	// their events in one journal; attach a recorder per Remap call when
 	// per-arm ordering matters.
 	Flight *flight.Recorder
+	// Progress, when non-nil, receives the run's live progress: the
+	// phase, the ST_target, batch and probe counters, LP effort. nil
+	// disables progress reporting at zero cost.
+	Progress *obs.Reporter
 	// CPDBudgetNs overrides the delay budget of the path constraints.
 	// 0 (the default) uses the original floorplan's CPD, exactly as the
 	// paper's formulation (3) does — the re-mapped CPD never exceeds the

@@ -59,7 +59,7 @@ func BatchDive(d *arch.Design, m0 arch.Mapping) (rows int, dive func() (lpSolves
 	return bp.lp.NumRows(), func() (int, bool, error) {
 		ctx := context.Background()
 		var stats Stats
-		f := newFold(ctx, opts).run(&stats)
+		f := newFold(opts).run(&stats)
 		rel, err := f.relax(ctx, bp.lp, nil)
 		if err != nil {
 			return stats.LPSolves, false, err

@@ -100,7 +100,7 @@ func TestFlightStressBudgetBlocker(t *testing.T) {
 	var stats Stats
 	rng := rand.New(rand.NewSource(1))
 	_, ok, err := solveAllBatches(context.Background(), d, m0, nil, nil,
-		1e-9, 0, stress0, [][]int{all}, opts, rng, newFold(context.Background(), opts).run(&stats), time.Time{}, nil)
+		1e-9, 0, stress0, [][]int{all}, opts, rng, newFold(opts).run(&stats), time.Time{}, nil)
 	if err != nil {
 		t.Fatalf("solveAllBatches: %v", err)
 	}

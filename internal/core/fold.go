@@ -44,12 +44,11 @@ const probePriorValidated = "prior_validated"
 // reporter's read-modify-write, so they are cumulative for the job. All
 // sinks are nil-safe; with none attached a decision allocates nothing.
 type fold struct {
-	st      *Stats
-	tr      *obs.Tracer
-	reg     *obs.Registry
-	rep     *obs.Reporter
-	rec     *flight.Recorder
-	traceID string
+	st  *Stats
+	tr  *obs.Tracer
+	reg *obs.Registry
+	rep *obs.Reporter
+	rec *flight.Recorder
 	// profile/profileRate arm the LP kernel profiler on every solve when
 	// the recorder asked for it (flight.Recorder.EnableKernel).
 	profile     bool
@@ -70,11 +69,11 @@ type openSpan struct {
 	sp   obs.Span
 }
 
-// newFold resolves the job's sinks: Options.Trace and Options.Flight,
-// plus the context's progress reporter and trace ID. The result has no
-// Stats; derive one per run with run.
-func newFold(ctx context.Context, opts Options) *fold {
-	f := &fold{tr: opts.Trace, rec: opts.Flight, rep: obs.ReporterFrom(ctx), traceID: obs.TraceIDFrom(ctx)}
+// newFold resolves the job's sinks: Options.Trace, Options.Flight and
+// Options.Progress. The result has no Stats; derive one per run with
+// run.
+func newFold(opts Options) *fold {
+	f := &fold{tr: opts.Trace, rec: opts.Flight, rep: opts.Progress}
 	f.reg = f.tr.Registry()
 	f.profileRate, f.profile = f.rec.KernelProfiling()
 	return f

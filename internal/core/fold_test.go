@@ -48,7 +48,7 @@ func TestProfileArmedViaRecorder(t *testing.T) {
 	rec.EnableKernel(4)
 	opts := DefaultOptions()
 	opts.Flight = rec
-	sol, err := newFold(ctx, opts).run(&Stats{}).solve(ctx, assignmentLP(8, 5), nil)
+	sol, err := newFold(opts).run(&Stats{}).solve(ctx, assignmentLP(8, 5), nil)
 	if err != nil || sol.Status != lp.Optimal {
 		t.Fatalf("solve: %v %v", err, sol.Status)
 	}
@@ -65,7 +65,7 @@ func TestProfileArmedViaRecorder(t *testing.T) {
 
 	cold := flight.NewRecorder(16)
 	opts.Flight = cold
-	sol2, err := newFold(ctx, opts).run(&Stats{}).solve(ctx, assignmentLP(8, 5), nil)
+	sol2, err := newFold(opts).run(&Stats{}).solve(ctx, assignmentLP(8, 5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestProfileArmedViaRecorder(t *testing.T) {
 // run's Stats.
 func TestFoldZeroAllocs(t *testing.T) {
 	var st Stats
-	f := newFold(context.Background(), DefaultOptions()).run(&st)
+	f := newFold(DefaultOptions()).run(&st)
 	hit := &lp.Solution{Iters: 7, Degenerate: 2, Refreshes: 1, Warm: true}
 	miss := &lp.Solution{Iters: 9, Degenerate: 1, Refreshes: 3, WarmReject: "stale_basis"}
 	allocs := testing.AllocsPerRun(100, func() {

@@ -98,7 +98,7 @@ func TestOriginalAssignmentSatisfiesFormulation(t *testing.T) {
 	}
 
 	// And the solver must find some solution at this budget.
-	f := newFold(context.Background(), DefaultOptions()).run(&Stats{})
+	f := newFold(DefaultOptions()).run(&Stats{})
 	asn, ok, _, err := solveBatch(context.Background(), bp, DefaultOptions(), f, rand.New(rand.NewSource(9)), time.Time{}, nil, 0)
 	if err != nil {
 		t.Fatal(err)

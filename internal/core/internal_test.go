@@ -96,7 +96,7 @@ func TestRotateFrozenGeometry(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	rng := rand.New(rand.NewSource(3))
-	pos := rotateFrozen(context.Background(), d, m0, crit, opts, rng, newFold(context.Background(), opts).run(&Stats{}))
+	pos := rotateFrozen(context.Background(), d, m0, crit, opts, rng, newFold(opts).run(&Stats{}))
 	if len(pos) != len(crit) {
 		t.Fatalf("%d rotated positions for %d critical ops", len(pos), len(crit))
 	}

@@ -34,7 +34,7 @@ func Remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return remap(ctx, d, m0, opts, newFold(ctx, opts), true)
+	return remap(ctx, d, m0, opts, newFold(opts), true)
 }
 
 // remap is one Remap run writing its work through the job's shared
@@ -81,15 +81,10 @@ func remap(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Options, s
 	f := sinks.run(&result.Stats)
 
 	// The run's root span; nested under TraceParent when the caller
-	// provided one (RemapBoth arms, bench runs, the freeze fallback).
-	// The context's trace/correlation ID, when present, is stamped on the
-	// root so the span stream joins against the server's request log.
-	rootAttrs := []obs.Attr{obs.String("mode", opts.Mode.String()),
-		obs.Int64("seed", opts.Seed), obs.Int("ops", d.NumOps()), obs.Int("contexts", d.NumContexts)}
-	if f.traceID != "" {
-		rootAttrs = append(rootAttrs, obs.String("trace_id", f.traceID))
-	}
-	f.open(opts.TraceParent, "core.remap", rootAttrs...)
+	// provided one (RemapBoth arms, bench runs, the freeze fallback, the
+	// job server's serve.job span).
+	f.open(opts.TraceParent, "core.remap", obs.String("mode", opts.Mode.String()),
+		obs.Int64("seed", opts.Seed), obs.Int("ops", d.NumOps()), obs.Int("contexts", d.NumContexts))
 	// fallback is the work of a nested Freeze run whose floorplan lost to
 	// this run's; it joins the returned Stats after this run's own
 	// accounting, so the returned totals cover both runs.
@@ -527,7 +522,7 @@ func RemapBoth(ctx context.Context, d *arch.Design, m0 arch.Mapping, opts Option
 
 	// Both arms write into one set of sinks (one span-ID space, one
 	// journal; see Options.Flight for the interleaving caveat).
-	sinks := newFold(ctx, opts)
+	sinks := newFold(opts)
 	sinks.open(opts.TraceParent, "core.remap_both")
 
 	var (

@@ -234,7 +234,7 @@ func TestRotateFreezeModeKeepsPositions(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Mode = Freeze
 	rng := rand.New(rand.NewSource(1))
-	pos := rotateFrozen(context.Background(), d, m0, crit, opts, rng, newFold(context.Background(), opts).run(&Stats{}))
+	pos := rotateFrozen(context.Background(), d, m0, crit, opts, rng, newFold(opts).run(&Stats{}))
 	for op, pe := range pos {
 		if pe != m0[op] {
 			t.Fatalf("freeze mode moved op %d: %v -> %v", op, m0[op], pe)

@@ -22,9 +22,9 @@ type Prior struct {
 	// keyed by op index in the NEW design's numbering (the caller
 	// aligns numberings; ops that no longer exist are simply absent).
 	Frozen map[int]arch.Coord
-	// STTarget / STLowerBound bracket the prior solve's final budget.
-	STTarget     float64
-	STLowerBound float64
+	// STTarget is the prior solve's final budget. The re-solve probes it
+	// first, clamped into this design's own search range.
+	STTarget float64
 	// Bases are per-batch LP basis snapshots from the prior search.
 	Bases []*lp.Basis
 	// Mapping is the prior solve's floorplan, in the NEW design's op

@@ -54,11 +54,10 @@ func TestRemapFromPriorSameDesign(t *testing.T) {
 		t.Skipf("cold solve not feasible (%v); bracket resume untestable", cold.Status)
 	}
 	prior := &Prior{
-		Frozen:       cold.FrozenOps,
-		STTarget:     cold.STTarget,
-		STLowerBound: cold.STLowerBound,
-		Bases:        cold.Bases,
-		Mapping:      cold.Mapping,
+		Frozen:   cold.FrozenOps,
+		STTarget: cold.STTarget,
+		Bases:    cold.Bases,
+		Mapping:  cold.Mapping,
 	}
 	warm, err := RemapFromPrior(context.Background(), d, m0, opts, prior)
 	if err != nil {
@@ -107,11 +106,10 @@ func TestRemapFromPriorMutatedDesign(t *testing.T) {
 		t.Fatal(err)
 	}
 	prior := &Prior{
-		Frozen:       cold.FrozenOps,
-		STTarget:     cold.STTarget,
-		STLowerBound: cold.STLowerBound,
-		Bases:        cold.Bases,
-		Mapping:      cold.Mapping,
+		Frozen:   cold.FrozenOps,
+		STTarget: cold.STTarget,
+		Bases:    cold.Bases,
+		Mapping:  cold.Mapping,
 	}
 	warm, err := RemapFromPrior(context.Background(), d2, m0, opts, prior)
 	if err != nil {

@@ -54,7 +54,7 @@ func SolveRemapOnce(ctx context.Context, d *arch.Design, m0 arch.Mapping, stTarg
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	bp := buildFullProblem(d, m0, stTarget, rng)
-	f := newFold(ctx, opts).run(&Stats{})
+	f := newFold(opts).run(&Stats{})
 	f.open(opts.TraceParent, "core.solve_once", obs.Float("st_target", stTarget))
 	asn, ok, _, err := solveBatch(ctx, bp, opts, f, rng, time.Time{}, nil, 0)
 	f.close(err)

@@ -58,11 +58,12 @@ func runViews(t *testing.T, name string, mode core.Mode, both bool, tweak func(*
 	opts.Trace = obs.New(js).WithMetrics(reg)
 	rec := flight.NewRecorder(0)
 	opts.Flight = rec
+	rep := obs.NewReporter()
+	opts.Progress = rep
 	if tweak != nil {
 		tweak(&opts)
 	}
-	rep := obs.NewReporter()
-	ctx := obs.WithReporter(context.Background(), rep)
+	ctx := context.Background()
 	var st core.Stats
 	if both {
 		fr, ro, err := core.RemapBoth(ctx, d, m0, opts)

@@ -94,9 +94,10 @@ type Sink interface {
 	Emit(e *Event)
 }
 
-// Tracer fans spans out to its sinks and carries an optional metrics
-// Registry. A nil *Tracer is fully inert; construct live tracers with
-// New.
+// Tracer fans spans out to its sinks. It also carries an optional
+// metrics Registry for the code that holds the tracer to write to;
+// spans themselves record no metrics. A nil *Tracer is fully inert;
+// construct live tracers with New.
 type Tracer struct {
 	sinks []Sink
 	reg   *Registry
@@ -136,17 +137,6 @@ func (t *Tracer) Registry() *Registry {
 
 // Tracing reports whether spans are live (at least one sink).
 func (t *Tracer) Tracing() bool { return t != nil && len(t.sinks) > 0 }
-
-// Sinks returns the tracer's sinks, for fan-out composition: the job
-// server builds per-job tracers that tee into the process-wide sinks
-// plus a per-job capture sink. The returned slice is shared — callers
-// must not mutate it. Nil-safe.
-func (t *Tracer) Sinks() []Sink {
-	if t == nil {
-		return nil
-	}
-	return t.sinks
-}
 
 // Flusher is the optional sink extension for buffered sinks (JSONLSink
 // implements it): Flush writes buffered events through to the

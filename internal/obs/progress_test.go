@@ -1,7 +1,6 @@
 package obs_test
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -156,42 +155,14 @@ func TestReporterConcurrent(t *testing.T) {
 	}
 }
 
-// TestContextPropagation checks the With*/From round trips and the inert
-// defaults on bare and nil contexts.
-func TestContextPropagation(t *testing.T) {
-	if obs.TraceIDFrom(nil) != "" || obs.ReporterFrom(nil) != nil {
-		t.Fatal("nil context must yield inert zero values")
-	}
-	ctx := context.Background()
-	if obs.TraceIDFrom(ctx) != "" || obs.ReporterFrom(ctx) != nil {
-		t.Fatal("bare context must yield inert zero values")
-	}
-	rep := obs.NewReporter()
-	ctx = obs.WithTraceID(ctx, "deadbeefcafe0123")
-	ctx = obs.WithReporter(ctx, rep)
-	if got := obs.TraceIDFrom(ctx); got != "deadbeefcafe0123" {
-		t.Fatalf("trace ID = %q", got)
-	}
-	if obs.ReporterFrom(ctx) != rep {
-		t.Fatal("reporter did not round-trip")
-	}
-}
-
-// TestTracerSinksAndFlush covers the fan-out accessors added for the job
-// server: Sinks exposure and Flush on buffered sinks.
-func TestTracerSinksAndFlush(t *testing.T) {
-	if (*obs.Tracer)(nil).Sinks() != nil {
-		t.Fatal("nil tracer Sinks must be nil")
-	}
+// TestTracerFlush checks that Flush is nil-safe and reaches buffered
+// sinks.
+func TestTracerFlush(t *testing.T) {
 	if err := (*obs.Tracer)(nil).Flush(); err != nil {
 		t.Fatalf("nil tracer Flush: %v", err)
 	}
 	var buf lockedBuffer
-	js := obs.NewJSONLSink(&buf)
-	tr := obs.New(js)
-	if got := tr.Sinks(); len(got) != 1 || got[0] != obs.Sink(js) {
-		t.Fatalf("Sinks = %v", got)
-	}
+	tr := obs.New(obs.NewJSONLSink(&buf))
 	tr.Event("unit.test")
 	if buf.Len() != 0 {
 		t.Fatal("JSONL sink flushed eagerly; expected buffering")

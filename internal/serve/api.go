@@ -110,11 +110,12 @@ func (r *JobRequest) options() (core.Options, error) {
 	return opts, nil
 }
 
-// options is the job's solver options with its observers attached: tr,
-// the per-job tracer, and the job's flight recorder.
-func (j *job) options(tr *obs.Tracer) (core.Options, error) {
+// options is the job's solver options with its observers attached: the
+// server's tracer, the job's serve.job span as the parent of its runs,
+// and the job's flight recorder and progress cell.
+func (s *Server) options(j *job) (core.Options, error) {
 	opts, err := j.req.options()
-	opts.Trace, opts.Flight = tr, j.flight
+	opts.Trace, opts.TraceParent, opts.Flight, opts.Progress = s.cfg.Trace, j.span, j.flight, j.rep
 	return opts, err
 }
 
@@ -315,7 +316,6 @@ type solveArtifacts struct {
 	solved    arch.Mapping // the floorplan the solve produced
 	frozen    map[int]arch.Coord
 	stTarget  float64
-	stLower   float64
 	bases     [][]byte // serialized lp.Basis per context batch
 	mode      string   // resolved solver options (delta inherits these)
 	seed      int64
@@ -412,7 +412,6 @@ func packArtifacts(clientDoc *arch.Document, opPerm, ctxPerm []int, m0 arch.Mapp
 		solved:    append(arch.Mapping(nil), res.Mapping...),
 		frozen:    res.FrozenOps,
 		stTarget:  res.STTarget,
-		stLower:   res.STLowerBound,
 		mode:      opts.Mode.String(),
 		seed:      opts.Seed,
 		timeLimit: int64(opts.TimeLimit / time.Millisecond),
@@ -440,10 +439,10 @@ func packArtifacts(clientDoc *arch.Document, opPerm, ctxPerm []int, m0 arch.Mapp
 // That is what makes the semantic cache tier sound on bytes: a cold
 // solve of any isomorphic submission and a semantic replay both render
 // the same stored canonical outcome the same way.
-func (s *Server) execute(ctx context.Context, j *job, tr *obs.Tracer) (*execOut, *solveInfo, error) {
+func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, error) {
 	req := j.req
 	if j.delta != nil {
-		return s.executeDelta(ctx, j, tr)
+		return s.executeDelta(ctx, j)
 	}
 
 	if req.Bench != "" {
@@ -457,7 +456,7 @@ func (s *Server) execute(ctx context.Context, j *job, tr *obs.Tracer) (*execOut,
 		if err != nil {
 			return nil, info, err
 		}
-		opts, err := j.options(tr)
+		opts, err := s.options(j)
 		if err != nil {
 			return nil, info, err
 		}
@@ -497,7 +496,7 @@ func (s *Server) execute(ctx context.Context, j *job, tr *obs.Tracer) (*execOut,
 			return nil, info, err
 		}
 	}
-	opts, err := j.options(tr)
+	opts, err := s.options(j)
 	if err != nil {
 		return nil, info, err
 	}
@@ -525,7 +524,6 @@ func (s *Server) execute(ctx context.Context, j *job, tr *obs.Tracer) (*execOut,
 //	GET    /v1/jobs/{id}/result   finished job's result document
 //	GET    /v1/jobs/{id}/progress latest solver-progress snapshot
 //	GET    /v1/jobs/{id}/events   server-sent-events progress stream
-//	GET    /v1/jobs/{id}/trace    captured JSONL span trace (if enabled)
 //	GET    /v1/jobs/{id}/report   flight-recorder explainability report
 //	                              (?format=json|text|journal, default json)
 //	DELETE /v1/jobs/{id}          cooperative cancel
@@ -581,7 +579,6 @@ func (s *Server) routes() []route {
 		{"GET", "/v1/jobs/{id}/result", "finished job's result document", s.handleResult},
 		{"GET", "/v1/jobs/{id}/progress", "latest solver-progress snapshot", s.handleProgress},
 		{"GET", "/v1/jobs/{id}/events", "server-sent-events progress stream", s.handleEvents},
-		{"GET", "/v1/jobs/{id}/trace", "captured JSONL span trace", s.handleTrace},
 		{"GET", "/v1/jobs/{id}/report", "flight-recorder explainability report", s.handleReport},
 		{"DELETE", "/v1/jobs/{id}", "cooperative cancel", s.handleCancel},
 		{"GET", "/v1/version", "build identity", s.handleVersion},
@@ -847,19 +844,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if snap, err := s.Job(r.PathValue("id")); err == nil {
-		setTraceHeader(w, snap)
-	}
-	out, err := s.Trace(r.PathValue("id"))
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Write(out) //nolint:errcheck
 }
 
 // handleReport serves the job's flight-recorder output: the raw journal

@@ -11,7 +11,6 @@ import (
 	"agingfp/internal/canon"
 	"agingfp/internal/core"
 	"agingfp/internal/lp"
-	"agingfp/internal/obs"
 	"agingfp/internal/place"
 )
 
@@ -237,10 +236,9 @@ func (s *Server) alignDelta(doc *arch.Document, art *solveArtifacts, diff DeltaD
 		}
 	}
 	prior := &core.Prior{
-		Frozen:       art.frozen,
-		STTarget:     art.stTarget,
-		STLowerBound: art.stLower,
-		Bases:        bases,
+		Frozen:   art.frozen,
+		STTarget: art.stTarget,
+		Bases:    bases,
 		// The base's solved floorplan is already in the aligned (solved)
 		// numbering; when the delta appended ops the length mismatch
 		// makes the core reject it during validation, which is the
@@ -311,13 +309,13 @@ func identityPerm(n int) []int {
 // executeDelta runs one delta job: plan (warm or cold), solve, render
 // in the delta client's numbering, and export fresh artifacts so delta
 // jobs can chain.
-func (s *Server) executeDelta(ctx context.Context, j *job, tr *obs.Tracer) (*execOut, *solveInfo, error) {
+func (s *Server) executeDelta(ctx context.Context, j *job) (*execOut, *solveInfo, error) {
 	plan, err := s.planDelta(ctx, j)
 	if err != nil {
 		return nil, nil, err
 	}
 	info := &solveInfo{ops: plan.design.NumOps(), contexts: plan.design.NumContexts}
-	opts, err := j.options(tr)
+	opts, err := s.options(j)
 	if err != nil {
 		return nil, info, err
 	}

@@ -14,8 +14,8 @@ const (
 	// CodeBadRequest: the request itself is invalid (malformed JSON,
 	// unknown benchmark, bad options). 400.
 	CodeBadRequest ErrorCode = "bad_request"
-	// CodeNotFound: no such job, or the requested sub-resource (trace,
-	// flight journal, telemetry) is not enabled. 404.
+	// CodeNotFound: no such job, or the requested sub-resource (flight
+	// journal, telemetry) is not enabled. 404.
 	CodeNotFound ErrorCode = "not_found"
 	// CodeNotDone: the job exists but has not finished. 409.
 	CodeNotDone ErrorCode = "not_done"
@@ -54,7 +54,7 @@ func classify(err error) (ErrorCode, int) {
 		return CodeBadRequest, http.StatusBadRequest
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 		return CodeUnavailable, http.StatusServiceUnavailable
-	case errors.Is(err, ErrNotFound), errors.Is(err, ErrNoTrace), errors.Is(err, ErrNoFlight),
+	case errors.Is(err, ErrNotFound), errors.Is(err, ErrNoFlight),
 		errors.Is(err, ErrNoTelemetry), errors.Is(err, ErrNoSLO):
 		return CodeNotFound, http.StatusNotFound
 	case errors.Is(err, ErrBaseNotReady):

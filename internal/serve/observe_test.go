@@ -15,6 +15,7 @@ import (
 
 	"agingfp/internal/arch"
 	"agingfp/internal/bench"
+	"agingfp/internal/obs"
 )
 
 // progressDocument is sized so individual LP solves finish in a couple
@@ -242,7 +243,8 @@ func TestLogTraceCorrelation(t *testing.T) {
 // queue metrics surface on /metrics after a job and its exact hit
 // complete: the done gauge and the done counter both count the hit,
 // while the queue-wait and solve histograms count only the job a worker
-// ran.
+// ran. The server has a registry and no trace sink, and the solver's
+// metric families must still reach /metrics.
 func TestMetricsStateGauges(t *testing.T) {
 	_, hs, _ := testServer(t, serve.Config{Workers: 1})
 
@@ -272,6 +274,9 @@ func TestMetricsStateGauges(t *testing.T) {
 		`agingfp_serve_queue_depth 0`,
 		`agingfp_serve_queue_wait_seconds_count 1`,
 		`agingfp_serve_job_seconds_count 1`,
+		// The solver's families reach /metrics without any trace sink.
+		`# TYPE agingfp_lp_solves_total counter`,
+		`# TYPE agingfp_simplex_iters_total counter`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -317,62 +322,84 @@ func TestPprofGated(t *testing.T) {
 	}
 }
 
-// TestTraceEndpoint checks the per-job span capture: 404 with a typed
-// error when capture is off, JSONL spans mentioning the remap flow when
-// on — and the capture works without any process-wide sink configured.
-func TestTraceEndpoint(t *testing.T) {
-	_, off, _ := testServer(t, serve.Config{Workers: 1})
-	snap, code := postJob(t, off, `{"bench": "B1"}`)
+// TestJobSpan checks the span stream a served job leaves: one serve.job
+// span per job a worker runs, carrying the job's IDs, with every solver
+// span under it and none of them stamped with the trace ID. An exact hit
+// runs no worker and so opens no span, and no route serves a per-job
+// copy of the stream.
+func TestJobSpan(t *testing.T) {
+	var buf bytes.Buffer
+	tr := obs.New(obs.NewJSONLSink(&buf))
+	_, hs, _ := testServer(t, serve.Config{Workers: 1, Trace: tr})
+	snap, code := postJob(t, hs, `{"bench": "B1"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
-	waitState(t, off, snap.ID, serve.StateDone, 2*time.Minute)
-	resp, err := http.Get(off.URL + "/v1/jobs/" + snap.ID + "/trace")
+	waitState(t, hs, snap.ID, serve.StateDone, 2*time.Minute)
+	if hit, code := postJob(t, hs, `{"bench": "B1"}`); code != http.StatusAccepted || hit.SolveKind != "exact_hit" {
+		t.Fatalf("resubmit: HTTP %d solve_kind %q, want an exact hit", code, hit.SolveKind)
+	}
+	resp, err := http.Get(hs.URL + "/v1/jobs/" + snap.ID + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("capture off: HTTP %d, want 404", resp.StatusCode)
+		t.Fatalf("GET /v1/jobs/{id}/trace: HTTP %d, want 404", resp.StatusCode)
+	}
+	// The job's span ends before its terminal state is published, so the
+	// stream is complete once flushed.
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
 	}
 
-	_, on, _ := testServer(t, serve.Config{Workers: 1, CaptureTraces: true})
-	snap, code = postJob(t, on, `{"bench": "B1"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
+	type spanLine struct {
+		Name    string                 `json:"name"`
+		ID      uint64                 `json:"id"`
+		Parent  uint64                 `json:"parent"`
+		Instant bool                   `json:"instant"`
+		Attrs   map[string]interface{} `json:"attrs"`
 	}
-	waitState(t, on, snap.ID, serve.StateDone, 2*time.Minute)
-	resp, err = http.Get(on.URL + "/v1/jobs/" + snap.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("capture on: HTTP %d, want 200", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	body, err := readAll(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(body), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("captured trace is empty")
-	}
-	var sawRemap bool
-	for _, line := range lines {
-		var ev map[string]interface{}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("trace line %q is not JSON: %v", line, err)
+	var jobs, rest []spanLine
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var l spanLine
+		if err := dec.Decode(&l); err != nil {
+			t.Fatalf("bad trace line: %v", err)
 		}
-		if name, _ := ev["name"].(string); strings.HasPrefix(name, "core.remap") {
-			sawRemap = true
+		switch {
+		case l.Instant:
+		case l.Name == "serve.job":
+			jobs = append(jobs, l)
+		default:
+			rest = append(rest, l)
 		}
 	}
-	if !sawRemap {
-		t.Fatalf("no core.remap span in %d captured lines", len(lines))
+	if len(jobs) != 1 {
+		t.Fatalf("%d serve.job spans, want 1 (the exact hit opens none)", len(jobs))
+	}
+	job := jobs[0]
+	for key, want := range map[string]string{"job_id": snap.ID, "trace_id": snap.TraceID, "solve_kind": "cold", "state": "done"} {
+		if got := job.Attrs[key]; got != want {
+			t.Errorf("serve.job %s = %v, want %q", key, got, want)
+		}
+	}
+	remaps := 0
+	for _, l := range rest {
+		if !strings.HasPrefix(l.Name, "core.") {
+			t.Errorf("unexpected span %s", l.Name)
+		}
+		if l.Parent == 0 {
+			t.Errorf("%s span is a trace root, want it under serve.job", l.Name)
+		}
+		if _, ok := l.Attrs["trace_id"]; ok {
+			t.Errorf("%s span carries trace_id; only serve.job does", l.Name)
+		}
+		if l.Name == "core.remap" && l.Parent == job.ID {
+			remaps++
+		}
+	}
+	if remaps != 1 {
+		t.Fatalf("%d core.remap spans under serve.job, want 1", remaps)
 	}
 }
 

@@ -4,7 +4,7 @@ import "net/http"
 
 // openAPIVersion is the spec revision served at /v1/openapi.json. Bump
 // it when the API surface changes.
-const openAPIVersion = "1.3.0"
+const openAPIVersion = "1.4.0"
 
 // openAPIDocument assembles the OpenAPI 3 description from the route
 // table plus the hand-maintained schema section. Paths come from the

@@ -12,7 +12,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -29,10 +28,6 @@ import (
 	"agingfp/internal/slo"
 	"agingfp/internal/telemetry"
 )
-
-// traceBytesPerJob bounds each job's captured span trace; events past
-// the cap are counted and dropped, never buffered.
-const traceBytesPerJob = 1 << 20
 
 // Config sizes the service.
 type Config struct {
@@ -53,18 +48,16 @@ type Config struct {
 	// DrainTimeout bounds Drain's wait for in-flight jobs before they
 	// are force-canceled (default 30s).
 	DrainTimeout time.Duration
-	// Trace observes solver spans; Registry carries service metrics and
-	// backs the /metrics endpoint. Both may be nil.
+	// Trace receives the spans of every job a worker runs: one serve.job
+	// span carrying the job's job_id and trace_id, with the solver's
+	// spans under it. Registry carries the service's and the solver's
+	// metrics and backs the /metrics endpoint. Both may be nil.
 	Trace    *obs.Tracer
 	Registry *obs.Registry
 	// Logger receives structured request and job-lifecycle records, every
 	// one keyed by the job's trace_id so log lines, span streams, and API
 	// responses join on one correlation ID. nil disables logging.
 	Logger *slog.Logger
-	// CaptureTraces keeps an in-memory JSONL span trace per job, bounded
-	// at 1 MiB, retrievable while the job record lives via
-	// GET /v1/jobs/{id}/trace.
-	CaptureTraces bool
 	// FlightEvents bounds each job's flight-recorder journal (default
 	// flight.DefaultMaxEvents); events past the cap are counted and
 	// dropped while the journal's aggregates keep advancing. Negative
@@ -135,8 +128,6 @@ var (
 	ErrNotFound = errors.New("serve: no such job")
 	// ErrNotDone reports a result request for an unfinished job (409).
 	ErrNotDone = errors.New("serve: job not finished")
-	// ErrNoTrace reports a trace request when capture is disabled (404).
-	ErrNoTrace = errors.New("serve: per-job trace capture disabled")
 	// ErrNoFlight reports a report request for a job without a flight
 	// journal — recording disabled, or the job was served from the result
 	// cache without running the solver (404).
@@ -183,8 +174,8 @@ type job struct {
 	cancel    context.CancelFunc
 	submitted time.Time
 	rep       *obs.Reporter    // live solver progress (always non-nil)
-	capture   *traceCapture    // per-job span capture; nil unless enabled
 	flight    *flight.Recorder // per-job decision journal; nil for cache hits or when disabled
+	span      obs.Span         // the serve.job span while a worker runs the job
 
 	// Delta-job identity, fixed at submission.
 	solveKind     string
@@ -342,44 +333,6 @@ func newTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// traceCapture is a bounded in-memory JSONL span buffer for one job: an
-// obs JSONL sink writing into a size-capped byte buffer. Events past the
-// cap are dropped (and counted), so a runaway trace cannot grow the job
-// record without bound.
-type traceCapture struct {
-	sink *obs.JSONLSink
-	mu   sync.Mutex
-	buf  bytes.Buffer
-	max  int
-	drop int64
-}
-
-func newTraceCapture(maxBytes int) *traceCapture {
-	c := &traceCapture{max: maxBytes}
-	c.sink = obs.NewJSONLSink(c)
-	return c
-}
-
-// Write implements io.Writer for the JSONL sink's flushes.
-func (c *traceCapture) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.buf.Len()+len(p) > c.max {
-		c.drop += int64(len(p))
-		return len(p), nil // swallow, never error the tracer
-	}
-	c.buf.Write(p)
-	return len(p), nil
-}
-
-// bytes flushes the sink and returns a copy of the captured JSONL.
-func (c *traceCapture) bytes() []byte {
-	c.sink.Flush() //nolint:errcheck // Write never errors
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]byte(nil), c.buf.Bytes()...)
-}
-
 // Server owns the queue, the worker pool, and the result cache. Create
 // with New, wire Handler into an http.Server, and call Drain on
 // shutdown.
@@ -404,7 +357,12 @@ type Server struct {
 // until Drain.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	// Solver spans feed the same registry /metrics exposes.
+	// The solver gets this one tracer for every job. It carries the
+	// registry /metrics exposes even when it has no sinks, so the
+	// solver's metric families are written with no trace sink too.
+	if cfg.Trace == nil {
+		cfg.Trace = obs.New()
+	}
 	cfg.Trace = cfg.Trace.WithMetrics(cfg.Registry)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -478,18 +436,15 @@ func (s *Server) Submit(req *JobRequest) (Snapshot, error) {
 }
 
 // admit is the tail every submission shares: it numbers the job and
-// gives it its progress cell, trace capture, flight recorder and
-// deadline context. A job a cache tier answered (hit non-nil) ends at
-// once through finish; any other joins the queue. It refuses every job
-// with ErrDraining once Drain began, and a queued one with ErrQueueFull
-// when the backlog is full.
+// gives it its progress cell, flight recorder and deadline context. A
+// job a cache tier answered (hit non-nil) ends at once through finish;
+// any other joins the queue. It refuses every job with ErrDraining once
+// Drain began, and a queued one with ErrQueueFull when the backlog is
+// full.
 func (s *Server) admit(j *job, hit *exactEntry, attrs ...slog.Attr) (Snapshot, error) {
 	j.traceID = newTraceID()
 	j.state = StateQueued
 	j.rep = obs.NewReporter()
-	if s.cfg.CaptureTraces {
-		j.capture = newTraceCapture(traceBytesPerJob)
-	}
 	// Only jobs that actually run the solver get a flight recorder: a
 	// cache hit replays stored bytes, so there are no decisions to
 	// journal and the report endpoint answers 404 for it.
@@ -715,21 +670,6 @@ func (s *Server) reporter(id string) (*obs.Reporter, error) {
 	return j.rep, nil
 }
 
-// Trace returns the job's captured JSONL span trace. ErrNoTrace when
-// capture is disabled (or the process has no trace sinks).
-func (s *Server) Trace(id string) ([]byte, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	if j.capture == nil {
-		return nil, ErrNoTrace
-	}
-	return j.capture.bytes(), nil
-}
-
 // FlightJournal snapshots the job's flight-recorder journal. It works
 // on live jobs too (the snapshot is consistent mid-solve) and keeps
 // working after Drain, so an operator can pull the journal of a job
@@ -849,25 +789,18 @@ func (s *Server) runJob(j *job) {
 	defer s.reg.Gauge(`agingfp_serve_workers_busy`).Add(-1)
 	s.logJob(j, "job started", slog.Duration("queue_wait", queueWait))
 
-	// Per-job observability: a tracer teeing the process-wide sinks with
-	// this job's capture buffer (so the job's spans are both in the
-	// shared stream and individually retrievable) reaches the solver in
-	// its Options with the job's flight recorder; the trace ID and the
-	// live progress reporter ride the job's context.
-	sinks := s.cfg.Trace.Sinks()
-	if j.capture != nil {
-		sinks = append(append([]obs.Sink(nil), sinks...), j.capture.sink)
-	}
-	tr := obs.New(sinks...).WithMetrics(s.reg)
-	ctx := obs.WithTraceID(j.ctx, j.traceID)
-	ctx = obs.WithReporter(ctx, j.rep)
-
-	eo, info, err := s.execute(ctx, j, tr)
+	// The job's one span: the solver's runs nest under it (see options),
+	// and its IDs join the span stream to the API and the request log.
+	j.span = s.cfg.Trace.Start("serve.job", obs.String("job_id", j.id),
+		obs.String("trace_id", j.traceID), obs.String("solve_kind", j.solveKind))
+	eo, info, err := s.execute(j.ctx, j)
 
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.mu.Unlock()
 	end := ending{state: endState(err), err: err, info: info, queueWait: queueWait, elapsed: j.finished.Sub(j.started)}
+	j.span.End(obs.String("state", string(end.state)))
+	j.span = obs.Span{} // the job record outlives the run
 	s.reg.Histogram(`agingfp_serve_job_seconds`).Observe(end.elapsed)
 	if err == nil {
 		end.result = eo.result
@@ -968,9 +901,6 @@ func (s *Server) finish(j *job, end ending) {
 	s.reg.Counter(`agingfp_serve_jobs_total{state="` + string(end.state) + `"}`).Inc()
 	s.gaugeState(j.state, -1) // from the claim on, only this caller writes j.state
 	s.gaugeState(end.state, 1)
-	if j.capture != nil {
-		j.capture.sink.Flush() //nolint:errcheck // Write never errors
-	}
 
 	j.mu.Lock()
 	j.state = end.state
