@@ -518,9 +518,12 @@ func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, err
 // Handler returns the service's HTTP routes:
 //
 //	POST   /v1/jobs               submit; 202 with the job snapshot
+//	                              (a cache hit's carries its result)
 //	POST   /v1/jobs/{id}/delta    incremental re-solve seeded from a
 //	                              finished base job's artifacts
-//	GET    /v1/jobs/{id}          job status snapshot
+//	GET    /v1/jobs/{id}          job status snapshot, with the result
+//	                              once done (?wait=30s blocks until the
+//	                              job is terminal, at most MaxWait)
 //	GET    /v1/jobs/{id}/result   finished job's result document
 //	GET    /v1/jobs/{id}/progress latest solver-progress snapshot
 //	GET    /v1/jobs/{id}/events   server-sent-events progress stream
@@ -575,7 +578,7 @@ func (s *Server) routes() []route {
 	return []route{
 		{"POST", "/v1/jobs", "submit a floorplanning job", s.handleSubmit},
 		{"POST", "/v1/jobs/{id}/delta", "submit an incremental re-solve seeded from a finished base job", s.handleDelta},
-		{"GET", "/v1/jobs/{id}", "job status snapshot", s.handleStatus},
+		{"GET", "/v1/jobs/{id}", "job status snapshot; ?wait= blocks until the job is terminal", s.handleStatus},
 		{"GET", "/v1/jobs/{id}/result", "finished job's result document", s.handleResult},
 		{"GET", "/v1/jobs/{id}/progress", "latest solver-progress snapshot", s.handleProgress},
 		{"GET", "/v1/jobs/{id}/events", "server-sent-events progress stream", s.handleEvents},
@@ -676,6 +679,21 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	enc.Encode(v) //nolint:errcheck // the response is already committed
 }
 
+// writeSnapshot writes a snapshot with its own codec, compact and with
+// a done job's result bytes spliced in unchanged, after stamping its
+// trace headers.
+func writeSnapshot(w http.ResponseWriter, code int, snap Snapshot) {
+	b, err := snap.MarshalJSON()
+	if err != nil {
+		httpError(w, err)
+		return
+	}
+	setTraceHeader(w, snap)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(append(b, '\n')) //nolint:errcheck // the response is already committed
+}
+
 // rejectWithRetry maps intake back-pressure (queue full, draining) to
 // the error envelope plus a Retry-After header, so well-behaved clients
 // back off for about as long as the backlog needs to drain instead of
@@ -706,8 +724,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.rejectWithRetry(w, err)
 		return
 	}
-	setTraceHeader(w, snap)
-	writeJSON(w, http.StatusAccepted, snap)
+	writeSnapshot(w, http.StatusAccepted, snap)
 }
 
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
@@ -729,18 +746,59 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		s.rejectWithRetry(w, err)
 		return
 	}
-	setTraceHeader(w, snap)
-	writeJSON(w, http.StatusAccepted, snap)
+	writeSnapshot(w, http.StatusAccepted, snap)
 }
 
+// MaxWait caps the blocking wait of GET /v1/jobs/{id}?wait=.
+const MaxWait = 60 * time.Second
+
+// handleStatus serves a job's snapshot. With ?wait=<Go duration> it
+// first blocks until the job is terminal, the duration (capped at
+// MaxWait) has passed, or the client goes away, whichever comes first.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	snap, err := s.Job(r.PathValue("id"))
+	var wait time.Duration
+	if q := r.URL.Query().Get("wait"); q != "" {
+		d, err := time.ParseDuration(q)
+		if err != nil || d < 0 {
+			httpError(w, badRequest("serve: bad wait %q (want a non-negative Go duration such as 30s)", q))
+			return
+		}
+		wait = min(d, MaxWait)
+	}
+	snap, err := s.await(r.Context(), r.PathValue("id"), wait)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	setTraceHeader(w, snap)
-	writeJSON(w, http.StatusOK, snap)
+	writeSnapshot(w, http.StatusOK, snap)
+}
+
+// await returns a job's snapshot once the job is terminal, wait has
+// passed or ctx has ended, whichever comes first; a zero wait returns
+// it at once. It watches the job's progress cell as the SSE stream
+// does: finish publishes the terminal update after the terminal state,
+// so the snapshot read after it is terminal.
+func (s *Server) await(ctx context.Context, id string, wait time.Duration) (Snapshot, error) {
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
+	if !ok {
+		return Snapshot{}, ErrNotFound
+	}
+	if wait > 0 {
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		for p, ch := j.rep.Watch(); !p.Done; p, ch = j.rep.Watch() {
+			select {
+			case <-ch:
+			case <-timer.C:
+				return j.snapshot(), nil
+			case <-ctx.Done():
+				return j.snapshot(), nil
+			}
+		}
+	}
+	return j.snapshot(), nil
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -977,8 +1035,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	setTraceHeader(w, snap)
-	writeJSON(w, http.StatusOK, snap)
+	writeSnapshot(w, http.StatusOK, snap)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

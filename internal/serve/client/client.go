@@ -1,8 +1,10 @@
 // Package client is the typed Go client for the agingfloord HTTP API.
 // It speaks the same wire types the server defines (serve.JobRequest,
 // serve.Snapshot, serve.JobResult, ...), decodes the unified error
-// envelope into *APIError, and owns the poll-until-done loop every
-// caller was otherwise hand-rolling.
+// envelope into *APIError, and owns the wait-until-done loop every
+// caller was otherwise hand-rolling. A done snapshot carries its
+// result, so Result answers from the last one received without a
+// second request.
 package client
 
 import (
@@ -13,7 +15,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"agingfp/internal/serve"
@@ -42,18 +46,28 @@ func (e *APIError) Error() string {
 type Client struct {
 	base string
 	http *http.Client
-	// PollInterval paces Wait's status polling (default 150ms).
+	// PollInterval is Wait's pause before it re-issues a blocking wait
+	// that came back with the job unfinished (default 150ms).
 	PollInterval time.Duration
 	// Tenant, when set, rides every request as the X-Tenant header — the
 	// accounting identity the server attributes jobs and resource usage
 	// to. Empty submits anonymously (the server accounts it as "anon").
 	Tenant string
+
+	// mu guards held: the job ID and result of the last done snapshot
+	// received, kept for Result.
+	mu   sync.Mutex
+	held struct {
+		id  string
+		raw []byte
+	}
 }
 
 // New builds a client for the server at base (e.g.
 // "http://localhost:8080"). A nil httpClient uses a dedicated client
 // with no global timeout — job waits are bounded by the caller's
-// context, not a transport knob.
+// context, not a transport knob. (An http.Client Timeout shorter than
+// serve.MaxWait would cut Wait's blocking requests short.)
 func New(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = &http.Client{}
@@ -68,7 +82,8 @@ func New(base string, httpClient *http.Client) *Client {
 // do issues one request and decodes errors into *APIError. A request
 // document with its own wire codec (serve.JobRequest, DeltaRequest)
 // encodes itself. A nil out skips body decoding; *[]byte captures the
-// raw body; anything else is JSON-decoded into.
+// raw body; a document with its own codec (serve.Snapshot) decodes
+// itself; anything else is JSON-decoded into.
 func (c *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
 	var body io.Reader
 	if in != nil {
@@ -121,39 +136,60 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 	case *[]byte:
 		*dst = raw
 		return nil
+	case json.Unmarshaler:
+		return dst.UnmarshalJSON(raw)
 	default:
 		return json.Unmarshal(raw, out)
 	}
 }
 
-// Submit posts a job and returns its snapshot (202).
+// Submit posts a job and returns its snapshot (202). A cache hit's
+// snapshot is done and carries its result.
 func (c *Client) Submit(ctx context.Context, req *serve.JobRequest) (serve.Snapshot, error) {
-	var snap serve.Snapshot
-	err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &snap)
-	return snap, err
+	return c.snapshot(ctx, http.MethodPost, "/v1/jobs", req)
 }
 
 // Delta posts an incremental re-solve against a finished base job.
 func (c *Client) Delta(ctx context.Context, baseID string, req *serve.DeltaRequest) (serve.Snapshot, error) {
-	var snap serve.Snapshot
-	err := c.do(ctx, http.MethodPost, "/v1/jobs/"+url.PathEscape(baseID)+"/delta", req, &snap)
-	return snap, err
+	return c.snapshot(ctx, http.MethodPost, "/v1/jobs/"+url.PathEscape(baseID)+"/delta", req)
 }
 
 // Job fetches a job's status snapshot.
 func (c *Client) Job(ctx context.Context, id string) (serve.Snapshot, error) {
+	return c.snapshot(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil)
+}
+
+// snapshot issues a request answered by a snapshot and holds the
+// result the snapshot carries, if any, for Result.
+func (c *Client) snapshot(ctx context.Context, method, path string, in interface{}) (serve.Snapshot, error) {
 	var snap serve.Snapshot
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, &snap)
+	err := c.do(ctx, method, path, in, &snap)
+	if err == nil && len(snap.Result) > 0 {
+		c.mu.Lock()
+		c.held.id, c.held.raw = snap.ID, snap.Result
+		c.mu.Unlock()
+	}
 	return snap, err
 }
 
-// Result fetches a finished job's raw result document and its decoded
-// form. The raw bytes are returned so byte-exactness (the cache
-// contract) survives the client.
+// Result returns a finished job's raw result document and its decoded
+// form. When the last done snapshot this client received was the job's,
+// the result it carried is returned (and released) without a request;
+// otherwise it is fetched with GET /v1/jobs/{id}/result. The raw bytes
+// are returned so byte-exactness (the cache contract) survives the
+// client.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, *serve.JobResult, error) {
 	var raw []byte
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, &raw); err != nil {
-		return nil, nil, err
+	c.mu.Lock()
+	if c.held.id == id {
+		raw = c.held.raw
+		c.held.id, c.held.raw = "", nil
+	}
+	c.mu.Unlock()
+	if raw == nil {
+		if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, &raw); err != nil {
+			return nil, nil, err
+		}
 	}
 	var res serve.JobResult
 	if err := res.UnmarshalJSON(raw); err != nil {
@@ -194,22 +230,29 @@ func (c *Client) SLO(ctx context.Context, window string) (*slo.Status, error) {
 // Cancel requests cooperative cancellation and returns the job's
 // post-cancel snapshot.
 func (c *Client) Cancel(ctx context.Context, id string) (serve.Snapshot, error) {
-	var snap serve.Snapshot
-	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, &snap)
-	return snap, err
+	return c.snapshot(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil)
 }
 
-// Wait polls until the job reaches a terminal state (done, failed,
-// canceled) and returns the final snapshot. The context bounds the
-// wait; a failed or canceled job is returned with a nil error — the
-// caller decides whether that is a problem.
+// Wait blocks until the job reaches a terminal state (done, failed,
+// canceled) and returns the final snapshot; a done one carries the
+// result, which Result then returns without a request. Each request is
+// a blocking wait (GET /v1/jobs/{id}?wait=) for the time left on ctx, at
+// most serve.MaxWait; one that comes back with the job unfinished is
+// re-issued after PollInterval. The context bounds the wait; a failed
+// or canceled job is returned with a nil error — the caller decides
+// whether that is a problem.
 func (c *Client) Wait(ctx context.Context, id string) (serve.Snapshot, error) {
 	interval := c.PollInterval
 	if interval <= 0 {
 		interval = 150 * time.Millisecond
 	}
 	for {
-		snap, err := c.Job(ctx, id)
+		wait := serve.MaxWait
+		if deadline, ok := ctx.Deadline(); ok {
+			wait = max(min(wait, time.Until(deadline)), 0)
+		}
+		path := "/v1/jobs/" + url.PathEscape(id) + "?wait=" + strconv.FormatInt(wait.Milliseconds(), 10) + "ms"
+		snap, err := c.snapshot(ctx, http.MethodGet, path, nil)
 		if err != nil {
 			return snap, err
 		}

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -328,8 +330,13 @@ func TestPprofGated(t *testing.T) {
 // runs no worker and so opens no span, and no route serves a per-job
 // copy of the stream.
 func TestJobSpan(t *testing.T) {
-	var buf bytes.Buffer
-	tr := obs.New(obs.NewJSONLSink(&buf))
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	tr := obs.New(obs.NewJSONLSink(f))
 	_, hs, _ := testServer(t, serve.Config{Workers: 1, Trace: tr})
 	snap, code := postJob(t, hs, `{"bench": "B1"}`)
 	if code != http.StatusAccepted {
@@ -347,9 +354,11 @@ func TestJobSpan(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /v1/jobs/{id}/trace: HTTP %d, want 404", resp.StatusCode)
 	}
-	// The job's span ends before its terminal state is published, so the
-	// stream is complete once flushed.
-	if err := tr.Flush(); err != nil {
+	// The worker flushes the tracer when the job's span ends, before the
+	// job's terminal state is published: the file holds the whole stream
+	// while the server runs, before any Drain.
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -361,7 +370,7 @@ func TestJobSpan(t *testing.T) {
 		Attrs   map[string]interface{} `json:"attrs"`
 	}
 	var jobs, rest []spanLine
-	for dec := json.NewDecoder(&buf); dec.More(); {
+	for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); {
 		var l spanLine
 		if err := dec.Decode(&l); err != nil {
 			t.Fatalf("bad trace line: %v", err)

@@ -4,7 +4,7 @@ import "net/http"
 
 // openAPIVersion is the spec revision served at /v1/openapi.json. Bump
 // it when the API surface changes.
-const openAPIVersion = "1.4.0"
+const openAPIVersion = "1.5.0"
 
 // openAPIDocument assembles the OpenAPI 3 description from the route
 // table plus the hand-maintained schema section. Paths come from the
@@ -22,6 +22,14 @@ func (s *Server) openAPIDocument() map[string]interface{} {
 		op := map[string]interface{}{
 			"summary":   rt.Summary,
 			"responses": responsesFor(rt),
+		}
+		if rt.Method == "GET" && rt.Pattern == "/v1/jobs/{id}" {
+			op["parameters"] = []interface{}{map[string]interface{}{
+				"name": "wait", "in": "query", "required": false,
+				"description": "Go duration (e.g. 30s, at most 60s) to block until the job is terminal; " +
+					"the snapshot is returned when it is, or when the duration has passed",
+				"schema": map[string]interface{}{"type": "string"},
+			}}
 		}
 		switch rt.Method {
 		case "POST":
@@ -76,6 +84,7 @@ func responsesFor(rt route) map[string]interface{} {
 		out["409"] = errRef
 	case rt.Pattern == "/v1/jobs/{id}":
 		out["200"] = okJSON("Snapshot")
+		out["400"] = errRef
 		out["404"] = errRef
 	case rt.Pattern == "/v1/slo":
 		out["200"] = okJSON("SLOStatus")
@@ -110,11 +119,15 @@ func openAPISchemas() map[string]interface{} {
 		}
 		return map[string]interface{}{"type": "object", "properties": m}
 	}
+	snapshot := obj("id", "trace_id", "tenant", "state", "error", "solve_kind", "base_job",
+		"delta_fallback", "reuse", "cost", "submitted", "started", "finished")
+	// A done snapshot's result is the JobResult document, byte for byte
+	// as GET /v1/jobs/{id}/result serves it.
+	snapshot["properties"].(map[string]interface{})["result"] = ref("JobResult")
 	return map[string]interface{}{
 		"JobRequest":   obj("bench", "design", "mode", "seed", "time_limit_ms", "deadline_ms", "tenant"),
 		"DeltaRequest": obj("design", "mode", "seed", "time_limit_ms", "deadline_ms", "tenant"),
-		"Snapshot": obj("id", "trace_id", "tenant", "state", "error", "solve_kind", "base_job",
-			"delta_fallback", "reuse", "cost", "submitted", "started", "finished"),
+		"Snapshot":     snapshot,
 		"Cost": obj("tier", "queue_wait_ms", "solve_ms", "lp_solves", "simplex_iters",
 			"st_probes", "phase_ms"),
 		"SLOStatus": obj("window", "since", "until", "objectives"),

@@ -15,6 +15,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -271,6 +272,10 @@ type Snapshot struct {
 	Submitted time.Time   `json:"submitted"`
 	Started   time.Time   `json:"started,omitempty"`
 	Finished  time.Time   `json:"finished,omitempty"`
+	// Result is a done job's result document: the bytes GET
+	// /v1/jobs/{id}/result serves, byte for byte. Other states carry
+	// none.
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
 func (j *job) snapshot() Snapshot {
@@ -292,6 +297,9 @@ func (j *job) snapshot() Snapshot {
 	}
 	if j.state != StateQueued && j.state != StateRunning {
 		snap.Finished = j.finished
+	}
+	if j.state == StateDone {
+		snap.Result = j.result
 	}
 	return snap
 }
@@ -720,6 +728,12 @@ func (s *Server) Drain() {
 	s.baseCancel()
 	// The workers are parked: flush buffered trace sinks now so a
 	// SIGTERM-driven drain does not lose the tail of the span stream.
+	s.flushTrace()
+}
+
+// flushTrace writes out what the tracer's buffered sinks hold; without
+// sinks it does nothing.
+func (s *Server) flushTrace() {
 	if err := s.cfg.Trace.Flush(); err != nil && s.cfg.Logger != nil {
 		s.cfg.Logger.Warn("trace sink flush failed", slog.String("error", err.Error()))
 	}
@@ -801,6 +815,9 @@ func (s *Server) runJob(j *job) {
 	end := ending{state: endState(err), err: err, info: info, queueWait: queueWait, elapsed: j.finished.Sub(j.started)}
 	j.span.End(obs.String("state", string(end.state)))
 	j.span = obs.Span{} // the job record outlives the run
+	// Buffered trace sinks hold the span until flushed: flush now, so a
+	// finished job's spans are on disk before its state reads terminal.
+	s.flushTrace()
 	s.reg.Histogram(`agingfp_serve_job_seconds`).Observe(end.elapsed)
 	if err == nil {
 		end.result = eo.result

@@ -2,23 +2,27 @@ package serve
 
 import (
 	"encoding/json"
+	"sort"
 	"strconv"
+	"time"
 
 	"agingfp/internal/arch"
 	"agingfp/internal/wire"
 )
 
-// The wire codec of the request and result documents. As for
+// The wire codec of the request, result and snapshot documents. As for
 // arch.Document, the plain form is read by schema in one pass (an
 // embedded design included) and every other input is handed whole to
 // encoding/json through a method-less type of the same name (declared
 // from these aliases, which name the real types where the local one
 // shadows them), so the two accept, reject and decode the same inputs;
-// encoders write encoding/json's bytes.
+// encoders write encoding/json's bytes. The one exception is a
+// snapshot's result member, which is written and read verbatim.
 type (
 	plainJobRequest   = JobRequest
 	plainDeltaRequest = DeltaRequest
 	plainJobResult    = JobResult
+	plainSnapshot     = Snapshot
 )
 
 // UnmarshalJSON decodes a submission.
@@ -323,6 +327,270 @@ func (st *SolveStats) scan(s *wire.Scanner) {
 		case "probe_timeouts":
 			if s.Field(&seen, 3) {
 				st.ProbeTimeouts = s.Int()
+			}
+		default:
+			s.Fail()
+		}
+	}
+}
+
+// MarshalJSON encodes the snapshot as encoding/json encodes the struct,
+// except that a result document is appended as it is: encoding/json
+// would compact it and escape its HTML characters, and it is the exact
+// bytes GET /v1/jobs/{id}/result serves.
+func (snap Snapshot) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 512+len(snap.Result))
+	b = append(b, `{"id":`...)
+	b = wire.AppendString(b, snap.ID)
+	if snap.TraceID != "" {
+		b = append(b, `,"trace_id":`...)
+		b = wire.AppendString(b, snap.TraceID)
+	}
+	if snap.Tenant != "" {
+		b = append(b, `,"tenant":`...)
+		b = wire.AppendString(b, snap.Tenant)
+	}
+	b = append(b, `,"state":`...)
+	b = wire.AppendString(b, string(snap.State))
+	for _, m := range [...]struct{ key, val string }{
+		{`,"error":`, snap.Error},
+		{`,"solve_kind":`, snap.SolveKind},
+		{`,"base_job":`, snap.BaseJob},
+		{`,"delta_fallback":`, snap.DeltaFallback},
+	} {
+		if m.val != "" {
+			b = append(b, m.key...)
+			b = wire.AppendString(b, m.val)
+		}
+	}
+	if r := snap.Reuse; r != nil {
+		b = append(b, `,"reuse":{"frozen_reused":`...)
+		b = strconv.AppendBool(b, r.FrozenReused)
+		b = append(b, `,"bases_seeded":`...)
+		b = strconv.AppendInt(b, int64(r.BasesSeeded), 10)
+		b = append(b, `,"bracket_hit":`...)
+		b = strconv.AppendBool(b, r.BracketHit)
+		b = append(b, '}')
+	}
+	if snap.Cost != nil {
+		var err error
+		b = append(b, `,"cost":`...)
+		if b, err = snap.Cost.appendJSON(b); err != nil {
+			return nil, err
+		}
+	}
+	for _, m := range [...]struct {
+		key string
+		t   time.Time
+	}{{`,"submitted":`, snap.Submitted}, {`,"started":`, snap.Started}, {`,"finished":`, snap.Finished}} {
+		var err error
+		b = append(b, m.key...)
+		if b, err = wire.AppendTime(b, m.t); err != nil {
+			return nil, err
+		}
+	}
+	if len(snap.Result) > 0 {
+		b = append(b, `,"result":`...)
+		b = append(b, snap.Result...)
+	}
+	return append(b, '}'), nil
+}
+
+func (c *CostReport) appendJSON(b []byte) ([]byte, error) {
+	if err := wire.CheckFloats(c.QueueWaitMs, c.SolveMs); err != nil {
+		return nil, err
+	}
+	b = append(b, `{"tier":`...)
+	b = wire.AppendString(b, c.Tier)
+	b = append(b, `,"queue_wait_ms":`...)
+	b = wire.AppendFloat(b, c.QueueWaitMs)
+	b = append(b, `,"solve_ms":`...)
+	b = wire.AppendFloat(b, c.SolveMs)
+	for _, m := range [...]struct {
+		key string
+		n   int
+	}{{`,"lp_solves":`, c.LPSolves}, {`,"simplex_iters":`, c.SimplexIters}, {`,"st_probes":`, c.STProbes}} {
+		if m.n != 0 {
+			b = append(b, m.key...)
+			b = strconv.AppendInt(b, int64(m.n), 10)
+		}
+	}
+	if len(c.PhaseMs) > 0 {
+		names := make([]string, 0, len(c.PhaseMs))
+		for name, ms := range c.PhaseMs {
+			if err := wire.CheckFloats(ms); err != nil {
+				return nil, err
+			}
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		b = append(b, `,"phase_ms":`...)
+		sep := byte('{')
+		for _, name := range names {
+			b = append(b, sep)
+			sep = ','
+			b = wire.AppendString(b, name)
+			b = append(b, ':')
+			b = wire.AppendFloat(b, c.PhaseMs[name])
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON decodes a snapshot. A result member is kept as the
+// sub-slice of data that holds it, its syntax checked but its content
+// not decoded: JobResult's UnmarshalJSON reads it when the caller asks.
+func (snap *Snapshot) UnmarshalJSON(data []byte) error {
+	if snap.isZero() {
+		s := wire.NewScanner(data)
+		snap.scan(&s)
+		if s.Done() {
+			return nil
+		}
+		*snap = Snapshot{}
+	}
+	type Snapshot plainSnapshot
+	return json.Unmarshal(data, (*Snapshot)(snap))
+}
+
+func (snap *Snapshot) isZero() bool {
+	return snap.ID == "" && snap.TraceID == "" && snap.Tenant == "" && snap.State == "" && snap.Error == "" &&
+		snap.SolveKind == "" && snap.BaseJob == "" && snap.DeltaFallback == "" && snap.Reuse == nil &&
+		snap.Cost == nil && snap.Submitted.IsZero() && snap.Started.IsZero() && snap.Finished.IsZero() &&
+		snap.Result == nil
+}
+
+func (snap *Snapshot) scan(s *wire.Scanner) {
+	var seen uint64
+	for more := s.Object(); more; more = s.More('}') {
+		switch string(s.Key()) {
+		case "id":
+			if s.Field(&seen, 0) {
+				snap.ID = s.Text()
+			}
+		case "trace_id":
+			if s.Field(&seen, 1) {
+				snap.TraceID = s.Text()
+			}
+		case "tenant":
+			if s.Field(&seen, 2) {
+				snap.Tenant = s.Text()
+			}
+		case "state":
+			if s.Field(&seen, 3) {
+				snap.State = JobState(s.Text())
+			}
+		case "error":
+			if s.Field(&seen, 4) {
+				snap.Error = s.Text()
+			}
+		case "solve_kind":
+			if s.Field(&seen, 5) {
+				snap.SolveKind = s.Text()
+			}
+		case "base_job":
+			if s.Field(&seen, 6) {
+				snap.BaseJob = s.Text()
+			}
+		case "delta_fallback":
+			if s.Field(&seen, 7) {
+				snap.DeltaFallback = s.Text()
+			}
+		case "reuse":
+			if s.Field(&seen, 8) {
+				snap.Reuse = new(ReuseInfo)
+				snap.Reuse.scan(s)
+			}
+		case "cost":
+			if s.Field(&seen, 9) {
+				snap.Cost = new(CostReport)
+				snap.Cost.scan(s)
+			}
+		case "submitted":
+			if s.Field(&seen, 10) {
+				snap.Submitted = s.Time()
+			}
+		case "started":
+			if s.Field(&seen, 11) {
+				snap.Started = s.Time()
+			}
+		case "finished":
+			if s.Field(&seen, 12) {
+				snap.Finished = s.Time()
+			}
+		case "result":
+			if s.Field(&seen, 13) {
+				snap.Result = s.Raw()
+			} else {
+				// encoding/json hands a null to json.RawMessage's
+				// UnmarshalJSON, which keeps it.
+				snap.Result = json.RawMessage("null")
+			}
+		default:
+			s.Fail()
+		}
+	}
+}
+
+func (r *ReuseInfo) scan(s *wire.Scanner) {
+	var seen uint64
+	for more := s.Object(); more; more = s.More('}') {
+		switch string(s.Key()) {
+		case "frozen_reused":
+			if s.Field(&seen, 0) {
+				r.FrozenReused = s.Bool()
+			}
+		case "bases_seeded":
+			if s.Field(&seen, 1) {
+				r.BasesSeeded = s.Int()
+			}
+		case "bracket_hit":
+			if s.Field(&seen, 2) {
+				r.BracketHit = s.Bool()
+			}
+		default:
+			s.Fail()
+		}
+	}
+}
+
+func (c *CostReport) scan(s *wire.Scanner) {
+	var seen uint64
+	for more := s.Object(); more; more = s.More('}') {
+		switch string(s.Key()) {
+		case "tier":
+			if s.Field(&seen, 0) {
+				c.Tier = s.Text()
+			}
+		case "queue_wait_ms":
+			if s.Field(&seen, 1) {
+				c.QueueWaitMs = s.Float64()
+			}
+		case "solve_ms":
+			if s.Field(&seen, 2) {
+				c.SolveMs = s.Float64()
+			}
+		case "lp_solves":
+			if s.Field(&seen, 3) {
+				c.LPSolves = s.Int()
+			}
+		case "simplex_iters":
+			if s.Field(&seen, 4) {
+				c.SimplexIters = s.Int()
+			}
+		case "st_probes":
+			if s.Field(&seen, 5) {
+				c.STProbes = s.Int()
+			}
+		case "phase_ms":
+			if s.Field(&seen, 6) {
+				// Like encoding/json, a repeated name overwrites.
+				c.PhaseMs = map[string]float64{}
+				for more := s.Object(); more; more = s.More('}') {
+					name := s.MapKey()
+					c.PhaseMs[name] = s.Float64()
+				}
 			}
 		default:
 			s.Fail()

@@ -39,7 +39,8 @@ type (
 		DeadlineMs  int64        `json:"deadline_ms,omitempty"`
 		Tenant      string       `json:"tenant,omitempty"`
 	}
-	refResult serve.JobResult
+	refResult   serve.JobResult
+	refSnapshot serve.Snapshot
 )
 
 func (r *refRequest) wire() serve.JobRequest {
@@ -197,6 +198,126 @@ func FuzzJobRequestJSON(f *testing.F) {
 	})
 }
 
+// FuzzSnapshotJSON: for every input, the Snapshot codec and
+// encoding/json accept and reject the same inputs and decode them to
+// equal values, called directly (as the client does) or through
+// json.Unmarshal. MarshalJSON writes encoding/json's bytes for a
+// snapshot without a result, and for one with a result the same
+// members followed by the result bytes as they are.
+func FuzzSnapshotJSON(f *testing.F) {
+	result, err := json.MarshalIndent(&refResult{Design: "B1", Ops: 3, Contexts: 2, Status: "optimal", Improved: true,
+		STTarget: 0.348, MTTF: serve.MTTFSummary{Increase: 2.5}, Mapping: [][2]int{{0, 1}, {2, 3}}}, "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	at := time.Date(2026, 10, 19, 23, 39, 35, 28371982, time.UTC)
+	cost := &serve.CostReport{Tier: "cold", QueueWaitMs: 0.25, SolveMs: 1234.5, LPSolves: 4, SimplexIters: 99, STProbes: 2,
+		PhaseMs: map[string]float64{"pricing": 1.5, "ftran": 1e-7, "update": 3}}
+	for _, snap := range []refSnapshot{
+		{ID: "job-000001", TraceID: "ec9341e03d5ff240", Tenant: "anon", State: serve.StateQueued, SolveKind: "cold", Submitted: at},
+		{ID: "job-000002", State: serve.StateRunning, SolveKind: "delta", BaseJob: "job-000001", Submitted: at, Started: at.Add(time.Millisecond)},
+		{ID: "job-000003", TraceID: "0123456789abcdef", Tenant: "team-a", State: serve.StateDone, SolveKind: "cold",
+			Cost: cost, Submitted: at, Started: at, Finished: at.Add(time.Second), Result: result},
+		{ID: "job-000004", State: serve.StateDone, SolveKind: "exact_hit", Cost: &serve.CostReport{Tier: "exact_hit"},
+			Submitted: at, Started: at, Finished: at, Result: result},
+		{ID: "job-000005", State: serve.StateDone, SolveKind: "semantic_hit", Cost: &serve.CostReport{Tier: "semantic_hit"},
+			Submitted: at, Started: at, Finished: at, Result: []byte(`{"design":"B1","mapping":[[0,1]]}`)},
+		{ID: "job-000006", State: serve.StateDone, SolveKind: "delta", BaseJob: "job-000003",
+			Reuse: &serve.ReuseInfo{FrozenReused: true, BasesSeeded: 3, BracketHit: true}, Cost: cost,
+			Submitted: at, Started: at, Finished: at, Result: result},
+		{ID: "job-000007", State: serve.StateDone, SolveKind: "delta", BaseJob: "job-000003", DeltaFallback: "shape changed",
+			Reuse: &serve.ReuseInfo{}, Submitted: at, Started: at, Finished: at},
+		{ID: "job-000008", State: serve.StateFailed, Error: "context deadline exceeded", SolveKind: "cold",
+			Cost: &serve.CostReport{Tier: "cold", QueueWaitMs: 1.5}, Submitted: at, Finished: at.In(time.FixedZone("", 5*3600+1800))},
+		{ID: "job-000009", State: serve.StateCanceled, Error: "context canceled", SolveKind: "cold", Submitted: at, Finished: at},
+	} {
+		b, err := json.Marshal(&snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		if len(snap.Result) > 0 {
+			// The server's bytes: the result as it is, indented.
+			members := b[:bytes.LastIndex(b, []byte(`,"result":`))+len(`,"result":`)]
+			f.Add(append(append(append([]byte(nil), members...), snap.Result...), '}'))
+		}
+	}
+	for _, s := range []string{
+		`{"id":"a","state":"done","result":null}`,
+		`{"id":"a","result":{"x":[1,2.5e400,"\u00e9\n",true,false,null,{}]}}`,
+		`{"id":"a","result":"\xff"}`,
+		`{"id":"a","result":{"x":"\u12"}}`,
+		`{"id":"a","result":[1,]}`,
+		`{"id":"a","result":01}`,
+		`{"id":"a","result":{"a" "b"}}`,
+		`{"id":"a","result":[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}`,
+		`{"id":"a","id":"b"}`,
+		`{"ID":"a","State":"done"}`,
+		`{"submitted":"2026-10-19T23:39:35Z","started":null,"finished":"2026-13-19T23:39:35Z"}`,
+		`{"submitted":"2026-10-19T23:39:35+24:00"}`,
+		`{"submitted":"2026-10-19t23:39:35z"}`,
+		`{"submitted":5}`,
+		`{"cost":{"phase_ms":{"a":1,"a":2}},"reuse":null}`,
+		`{"cost":{"phase_ms":{}}}`,
+		`{"cost":{"phase_ms":{"a":null}}}`,
+		`{"cost":{"lp_solves":1.0}}`,
+		`{"reuse":{"bases_seeded":9223372036854775807}}`,
+		`{"state":"\u0064one"}`,
+		`{}`,
+		`null`,
+		`[]`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var (
+			want           refSnapshot
+			direct, nested serve.Snapshot
+		)
+		wantErr := json.Unmarshal(data, &want)
+		directErr, nestedErr := direct.UnmarshalJSON(data), json.Unmarshal(data, &nested)
+		if (wantErr == nil) != (directErr == nil) || (wantErr == nil) != (nestedErr == nil) {
+			t.Fatalf("%q: encoding/json error %v, codec %v, codec via json.Unmarshal %v", data, wantErr, directErr, nestedErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if !reflect.DeepEqual(serve.Snapshot(want), direct) || !reflect.DeepEqual(direct, nested) {
+			t.Fatalf("%q: encoding/json decoded %+v, codec %+v, via json.Unmarshal %+v", data, want, direct, nested)
+		}
+		members := want
+		members.Result = nil
+		wantOut, wantErr := json.Marshal(&members)
+		if wantErr == nil && len(want.Result) > 0 {
+			wantOut = append(append(append(wantOut[:len(wantOut)-1], `,"result":`...), want.Result...), '}')
+		}
+		got, gotErr := direct.MarshalJSON()
+		if (wantErr == nil) != (gotErr == nil) || !bytes.Equal(wantOut, got) {
+			t.Fatalf("%q: want %s (%v), MarshalJSON wrote %s (%v)", data, wantOut, wantErr, got, gotErr)
+		}
+	})
+}
+
+// TestSnapshotResultAliasesBody: a snapshot the server wrote is read on
+// the plain path, which keeps the result as a sub-slice of the body
+// instead of the copy encoding/json makes.
+func TestSnapshotResultAliasesBody(t *testing.T) {
+	result := []byte("{\n  \"design\": \"B1\",\n  \"mapping\": [\n    [\n      0,\n      1\n    ]\n  ]\n}")
+	body, err := serve.Snapshot{ID: "job-000001", State: serve.StateDone, SolveKind: "exact_hit",
+		Cost: &serve.CostReport{Tier: "exact_hit"}, Submitted: time.Now(), Result: result}.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap serve.Snapshot
+	if err := snap.UnmarshalJSON(body); err != nil || !bytes.Equal(snap.Result, result) {
+		t.Fatalf("decoded %v, result %s", err, snap.Result)
+	}
+	if start := bytes.Index(body, result); start < 0 || &snap.Result[0] != &body[start] {
+		t.Fatal("the result was copied: the snapshot was not read on the plain path")
+	}
+}
+
 // TestRequestErrorText: a refused body gets encoding/json's own error
 // text. The one difference is a type error inside an embedded design:
 // encoding/json names the request, not the design's struct, as it does
@@ -251,13 +372,15 @@ func BenchmarkDecodeJobRequest(b *testing.B) {
 
 // exactHitAllocs bounds the allocations of one exact hit served by
 // Handler, body read to response written: it decodes the request once,
-// hashes it and writes the snapshot. With Go 1.24 the B19-v7 hit makes
-// 142 (158 before the wire codec); canonicalizing the design on the
-// hit path again would add hundreds.
-const exactHitAllocs = 170
+// hashes it and writes the snapshot, result bytes included, with the
+// snapshot codec. With Go 1.24 the B19-v7 hit makes 132 (158 before the
+// request codec, 142 before the snapshot codec); canonicalizing the
+// design on the hit path again would add hundreds.
+const exactHitAllocs = 132
 
 // TestExactHitAllocs measures an in-process exact hit of the B19-v7
-// submission through Handler and fails past exactHitAllocs.
+// submission through Handler and fails past exactHitAllocs. The last
+// answer must decode to a done exact hit that carries its result.
 func TestExactHitAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race detector adds allocations")
@@ -288,11 +411,15 @@ func TestExactHitAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if rec := post(); rec.Code != http.StatusAccepted || !bytes.Contains(rec.Body.Bytes(), []byte(`"solve_kind": "exact_hit"`)) {
+		if rec = post(); rec.Code != http.StatusAccepted {
 			t.Fatalf("exact hit: HTTP %d: %s", rec.Code, rec.Body)
 		}
 	})
 	t.Logf("exact hit through Handler: %.0f allocs", allocs)
+	var hit serve.Snapshot
+	if err := hit.UnmarshalJSON(rec.Body.Bytes()); err != nil || hit.SolveKind != "exact_hit" || hit.State != serve.StateDone || len(hit.Result) == 0 {
+		t.Fatalf("exact hit answered %v: %s", err, rec.Body)
+	}
 	if allocs > exactHitAllocs {
 		t.Fatalf("exact hit allocates %.0f times, bound %d", allocs, exactHitAllocs)
 	}

@@ -20,6 +20,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"time"
 	"unicode/utf8"
 )
 
@@ -265,22 +266,39 @@ func (s *Scanner) Int() int {
 // Float64 reads a number and converts it as encoding/json does, with
 // strconv.ParseFloat; a value out of float64 range fails the scan.
 func (s *Scanner) Float64() float64 {
-	if s.peek() == 0 {
+	end := s.number()
+	if end < 0 {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(s.data[s.off:end]), 64)
+	if err != nil {
 		s.Fail()
 		return 0
 	}
-	start, i := s.off, s.off
+	s.off = end
+	return f
+}
+
+// number skips whitespace and returns the index after the JSON number
+// that starts at s.off, or fails the scan and returns -1 when none
+// does.
+func (s *Scanner) number() int {
+	if s.peek() == 0 {
+		s.Fail()
+		return -1
+	}
+	i := s.off
 	if s.data[i] == '-' {
 		i++
 	}
 	if i < len(s.data) && s.data[i] == '0' {
 		i++
 	} else if i = s.digits(i); i < 0 {
-		return 0
+		return -1
 	}
 	if i < len(s.data) && s.data[i] == '.' {
 		if i = s.digits(i + 1); i < 0 {
-			return 0
+			return -1
 		}
 	}
 	if i < len(s.data) && (s.data[i] == 'e' || s.data[i] == 'E') {
@@ -289,16 +307,10 @@ func (s *Scanner) Float64() float64 {
 			i++
 		}
 		if i = s.digits(i); i < 0 {
-			return 0
+			return -1
 		}
 	}
-	f, err := strconv.ParseFloat(string(s.data[start:i]), 64)
-	if err != nil {
-		s.Fail()
-		return 0
-	}
-	s.off = i
-	return f
+	return i
 }
 
 // digits returns the index after the run of digits starting at i, or
@@ -313,6 +325,119 @@ func (s *Scanner) digits(i int) int {
 		return -1
 	}
 	return j
+}
+
+// Time reads a string value as time.Time's UnmarshalJSON reads it,
+// which is what encoding/json calls for a time.Time field.
+func (s *Scanner) Time() (t time.Time) {
+	s.peek()
+	start := s.off
+	if s.plain(); s.bad {
+		return t
+	}
+	if err := t.UnmarshalJSON(s.data[start:s.off]); err != nil {
+		s.Fail()
+	}
+	return t
+}
+
+// maxRawDepth bounds the nesting Raw reads. encoding/json refuses
+// documents nested past 10000; deeper values fail the scan and reach
+// it.
+const maxRawDepth = 1000
+
+// Raw reads any JSON value, checking only its syntax, and returns its
+// bytes: a sub-slice of the input, as encoding/json copies it into a
+// json.RawMessage. Unlike the rest of the scanner it reads strings with
+// escape sequences and numbers of any size, since it decodes neither.
+func (s *Scanner) Raw() []byte {
+	if s.peek() == 0 {
+		s.Fail()
+		return nil
+	}
+	start := s.off
+	if s.skip(0); s.bad {
+		return nil
+	}
+	return s.data[start:s.off]
+}
+
+func (s *Scanner) skip(depth int) {
+	if depth > maxRawDepth {
+		s.Fail()
+		return
+	}
+	switch s.peek() {
+	case '{':
+		for more := s.Object(); more; more = s.More('}') {
+			s.skipString()
+			s.colon()
+			s.skip(depth + 1)
+		}
+	case '[':
+		for more := s.Array(); more; more = s.More(']') {
+			s.skip(depth + 1)
+		}
+	case '"':
+		s.skipString()
+	case 't', 'f':
+		s.Bool()
+	case 'n':
+		if !s.Null() {
+			s.Fail()
+		}
+	default:
+		if end := s.number(); end >= 0 {
+			s.off = end
+		}
+	}
+}
+
+// skipString reads a string of any bytes but control characters, with
+// its escape sequences checked and not decoded. encoding/json keeps
+// invalid UTF-8 in a raw value as it is.
+func (s *Scanner) skipString() {
+	if s.peek() != '"' {
+		s.Fail()
+		return
+	}
+	for i := s.off + 1; i < len(s.data); i++ {
+		switch c := s.data[i]; {
+		case c == '"':
+			s.off = i + 1
+			return
+		case c < 0x20:
+			s.Fail()
+			return
+		case c == '\\':
+			if i++; i == len(s.data) {
+				s.Fail()
+				return
+			}
+			switch s.data[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if i+4 >= len(s.data) || !hex4(s.data[i+1:i+5]) {
+					s.Fail()
+					return
+				}
+				i += 4
+			default:
+				s.Fail()
+				return
+			}
+		}
+	}
+	s.Fail()
+}
+
+func hex4(b []byte) bool {
+	for _, c := range b {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+			return false
+		}
+	}
+	return true
 }
 
 // pair reads a two-element integer array such as an edge or a cell.
@@ -392,6 +517,21 @@ func AppendFloat(b []byte, f float64) []byte {
 		}
 	}
 	return b
+}
+
+// AppendTime appends t as encoding/json writes a time.Time, with
+// time.Time's MarshalJSON: an RFC 3339 string with nanoseconds. Its
+// error is MarshalJSON's, for a year outside [0,9999] or a zone offset
+// of a day or more.
+func AppendTime(b []byte, t time.Time) ([]byte, error) {
+	_, offset := t.Zone()
+	if y := t.Year(); y < 0 || y > 9999 || offset <= -24*3600 || offset >= 24*3600 {
+		_, err := t.MarshalJSON()
+		return b, err
+	}
+	b = append(b, '"')
+	b = t.AppendFormat(b, time.RFC3339Nano)
+	return append(b, '"'), nil
 }
 
 // AppendPairs appends an array of pairs; nil is null.
