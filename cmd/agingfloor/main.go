@@ -9,12 +9,12 @@
 //	agingfloor -kernel dct8 -fabric 5x5 -mode freeze
 //
 // With -journal the run's flight-recorder journal (every MILP decision:
-// probes, relaxations, rotations, pre-maps, prunes) is written as JSON;
-// -explain renders the human-readable explainability report directly.
-// A saved journal can be re-rendered offline at any time:
+// probes, relaxations, rotations, pre-maps, prunes) is written as JSON,
+// and agingfloor explain renders it as the human-readable
+// explainability report, offline and at any time:
 //
-//	agingfloor -bench B14 -journal b14.journal.json -explain b14.report.txt
-//	agingfloor explain b14.journal.json
+//	agingfloor -bench B14 -journal b14.journal.json
+//	agingfloor explain b14.journal.json > b14.report.txt
 //	agingfloor explain -json b14.journal.json
 package main
 
@@ -131,10 +131,8 @@ func run() int {
 		metricsF  = flag.String("metrics", "", "write a Prometheus text-format metrics snapshot to this file")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file (phases carried as pprof labels)")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		timeLimit = flag.Duration("time-limit", 0, "wall-clock budget per ST_target probe (0 keeps the default)")
 		progress  = flag.Bool("progress", false, "render a live solver status line on stderr while the flow runs")
 		journalF  = flag.String("journal", "", "write the solve's flight-recorder journal (JSON) to this file")
-		explainF  = flag.String("explain", "", "write the human-readable explainability report to this file")
 		flightEvs = flag.Int("flight-events", 0, "bound the flight journal's event count (0 = default, negative disables recording)")
 		kernProfF = flag.String("kernel-profile", "", "arm the LP kernel profiler and write the aggregated kernel profile (phase times, basis health, pivots by constraint family) as JSON to this file")
 		telemDir  = flag.String("telemetry-dir", "", "append this run's wide telemetry event to the durable store in this directory (shared with agingfloord)")
@@ -242,13 +240,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
 		return 2
 	}
-	if *timeLimit != 0 {
-		opts.TimeLimit = *timeLimit
-	}
 	// Flight recorder: only attached when an output was requested, so the
 	// default path journals nothing.
 	var rec *flight.Recorder
-	if (*journalF != "" || *explainF != "" || *kernProfF != "") && *flightEvs >= 0 {
+	if (*journalF != "" || *kernProfF != "") && *flightEvs >= 0 {
 		rec = flight.NewRecorder(*flightEvs)
 		if *kernProfF != "" {
 			rec.EnableKernel(0)
@@ -364,14 +359,6 @@ func run() int {
 			}
 			f.Close()
 			fmt.Println("wrote flight journal to", *journalF)
-		}
-		if *explainF != "" {
-			rep := flight.BuildReport(journal)
-			if err := os.WriteFile(*explainF, []byte(rep.Text()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			fmt.Println("wrote explainability report to", *explainF)
 		}
 		if *kernProfF != "" {
 			out := struct {

@@ -46,7 +46,7 @@ func addRemoteFlags(fs *flag.FlagSet, rf *remoteFlags) {
 	fs.StringVar(&rf.mode, "mode", "", "re-mapping mode: freeze or rotate (empty = server default; delta inherits the base job's)")
 	fs.Int64Var(&rf.seed, "seed", 0, "random seed (0 = server default; delta inherits the base job's)")
 	fs.Int64Var(&rf.timeLimit, "time-limit-ms", 0, "wall-clock budget per ST_target probe in ms (0 = default)")
-	fs.Int64Var(&rf.deadline, "deadline-ms", 0, "whole-job wall-clock bound in ms, queue wait included (0 = server default)")
+	fs.Int64Var(&rf.deadline, "deadline-ms", 0, "whole-job wall-clock bound in ms, queue wait included (0 = none)")
 	fs.BoolVar(&rf.wait, "wait", true, "wait for the job and print the outcome (false: print the job ID and return)")
 	fs.StringVar(&rf.out, "out", "", "write the full result document (JSON) to this file")
 }

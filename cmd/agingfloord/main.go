@@ -20,13 +20,21 @@
 // GET /debug/pprof/profile always has the runtime's one CPU profiler to
 // itself.
 //
+// Each job a worker runs records a flight journal of up to
+// flight.DefaultMaxEvents events, served at GET /v1/jobs/{id}/report. A
+// request's own deadline_ms bounds its job; without one a job has no
+// deadline.
+//
 // -telemetry-dir enables the longitudinal telemetry pipeline: one
 // durable wide event per job, windowed percentiles behind GET
 // /v1/stats, the operator dashboard at GET /debug/dash, automatic
-// flight-journal capture of slow-outlier solves (-slow-percentile) under
-// <dir>/slow/, and the SLO engine behind GET /v1/slo: availability plus
-// one latency objective per shape bucket, each bucket's reference worst
-// solve time (slo.ReferenceWorstMs) scaled by -slo-latency-factor.
+// flight-journal capture under <dir>/slow/ of solves slower than the
+// P99 of their shape bucket, and the SLO engine behind GET /v1/slo: 99%
+// availability plus one latency objective per shape bucket, each
+// bucket's reference worst solve time (slo.ReferenceWorstMs) × 4.
+// Tenant labels in metrics and telemetry are bounded at
+// telemetry.DefaultTenantCap distinct identities; later ones roll into
+// "other".
 //
 // SIGTERM (or Ctrl-C) drains gracefully: intake stops with 503, queued
 // and running jobs finish (bounded by -drain-timeout), buffered trace
@@ -58,19 +66,12 @@ func run() int {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 2, "solver worker pool size")
-		deadline     = flag.Duration("default-deadline", 0, "default per-job deadline, queue wait included (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight jobs before force-canceling")
 		tracePath    = flag.String("trace", "", "write the span stream as JSON Lines to this file")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logFormat    = flag.String("log-format", "text", "request/lifecycle log format: text or json")
-		flightEvs    = flag.Int("flight-events", 0, "bound each job's flight journal (0 = default, negative disables GET /v1/jobs/{id}/report)")
-		telemDir     = flag.String("telemetry-dir", "", "durable solve-telemetry directory; enables GET /v1/stats and GET /debug/dash (empty disables)")
-		slowPct      = flag.Float64("slow-percentile", 0.99, "auto-capture the flight journal of solves beyond this latency percentile of their shape bucket (<=0 disables)")
+		telemDir     = flag.String("telemetry-dir", "", "durable solve-telemetry directory; enables GET /v1/stats, GET /v1/slo and GET /debug/dash (empty disables)")
 		kernelProf   = flag.Bool("kernel-profile", false, "arm the LP kernel profiler on every job: phase-attributed solver time in journals, reports, metrics, /v1/stats, and /debug/dash")
-		tenantCap    = flag.Int("tenant-cap", 0, "distinct tenant labels in metrics/telemetry before rollup into \"other\" (0 = default 32)")
-		sloOn        = flag.Bool("slo", true, "run the SLO engine behind GET /v1/slo (requires -telemetry-dir)")
-		sloAvail     = flag.Float64("slo-availability", 0.99, "availability objective: target fraction of non-canceled jobs that do not fail")
-		sloLatFactor = flag.Float64("slo-latency-factor", 4.0, "latency objectives: P90 under (reference worst solve time x this factor) per shape bucket (<=0 disables)")
 		version      = flag.Bool("version", false, "print build identity (VCS revision, Go version) and exit")
 	)
 	flag.Parse()
@@ -113,35 +114,27 @@ func run() int {
 	}
 
 	// Telemetry is strictly additive: with no -telemetry-dir the pipeline
-	// stays nil and the server pays nothing per job (the stats/dash
-	// routes answer 404).
+	// and the SLO engine stay nil and the server pays nothing per job (the
+	// stats, slo and dash routes answer 404).
 	var (
 		pipeline  *telemetry.Pipeline
 		sloEngine *slo.Engine
 	)
 	if *telemDir != "" {
-		tcfg := telemetry.Config{
-			Dir:            *telemDir,
-			SlowPercentile: *slowPct,
-			TenantCap:      *tenantCap,
-			Registry:       reg,
-			Logger:         logger,
-		}
-		if *slowPct <= 0 {
-			tcfg.SlowPercentile = -1 // zero means "default"; force off
-		}
 		// The SLO engine must exist before Open: it subscribes through the
 		// observer hook, and Open replays the durable event history through
 		// the same hook — that replay is what lets error budgets survive a
 		// restart.
-		if *sloOn {
-			sloEngine = slo.New(
-				slo.DefaultObjectives(*sloAvail, slo.ReferenceWorstMs, *sloLatFactor),
-				slo.Config{Registry: reg, Logger: logger},
-			)
-			tcfg.Observers = append(tcfg.Observers, sloEngine.Record)
-		}
-		p, err := telemetry.Open(tcfg)
+		sloEngine = slo.New(
+			slo.DefaultObjectives(0.99, slo.ReferenceWorstMs, 4.0),
+			slo.Config{Registry: reg, Logger: logger},
+		)
+		p, err := telemetry.Open(telemetry.Config{
+			Dir:       *telemDir,
+			Observers: []func(*telemetry.SolveEvent){sloEngine.Record},
+			Registry:  reg,
+			Logger:    logger,
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "agingfloord: %v\n", err)
 			return 1
@@ -151,18 +144,15 @@ func run() int {
 	}
 
 	srv := serve.New(serve.Config{
-		Workers:         *workers,
-		DefaultDeadline: *deadline,
-		DrainTimeout:    *drainTimeout,
-		Trace:           tracer,
-		Registry:        reg,
-		Logger:          logger,
-		EnablePprof:     *pprofOn,
-		FlightEvents:    *flightEvs,
-		Telemetry:       pipeline,
-		KernelProfile:   *kernelProf,
-		SLO:             sloEngine,
-		TenantCap:       *tenantCap,
+		Workers:       *workers,
+		DrainTimeout:  *drainTimeout,
+		Trace:         tracer,
+		Registry:      reg,
+		Logger:        logger,
+		EnablePprof:   *pprofOn,
+		Telemetry:     pipeline,
+		KernelProfile: *kernelProf,
+		SLO:           sloEngine,
 	})
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}

@@ -48,7 +48,7 @@ type JobRequest struct {
 	// TimeLimitMs bounds each ST_target probe (0 keeps the default).
 	TimeLimitMs int64 `json:"time_limit_ms,omitempty"`
 	// DeadlineMs bounds the whole job wall-clock, queue wait included
-	// (0 uses the server default). The deadline is delivery policy, not
+	// (0 means no deadline). The deadline is delivery policy, not
 	// workload identity, so it is excluded from the result-cache key.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 	// Tenant is the accounting identity the job runs under ("" defaults
@@ -836,11 +836,15 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// sseKeepAlive is the idle interval after which the /events stream
+// emits a `: keep-alive` comment.
+var sseKeepAlive = 15 * time.Second
+
 // handleEvents streams progress updates as server-sent events: one
 // `data:` line per published snapshot (deduplicated by Seq), ending
 // after the terminal Done event or when the client goes away. Quiet
 // stretches (a long simplex phase publishes nothing for a while) are
-// bridged with `: keep-alive` comment frames every Config.SSEKeepAlive,
+// bridged with `: keep-alive` comment frames every sseKeepAlive,
 // so idle-timeout reverse proxies keep the stream open and a vanished
 // client is noticed by the failed write instead of lingering forever.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -863,12 +867,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	var keepC <-chan time.Time
-	if s.cfg.SSEKeepAlive > 0 {
-		ticker := time.NewTicker(s.cfg.SSEKeepAlive)
-		defer ticker.Stop()
-		keepC = ticker.C
-	}
+	keepAlive := time.NewTicker(sseKeepAlive)
+	defer keepAlive.Stop()
 
 	var lastSeq uint64
 	sent := false
@@ -893,7 +893,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-ch:
-		case <-keepC:
+		case <-keepAlive.C:
 			if _, err := io.WriteString(w, ": keep-alive\n\n"); err != nil {
 				return
 			}

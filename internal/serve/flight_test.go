@@ -95,21 +95,6 @@ func TestReportEndpoint(t *testing.T) {
 	}
 }
 
-// TestReportDisabled pins the opt-out: a negative FlightEvents bound
-// attaches no recorder, and the endpoint 404s even for solved jobs.
-func TestReportDisabled(t *testing.T) {
-	_, hs, _ := testServer(t, serve.Config{Workers: 1, FlightEvents: -1})
-
-	snap, code := postJob(t, hs, `{"bench": "B1"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	waitState(t, hs, snap.ID, serve.StateDone, 30*time.Second)
-	if code := getJSON(t, hs.URL+"/v1/jobs/"+snap.ID+"/report", nil); code != http.StatusNotFound {
-		t.Fatalf("report with recording disabled: HTTP %d, want 404", code)
-	}
-}
-
 // TestDeltaKernelProfile: on a KernelProfile server a delta job's
 // recorder is armed like a cold job's, so its journal has a kernel
 // section and its cost block per-phase times.

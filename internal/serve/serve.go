@@ -42,10 +42,6 @@ type Config struct {
 	// CacheEntries bounds the content-addressed result cache
 	// (default 64, FIFO eviction).
 	CacheEntries int
-	// DefaultDeadline applies to jobs that do not request their own
-	// deadline; zero means no limit. The deadline clock starts at
-	// submission, so time spent queued counts against it.
-	DefaultDeadline time.Duration
 	// DrainTimeout bounds Drain's wait for in-flight jobs before they
 	// are force-canceled (default 30s).
 	DrainTimeout time.Duration
@@ -59,11 +55,6 @@ type Config struct {
 	// one keyed by the job's trace_id so log lines, span streams, and API
 	// responses join on one correlation ID. nil disables logging.
 	Logger *slog.Logger
-	// FlightEvents bounds each job's flight-recorder journal (default
-	// flight.DefaultMaxEvents); events past the cap are counted and
-	// dropped while the journal's aggregates keep advancing. Negative
-	// disables per-job recording (and GET /v1/jobs/{id}/report).
-	FlightEvents int
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof/
 	// on Handler. Off by default: the profiles expose internals, so
 	// operators opt in per deployment.
@@ -76,24 +67,14 @@ type Config struct {
 	// KernelProfile arms the LP kernel profiler on every job's flight
 	// recorder: solves attribute their wall-clock to simplex phases,
 	// journals and reports grow a kernel section, and wide events carry
-	// per-phase times. Requires FlightEvents recording.
+	// per-phase times.
 	KernelProfile bool
-	// SSEKeepAlive is the idle interval after which the /events stream
-	// emits a `: keep-alive` comment, so reverse proxies do not reap
-	// quiet connections and dead clients are detected by the failed
-	// write. Zero defaults to 15s; negative disables.
-	SSEKeepAlive time.Duration
 	// SLO is the service-level-objective engine backing GET /v1/slo and
 	// the /debug/dash SLO panel. The server never feeds it directly —
 	// events reach it through the telemetry pipeline's observer hook
 	// (replayed history included), so the engine requires Telemetry and
 	// nil disables the route (404) at zero cost.
 	SLO *slo.Engine
-	// TenantCap bounds the distinct tenant labels the server emits into
-	// metrics and wide events (default telemetry.DefaultTenantCap).
-	// Identities past the cap are accounted under "other"; the per-job
-	// Snapshot keeps the raw name regardless.
-	TenantCap int
 }
 
 func (c Config) withDefaults() Config {
@@ -108,12 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.FlightEvents == 0 {
-		c.FlightEvents = flight.DefaultMaxEvents
-	}
-	if c.SSEKeepAlive == 0 {
-		c.SSEKeepAlive = 15 * time.Second
 	}
 	return c
 }
@@ -130,8 +105,8 @@ var (
 	// ErrNotDone reports a result request for an unfinished job (409).
 	ErrNotDone = errors.New("serve: job not finished")
 	// ErrNoFlight reports a report request for a job without a flight
-	// journal — recording disabled, or the job was served from the result
-	// cache without running the solver (404).
+	// journal: it was served from the result cache without running the
+	// solver (404).
 	ErrNoFlight = errors.New("serve: no flight journal for this job")
 	// ErrNoTelemetry reports a /v1/stats or /debug/dash request when no
 	// telemetry pipeline is configured (404).
@@ -175,7 +150,7 @@ type job struct {
 	cancel    context.CancelFunc
 	submitted time.Time
 	rep       *obs.Reporter    // live solver progress (always non-nil)
-	flight    *flight.Recorder // per-job decision journal; nil for cache hits or when disabled
+	flight    *flight.Recorder // per-job decision journal; nil for cache hits
 	span      obs.Span         // the serve.job span while a worker runs the job
 
 	// Delta-job identity, fixed at submission.
@@ -348,7 +323,7 @@ type Server struct {
 	cfg     Config
 	reg     *obs.Registry
 	cache   *resultCache
-	tenants *telemetry.TenantTracker // rolls tenant labels past the cap into "other"
+	tenants *telemetry.TenantTracker // rolls tenant labels past telemetry.DefaultTenantCap into "other"
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -377,7 +352,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		reg:        cfg.Registry,
 		cache:      newResultCache(cfg.CacheEntries, cfg.Registry),
-		tenants:    telemetry.NewTenantTracker(cfg.TenantCap),
+		tenants:    telemetry.NewTenantTracker(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *job, cfg.QueueDepth),
@@ -456,15 +431,11 @@ func (s *Server) admit(j *job, hit *exactEntry, attrs ...slog.Attr) (Snapshot, e
 	// Only jobs that actually run the solver get a flight recorder: a
 	// cache hit replays stored bytes, so there are no decisions to
 	// journal and the report endpoint answers 404 for it.
-	if hit == nil && s.cfg.FlightEvents > 0 {
-		j.flight = flight.NewRecorder(s.cfg.FlightEvents)
+	if hit == nil {
+		j.flight = flight.NewRecorder(flight.DefaultMaxEvents)
 		if s.cfg.KernelProfile {
 			j.flight.EnableKernel(0)
 		}
-	}
-	deadline := s.cfg.DefaultDeadline
-	if j.req.DeadlineMs > 0 {
-		deadline = time.Duration(j.req.DeadlineMs) * time.Millisecond
 	}
 
 	s.mu.Lock()
@@ -475,8 +446,8 @@ func (s *Server) admit(j *job, hit *exactEntry, attrs ...slog.Attr) (Snapshot, e
 	s.nextID++
 	j.id = fmt.Sprintf("job-%06d", s.nextID)
 	j.submitted = time.Now()
-	if deadline > 0 {
-		j.ctx, j.cancel = context.WithTimeout(s.baseCtx, deadline)
+	if j.req.DeadlineMs > 0 {
+		j.ctx, j.cancel = context.WithTimeout(s.baseCtx, time.Duration(j.req.DeadlineMs)*time.Millisecond)
 	} else {
 		j.ctx, j.cancel = context.WithCancel(s.baseCtx)
 	}
@@ -681,8 +652,8 @@ func (s *Server) reporter(id string) (*obs.Reporter, error) {
 // FlightJournal snapshots the job's flight-recorder journal. It works
 // on live jobs too (the snapshot is consistent mid-solve) and keeps
 // working after Drain, so an operator can pull the journal of a job
-// that was force-canceled. ErrNoFlight when the job has no recorder
-// (recording disabled, or a cache-hit job that never ran the solver).
+// that was force-canceled. ErrNoFlight when the job has no recorder: a
+// cache-hit job that never ran the solver.
 func (s *Server) FlightJournal(id string) (*flight.Journal, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -905,14 +876,13 @@ func (s *Server) finish(j *job, end ending) {
 	tp := s.cfg.Telemetry
 	if out := tp.Record(ev); out.Slow {
 		// The outlier's flight journal goes next to the event store, so
-		// the decision log is on disk before anyone asks.
-		if j.flight != nil {
-			path := tp.CaptureSlow(j.id, j.flight.Snapshot().WriteJSON)
-			s.logJob(j, "slow solve captured",
-				slog.Float64("elapsed_ms", ev.ElapsedMs),
-				slog.Float64("threshold_ms", out.SlowThreshold),
-				slog.String("journal", path))
-		}
+		// the decision log is on disk before anyone asks. Only a job a
+		// worker solved can be slow, and every such job has a recorder.
+		path := tp.CaptureSlow(j.id, j.flight.Snapshot().WriteJSON)
+		s.logJob(j, "slow solve captured",
+			slog.Float64("elapsed_ms", ev.ElapsedMs),
+			slog.Float64("threshold_ms", out.SlowThreshold),
+			slog.String("journal", path))
 	}
 	s.accountTenant(ev.Tenant, end.state, end.elapsed)
 	s.reg.Counter(`agingfp_serve_jobs_total{state="` + string(end.state) + `"}`).Inc()

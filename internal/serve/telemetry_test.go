@@ -109,15 +109,11 @@ func TestStatsWithoutTelemetry404s(t *testing.T) {
 
 // TestSlowSolveAutoCapture seeds the pipeline with a fast synthetic
 // population for B1's exact shape, then runs a real solve: it is orders
-// of magnitude slower than the synthetic percentile, so its flight
-// journal must land in <dir>/slow/ without anyone asking.
+// of magnitude slower than the synthetic P99, so its flight journal
+// must land in <dir>/slow/ without anyone asking.
 func TestSlowSolveAutoCapture(t *testing.T) {
 	dir := t.TempDir()
-	p := openPipeline(t, telemetry.Config{
-		Dir:            dir,
-		SlowPercentile: 0.5,
-		SlowMinSamples: 1,
-	})
+	p := openPipeline(t, telemetry.Config{Dir: dir})
 	_, hs, _ := testServer(t, serve.Config{Workers: 1, Telemetry: p})
 
 	// Learn B1's shape from a first solve, then synthesize the fast
@@ -131,7 +127,9 @@ func TestSlowSolveAutoCapture(t *testing.T) {
 	if res.Ops <= 0 || res.Contexts <= 0 {
 		t.Fatalf("result lacks workload shape: ops %d contexts %d", res.Ops, res.Contexts)
 	}
-	for i := 0; i < 5; i++ {
+	// The first real solve sits in the same bucket; 199 fast events put
+	// the bucket's P99 among them, past the 20-sample minimum.
+	for i := 0; i < 199; i++ {
 		p.Record(&telemetry.SolveEvent{
 			Time: time.Now(), Source: telemetry.SourceServe,
 			Bench: "B1", Ops: res.Ops, Contexts: res.Contexts,
@@ -159,9 +157,11 @@ func TestSlowSolveAutoCapture(t *testing.T) {
 
 // TestSSEKeepAlive parks a job in the queue behind a busy worker and
 // watches its event stream: with no progress to report, the server must
-// still emit `: keep-alive` comment frames at the configured interval.
+// still emit `: keep-alive` comment frames at the keep-alive interval.
 func TestSSEKeepAlive(t *testing.T) {
-	_, hs, _ := testServer(t, serve.Config{Workers: 1, SSEKeepAlive: 40 * time.Millisecond})
+	// Restored after the server closes: cleanups run last-in first-out.
+	t.Cleanup(serve.SetSSEKeepAlive(40 * time.Millisecond))
+	_, hs, _ := testServer(t, serve.Config{Workers: 1})
 
 	running, code := postJob(t, hs, slowDocument())
 	if code != http.StatusAccepted {

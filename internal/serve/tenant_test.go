@@ -13,6 +13,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -220,20 +221,22 @@ func TestSLOWithoutEngine404s(t *testing.T) {
 }
 
 // TestTenantCardinalityCapMetrics proves the label-set bound: tenants
-// are client-controlled strings, so past the cap they roll up into
-// "other" and /metrics never grows more than cap+1 tenant labels.
+// are client-controlled strings, so past telemetry.DefaultTenantCap they
+// roll up into "other" and /metrics never grows more than cap+1 tenant
+// labels.
 func TestTenantCardinalityCapMetrics(t *testing.T) {
-	p := openPipeline(t, telemetry.Config{Dir: t.TempDir(), TenantCap: 2})
-	_, hs, _ := testServer(t, serve.Config{Workers: 1, Telemetry: p, TenantCap: 2})
+	p := openPipeline(t, telemetry.Config{Dir: t.TempDir()})
+	_, hs, _ := testServer(t, serve.Config{Workers: 1, Telemetry: p})
 
 	// One cold solve, then the same bytes under a parade of identities —
-	// cheap cache hits, each minted under a fresh tenant.
+	// cheap cache hits, each minted under a fresh tenant, two past the cap.
 	first, code, _ := postJobAs(t, hs, "t1", `{"bench": "B1", "seed": 91}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 	waitState(t, hs, first.ID, serve.StateDone, 30*time.Second)
-	for _, tenant := range []string{"t2", "t3", "t4", "t5"} {
+	for i := 2; i <= telemetry.DefaultTenantCap+2; i++ {
+		tenant := fmt.Sprintf("t%d", i)
 		hit, code, _ := postJobAs(t, hs, tenant, `{"bench": "B1", "seed": 91}`)
 		if code != http.StatusAccepted || hit.State != serve.StateDone {
 			t.Fatalf("hit under %s: HTTP %d state %q", tenant, code, hit.State)
@@ -261,21 +264,26 @@ func TestTenantCardinalityCapMetrics(t *testing.T) {
 	if !labels[telemetry.TenantOther] {
 		t.Fatalf("rollup label missing; exported tenants: %v", labels)
 	}
-	if len(labels) > 3 { // cap(2) + "other"
-		t.Fatalf("tenant label cardinality = %d (%v), want <= cap+1 = 3", len(labels), labels)
+	if len(labels) > telemetry.DefaultTenantCap+1 {
+		t.Fatalf("tenant label cardinality = %d (%v), want <= cap+1 = %d", len(labels), labels, telemetry.DefaultTenantCap+1)
 	}
 
-	// The windowed stats view is bounded the same way: t4's jobs are
-	// accounted under "other", not under t4.
+	// The windowed stats view is bounded the same way: the over-cap
+	// tenants' jobs are accounted under "other", not under their names,
+	// and it exports exactly the label set /metrics does.
 	var st telemetry.WindowStats
 	if code := getJSON(t, hs.URL+"/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("/v1/stats: HTTP %d", code)
 	}
-	if len(st.Tenants) > 3 {
-		t.Fatalf("stats tenant cardinality = %d (%v), want <= 3", len(st.Tenants), st.Tenants)
-	}
 	if st.Tenants[telemetry.TenantOther].Jobs < 2 {
 		t.Fatalf("rollup bucket jobs = %d, want the over-cap tenants' traffic", st.Tenants[telemetry.TenantOther].Jobs)
+	}
+	statsLabels := map[string]bool{}
+	for tenant := range st.Tenants {
+		statsLabels[tenant] = true
+	}
+	if !reflect.DeepEqual(statsLabels, labels) {
+		t.Fatalf("/v1/stats tenants %v differ from /metrics tenants %v", statsLabels, labels)
 	}
 }
 

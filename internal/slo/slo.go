@@ -427,8 +427,8 @@ func Availability(target float64) Objective {
 // ReferenceWorstMs is each shape bucket's worst whole-benchmark time,
 // both re-mapping arms, in ms, over Table-I's B1, B4, B7, B10 and B13:
 // the last perf baseline the repo recorded (B1, B10, B4 and B7 set the
-// four buckets). agingfloord scales it by -slo-latency-factor into its
-// latency objectives.
+// four buckets). agingfloord scales it by 4 into its latency
+// objectives.
 var ReferenceWorstMs = map[string]float64{
 	"ops<=32,ctx<=4":   18,
 	"ops<=64,ctx<=4":   44,
@@ -441,13 +441,10 @@ var ReferenceWorstMs = map[string]float64{
 // worstMs. A latency target is the bucket's worst time × latencyFactor
 // (live solves share hardware with other jobs, so the bound is
 // deliberately loose), and the objective asks that 90% of solved jobs
-// in the bucket finish under it. A nil worstMs or a non-positive factor
-// yields availability only.
+// in the bucket finish under it. A nil worstMs yields availability
+// only.
 func DefaultObjectives(availTarget float64, worstMs map[string]float64, latencyFactor float64) []Objective {
 	objs := []Objective{Availability(availTarget)}
-	if latencyFactor <= 0 {
-		return objs
-	}
 	buckets := make([]string, 0, len(worstMs))
 	for b := range worstMs {
 		buckets = append(buckets, b)

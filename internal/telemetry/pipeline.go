@@ -21,20 +21,6 @@ type Config struct {
 	// granularity) with DefaultAccuracy quantile sketches.
 	Dir string
 
-	// SlowPercentile arms adaptive slow-solve capture: a solve slower
-	// than this latency percentile of its shape bucket (over
-	// DefaultWindow, needing SlowMinSamples solved jobs) is an outlier
-	// and its flight journal is written to Dir/slow/ at completion.
-	// Default 0.99; zero or negative disables capture. SlowKeep bounds
-	// the captured journals (default 32, oldest pruned).
-	SlowPercentile float64
-	SlowMinSamples int64
-	SlowKeep       int
-
-	// TenantCap bounds the per-tenant aggregation key set (default
-	// DefaultTenantCap); identities past it roll into "other".
-	TenantCap int
-
 	// Observers are invoked for every event the pipeline accepts — both
 	// the durable history replayed at Open and every live Record — after
 	// the event is folded into the aggregation ring. The SLO engine
@@ -56,24 +42,15 @@ type Config struct {
 // solve against, and the default window of GET /v1/stats.
 const DefaultWindow = 15 * time.Minute
 
-func (c Config) withDefaults() Config {
-	if c.SlowPercentile == 0 {
-		c.SlowPercentile = 0.99
-	}
-	if c.SlowMinSamples < 1 {
-		c.SlowMinSamples = 20
-	}
-	if c.SlowKeep < 1 {
-		c.SlowKeep = 32
-	}
-	if c.TenantCap < 1 {
-		c.TenantCap = DefaultTenantCap
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
+// Slow-solve capture: a solve slower than the slowPercentile latency of
+// its shape bucket over DefaultWindow, once the bucket holds
+// slowMinSamples solved jobs, is an outlier, and its flight journal is
+// written to Dir/slow/. The newest slowKeep captures are kept.
+const (
+	slowPercentile = 0.99
+	slowMinSamples = 20
+	slowKeep       = 32
+)
 
 // Outcome is what Record reports back about one event: whether the
 // solve was a slow outlier for its shape (the caller should capture its
@@ -105,7 +82,9 @@ func Open(cfg Config) (*Pipeline, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("telemetry: Config.Dir is required")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
 	store, err := OpenStore(cfg.Dir, DefaultMaxSegmentBytes, DefaultMaxSegments)
 	if err != nil {
 		return nil, err
@@ -116,7 +95,6 @@ func Open(cfg Config) (*Pipeline, error) {
 		agg:   NewAggregator(DefaultStep, DefaultCells, DefaultAccuracy, cfg.Now),
 		reg:   cfg.Registry,
 	}
-	p.agg.tenants = NewTenantTracker(cfg.TenantCap)
 	replayed, skipped, err := store.Replay(func(ev *SolveEvent) error {
 		p.agg.Record(ev)
 		for _, fn := range cfg.Observers {
@@ -157,9 +135,9 @@ func (p *Pipeline) Record(ev *SolveEvent) Outcome {
 	}
 
 	var out Outcome
-	if p.cfg.SlowPercentile > 0 && ev.Solved() {
-		threshold, samples := p.agg.ShapeQuantile(ev.ShapeBucket(), p.cfg.SlowPercentile, DefaultWindow)
-		if samples >= p.cfg.SlowMinSamples && ev.ElapsedMs > threshold {
+	if ev.Solved() {
+		threshold, samples := p.agg.ShapeQuantile(ev.ShapeBucket(), slowPercentile, DefaultWindow)
+		if samples >= slowMinSamples && ev.ElapsedMs > threshold {
 			out.Slow, out.SlowThreshold = true, threshold
 		}
 	}
@@ -230,7 +208,7 @@ func (p *Pipeline) slowDir() string { return filepath.Join(p.cfg.Dir, "slow") }
 // CaptureSlow persists one slow solve's flight journal under
 // Dir/slow/<name>.journal.json so the outlier's decision log is already
 // on disk when an operator investigates. write receives the
-// destination; the oldest captures beyond SlowKeep are pruned. Errors
+// destination; the oldest captures beyond slowKeep are pruned. Errors
 // are logged and swallowed (capture is best-effort).
 func (p *Pipeline) CaptureSlow(name string, write func(io.Writer) error) string {
 	if p == nil || write == nil {
@@ -269,10 +247,10 @@ func (p *Pipeline) captureFailed(err error) {
 	}
 }
 
-// pruneSlow keeps the newest SlowKeep captured journals.
+// pruneSlow keeps the newest slowKeep captured journals.
 func (p *Pipeline) pruneSlow() {
 	entries, err := os.ReadDir(p.slowDir())
-	if err != nil || len(entries) <= p.cfg.SlowKeep {
+	if err != nil || len(entries) <= slowKeep {
 		return
 	}
 	type aged struct {
@@ -288,7 +266,7 @@ func (p *Pipeline) pruneSlow() {
 		files = append(files, aged{e.Name(), info.ModTime()})
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i].mod.Before(files[j].mod) })
-	for i := 0; i < len(files)-p.cfg.SlowKeep; i++ {
+	for i := 0; i < len(files)-slowKeep; i++ {
 		os.Remove(filepath.Join(p.slowDir(), files[i].name))
 	}
 }

@@ -105,15 +105,11 @@ func TestPipelineBurstAndRestart(t *testing.T) {
 
 func TestPipelineSlowCapture(t *testing.T) {
 	dir := t.TempDir()
-	p := testPipeline(t, Config{
-		Dir:            dir,
-		SlowPercentile: 0.9,
-		SlowMinSamples: 5,
-		SlowKeep:       2,
-	})
+	p := testPipeline(t, Config{Dir: dir})
 
-	// Build up a baseline population of ~10ms solves for one shape.
-	for i := 0; i < 20; i++ {
+	// Build up a baseline population of ~10ms solves for one shape, large
+	// enough that its P99 falls among them.
+	for i := 0; i < 200; i++ {
 		if out := p.Record(solvedEvent(testBase, "B1", 88, 16, 10)); out.Slow {
 			t.Fatalf("typical solve %d flagged slow", i)
 		}
@@ -122,18 +118,25 @@ func TestPipelineSlowCapture(t *testing.T) {
 	// cannot raise its own bar.
 	out := p.Record(solvedEvent(testBase, "B1", 88, 16, 1000))
 	if !out.Slow {
-		t.Fatal("10x outlier not flagged slow")
+		t.Fatal("100x outlier not flagged slow")
 	}
 	if out.SlowThreshold <= 0 || out.SlowThreshold > 20 {
 		t.Fatalf("slow threshold %g, want ~10ms population percentile", out.SlowThreshold)
 	}
-	// A different shape has no population yet — never flagged.
-	if out := p.Record(solvedEvent(testBase, "tiny", 4, 2, 1000)); out.Slow {
-		t.Fatal("unseen shape flagged slow without samples")
+	// A different shape has no population yet — never flagged — and one
+	// sample short of slowMinSamples is still too few.
+	for i := 0; i < slowMinSamples-1; i++ {
+		if out := p.Record(solvedEvent(testBase, "tiny", 4, 2, 1000)); out.Slow {
+			t.Fatalf("shape with %d samples flagged slow", i)
+		}
+	}
+	if out := p.Record(solvedEvent(testBase, "tiny", 4, 2, 1e6)); out.Slow {
+		t.Fatalf("shape with %d samples flagged slow, want %d first", slowMinSamples-1, slowMinSamples)
 	}
 
-	// Capture writes the journal and prunes beyond SlowKeep.
-	for _, name := range []string{"job-a", "job-b", "job-c"} {
+	// Capture writes the journal and prunes beyond slowKeep.
+	for i := 0; i <= slowKeep; i++ {
+		name := fmt.Sprintf("job-%02d", i)
 		path := p.CaptureSlow(name, func(w io.Writer) error {
 			_, err := io.WriteString(w, `{"events":[]}`)
 			return err
@@ -146,8 +149,8 @@ func TestPipelineSlowCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("%d captured journals retained, want SlowKeep=2", len(entries))
+	if len(entries) != slowKeep {
+		t.Fatalf("%d captured journals retained, want slowKeep=%d", len(entries), slowKeep)
 	}
 }
 

@@ -140,24 +140,21 @@ const DefaultTenantCap = 32
 // TenantOther is the rollup identity for tenants past the cap.
 const TenantOther = "other"
 
-// TenantTracker bounds tenant-label cardinality: the first cap distinct
-// identities are admitted verbatim (admission order — a pragmatic
-// "top-K" under the assumption that steady tenants appear early and
-// churn is the attack), everything later maps to TenantOther. Safe for
-// concurrent use; the zero value must not be used (NewTenantTracker).
+// TenantTracker bounds tenant-label cardinality: the first
+// DefaultTenantCap distinct identities are admitted verbatim (admission
+// order — a pragmatic "top-K" under the assumption that steady tenants
+// appear early and churn is the attack), everything later maps to
+// TenantOther. Safe for concurrent use; the zero value must not be used
+// (NewTenantTracker).
 type TenantTracker struct {
 	mu   sync.Mutex
-	cap  int
 	seen map[string]struct{}
 }
 
-// NewTenantTracker builds a tracker admitting up to cap identities
-// (cap < 1 uses DefaultTenantCap).
-func NewTenantTracker(cap int) *TenantTracker {
-	if cap < 1 {
-		cap = DefaultTenantCap
-	}
-	return &TenantTracker{cap: cap, seen: make(map[string]struct{}, cap)}
+// NewTenantTracker builds a tracker admitting up to DefaultTenantCap
+// identities.
+func NewTenantTracker() *TenantTracker {
+	return &TenantTracker{seen: make(map[string]struct{}, DefaultTenantCap)}
 }
 
 // Label maps a tenant identity to its bounded label: the identity
@@ -172,7 +169,7 @@ func (t *TenantTracker) Label(tenant string) string {
 	if _, ok := t.seen[tenant]; ok {
 		return tenant
 	}
-	if len(t.seen) < t.cap {
+	if len(t.seen) < DefaultTenantCap {
 		t.seen[tenant] = struct{}{}
 		return tenant
 	}
@@ -190,10 +187,10 @@ type Aggregator struct {
 	alpha float64
 	now   func() time.Time
 
-	// tenants bounds the per-tenant breakdown's key set. Events arrive
-	// with serve's own rollup already applied, so this second tracker is
-	// a backstop against hand-written stores; both default to
-	// DefaultTenantCap.
+	// tenants bounds the per-tenant breakdown's key set at
+	// DefaultTenantCap. Live events arrive with serve's own rollup
+	// already applied, so this second tracker is a backstop against
+	// hand-written stores and history replayed across restarts.
 	tenants *TenantTracker
 
 	mu   sync.Mutex
@@ -221,7 +218,7 @@ func NewAggregator(step time.Duration, cells int, alpha float64, now func() time
 	if now == nil {
 		now = time.Now
 	}
-	return &Aggregator{alpha: alpha, now: now, tenants: NewTenantTracker(0), ring: NewRing[cell](step, cells)}
+	return &Aggregator{alpha: alpha, now: now, tenants: NewTenantTracker(), ring: NewRing[cell](step, cells)}
 }
 
 // Span is the total history the ring can hold.

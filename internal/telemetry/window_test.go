@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -143,12 +144,12 @@ func TestAggregatorSeriesAndHeat(t *testing.T) {
 }
 
 func TestTenantTrackerCapAndRollup(t *testing.T) {
-	tr := NewTenantTracker(2)
-	if got := tr.Label("a"); got != "a" {
-		t.Fatalf("first identity = %q, want admitted", got)
-	}
-	if got := tr.Label("b"); got != "b" {
-		t.Fatalf("second identity = %q, want admitted", got)
+	tr := NewTenantTracker()
+	for i := 0; i < DefaultTenantCap; i++ {
+		raw := fmt.Sprintf("t%d", i)
+		if got := tr.Label(raw); got != raw {
+			t.Fatalf("identity %d = %q, want admitted", i, got)
+		}
 	}
 	// Past the cap every new identity rolls up; admitted ones keep
 	// resolving to themselves.
@@ -157,8 +158,8 @@ func TestTenantTrackerCapAndRollup(t *testing.T) {
 			t.Fatalf("Label(%q) = %q, want %q", raw, got, TenantOther)
 		}
 	}
-	if got := tr.Label("a"); got != "a" {
-		t.Fatalf("admitted identity after overflow = %q, want a", got)
+	if got := tr.Label("t0"); got != "t0" {
+		t.Fatalf("admitted identity after overflow = %q, want t0", got)
 	}
 	// Empty is the CLI's "no tenant" and passes through untouched; a nil
 	// tracker is inert.
@@ -174,20 +175,27 @@ func TestTenantTrackerCapAndRollup(t *testing.T) {
 func TestAggregatorTenantBreakdown(t *testing.T) {
 	clock := &fixedClock{t: testBase}
 	a := NewAggregator(time.Minute, 10, 0.01, clock.now)
-	a.tenants = NewTenantTracker(2)
 
-	for i, tenant := range []string{"a", "a", "b", "c", "d"} {
-		ev := solvedEvent(testBase.Add(-time.Duration(i)*time.Minute), "B1", 20, 4, 100)
+	// "a" twice, then DefaultTenantCap-1 more identities fill the cap,
+	// and "x" and "y" arrive past it.
+	tenants := []string{"a", "a"}
+	for i := 1; i < DefaultTenantCap; i++ {
+		tenants = append(tenants, fmt.Sprintf("t%d", i))
+	}
+	tenants = append(tenants, "x", "y")
+	for i, tenant := range tenants {
+		ev := solvedEvent(testBase.Add(-time.Duration(i)*time.Second), "B1", 20, 4, 100)
 		ev.Tenant = tenant
 		a.Record(ev)
 	}
 
 	st := a.Stats(10 * time.Minute)
-	if len(st.Tenants) != 3 {
-		t.Fatalf("tenant buckets = %v, want a, b, other", st.Tenants)
+	if len(st.Tenants) != DefaultTenantCap+1 {
+		t.Fatalf("%d tenant buckets, want the cap (%d) plus other", len(st.Tenants), DefaultTenantCap)
 	}
-	if st.Tenants["a"].Jobs != 2 || st.Tenants["b"].Jobs != 1 || st.Tenants[TenantOther].Jobs != 2 {
-		t.Fatalf("tenant jobs = %v, want a:2 b:1 other:2", st.Tenants)
+	if st.Tenants["a"].Jobs != 2 || st.Tenants["t1"].Jobs != 1 || st.Tenants[TenantOther].Jobs != 2 {
+		t.Fatalf("tenant jobs a:%d t1:%d other:%d, want a:2 t1:1 other:2",
+			st.Tenants["a"].Jobs, st.Tenants["t1"].Jobs, st.Tenants[TenantOther].Jobs)
 	}
 
 	// The single-tenant view matches the breakdown; an over-cap identity
@@ -196,7 +204,7 @@ func TestAggregatorTenantBreakdown(t *testing.T) {
 	if tw == nil || tw.Summary.Jobs != 2 || tw.Summary.Solved != 2 {
 		t.Fatalf("TenantStats(a) = %+v, want 2 jobs", tw)
 	}
-	if sum := a.TenantStats("c", 10*time.Minute).Summary; sum.Jobs != 0 {
+	if sum := a.TenantStats("x", 10*time.Minute).Summary; sum.Jobs != 0 {
 		t.Fatalf("rolled-up tenant reports %d jobs under its own name, want 0", sum.Jobs)
 	}
 }
