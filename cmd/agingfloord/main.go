@@ -1,15 +1,19 @@
 // Command agingfloord hosts the aging-aware floorplanner as a
 // long-running HTTP/JSON job service. Clients submit a design (or a
-// Table-I benchmark name), poll the job, and fetch the result document;
-// identical submissions are answered from a content-addressed cache
-// byte-identically.
+// Table-I benchmark name), follow the job, and fetch the result
+// document; identical submissions are answered from a content-addressed
+// cache byte-identically.
 //
 //	agingfloord -addr :8080 -workers 2
 //	curl -d '{"bench":"B1"}' localhost:8080/v1/jobs
-//	curl localhost:8080/v1/jobs/job-000001
+//	curl 'localhost:8080/v1/jobs/job-000001?wait=30s&after=0'
 //	curl localhost:8080/v1/jobs/job-000001/result
-//	curl localhost:8080/v1/jobs/job-000001/progress
-//	curl -N localhost:8080/v1/jobs/job-000001/events
+//
+// GET /v1/jobs/{id} is the one route that follows a job: its snapshot
+// carries the latest solver progress, ?wait= blocks until the job is
+// terminal, and &after=<seq> also answers once progress.seq passes seq,
+// so a follower that passes the last seq it saw sees the progress each
+// time it moves, then the terminal update (progress.done).
 //
 // Every request and job-lifecycle event is logged to stderr with the
 // job's trace_id (-log-format selects text or JSON records). -trace

@@ -49,10 +49,10 @@ func TestFlightRelaxCountMatchesStats(t *testing.T) {
 // TestFlightReportDeterministic pins the byte-determinism contract: two
 // identical solves (same design, same seed) must journal byte-identical
 // report JSON — events carry no timestamps, so reports are diffable
-// across runs.
+// across runs. The Rotate instance is small enough to run under -race
+// and still journals an orientation table and several ST_target probes.
 func TestFlightReportDeterministic(t *testing.T) {
-	skipUnderRace(t)
-	d, m0 := buildSmall(t, dfg.FIR(16), 6, 6)
+	d, m0 := buildSmall(t, dfg.FIR(8), 4, 4)
 
 	run := func() []byte {
 		rec := flight.NewRecorder(0)
@@ -63,7 +63,12 @@ func TestFlightReportDeterministic(t *testing.T) {
 		if _, err := Remap(context.Background(), d, m0, opts); err != nil {
 			t.Fatalf("Remap: %v", err)
 		}
-		js, err := flight.BuildReport(rec.Snapshot()).JSON()
+		rep := flight.BuildReport(rec.Snapshot())
+		if rep.Rotation == nil || len(rep.Rotation.Choices) == 0 || len(rep.Probes) < 2 {
+			t.Fatalf("report has rotation %+v and %d ST_target probes; want an orientation table and at least 2",
+				rep.Rotation, len(rep.Probes))
+		}
+		js, err := rep.JSON()
 		if err != nil {
 			t.Fatalf("report JSON: %v", err)
 		}

@@ -5,15 +5,12 @@ import (
 	"time"
 )
 
-// Progress is a point-in-time snapshot of one job's solver progress —
-// the latest-value record behind the job server's GET /v1/jobs/{id}/progress
-// endpoint and the CLI's -progress status line. Layers overwrite only the
-// fields they own: core stamps the phase/probe/relax-round group, and
-// the terminal fields are stamped exactly once by whoever owns the job's
-// lifecycle (the job server, or nobody for library callers).
-//
-// The struct is a value: readers always see a consistent snapshot, never
-// a half-written update.
+// Progress is a point-in-time snapshot of one job's solver progress: the
+// progress member of the job server's snapshot and the CLI's -progress
+// status line. Core stamps the phase, probe and batch fields; whoever
+// owns the job's lifecycle (the job server, or nobody for library
+// callers) stamps the terminal ones once. It is a value, so readers
+// never see a half-written update.
 type Progress struct {
 	// Seq increases by one per published update; a reader that polls can
 	// detect "no news" by comparing sequence numbers.
@@ -113,11 +110,10 @@ func (r *Reporter) Latest() Progress {
 }
 
 // Watch returns the current snapshot plus a channel that is closed at
-// the next update — the blocking primitive behind the SSE stream.
-// Spurious wakes are possible (an update racing the subscription closes
-// the channel immediately); callers must re-check Seq. On a nil reporter
-// the channel is nil, i.e. it never delivers — correct "no updates ever"
-// semantics for select loops that also wait on a context.
+// the next update: the blocking primitive behind the job server's wait.
+// A wake may be spurious (an update racing the subscription closes the
+// channel at once), so callers re-check Seq. On a nil reporter the
+// channel is nil and never delivers.
 func (r *Reporter) Watch() (Progress, <-chan struct{}) {
 	if r == nil {
 		return Progress{}, nil

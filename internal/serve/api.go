@@ -24,7 +24,6 @@ import (
 	"agingfp/internal/core"
 	"agingfp/internal/flight"
 	"agingfp/internal/nbti"
-	"agingfp/internal/obs"
 	"agingfp/internal/place"
 	"agingfp/internal/slo"
 	"agingfp/internal/telemetry"
@@ -521,12 +520,13 @@ func (s *Server) execute(ctx context.Context, j *job) (*execOut, *solveInfo, err
 //	                              (a cache hit's carries its result)
 //	POST   /v1/jobs/{id}/delta    incremental re-solve seeded from a
 //	                              finished base job's artifacts
-//	GET    /v1/jobs/{id}          job status snapshot, with the result
-//	                              once done (?wait=30s blocks until the
-//	                              job is terminal, at most MaxWait)
+//	GET    /v1/jobs/{id}          job snapshot with its latest progress
+//	                              and, once done, its result: the one
+//	                              route that follows a job. ?wait=30s
+//	                              blocks until the job is terminal (at
+//	                              most MaxWait) or, with &after=<seq>,
+//	                              its progress passes seq
 //	GET    /v1/jobs/{id}/result   finished job's result document
-//	GET    /v1/jobs/{id}/progress latest solver-progress snapshot
-//	GET    /v1/jobs/{id}/events   server-sent-events progress stream
 //	GET    /v1/jobs/{id}/report   flight-recorder explainability report
 //	                              (?format=json|text|journal, default json)
 //	DELETE /v1/jobs/{id}          cooperative cancel
@@ -578,10 +578,8 @@ func (s *Server) routes() []route {
 	return []route{
 		{"POST", "/v1/jobs", "submit a floorplanning job", s.handleSubmit},
 		{"POST", "/v1/jobs/{id}/delta", "submit an incremental re-solve seeded from a finished base job", s.handleDelta},
-		{"GET", "/v1/jobs/{id}", "job status snapshot; ?wait= blocks until the job is terminal", s.handleStatus},
+		{"GET", "/v1/jobs/{id}", "job status snapshot with its progress; ?wait= blocks until the job is terminal or its progress passes &after=", s.handleStatus},
 		{"GET", "/v1/jobs/{id}/result", "finished job's result document", s.handleResult},
-		{"GET", "/v1/jobs/{id}/progress", "latest solver-progress snapshot", s.handleProgress},
-		{"GET", "/v1/jobs/{id}/events", "server-sent-events progress stream", s.handleEvents},
 		{"GET", "/v1/jobs/{id}/report", "flight-recorder explainability report", s.handleReport},
 		{"DELETE", "/v1/jobs/{id}", "cooperative cancel", s.handleCancel},
 		{"GET", "/v1/version", "build identity", s.handleVersion},
@@ -595,8 +593,7 @@ func (s *Server) routes() []route {
 }
 
 // statusWriter records the response code and byte count for the request
-// log. It forwards Flush so the SSE stream keeps working behind the
-// middleware.
+// log.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -617,12 +614,6 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	n, err := w.ResponseWriter.Write(b)
 	w.n += int64(n)
 	return n, err
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // logRequests wraps the mux with structured request logging. The job's
@@ -706,18 +697,10 @@ func (s *Server) rejectWithRetry(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		httpError(w, badRequest("serve: read body: %v", err))
-		return
-	}
 	var req JobRequest
-	if err := req.UnmarshalJSON(body); err != nil {
-		httpError(w, badRequest("serve: bad request JSON: %v", err))
+	if err := readRequest(r, &req, &req.Tenant); err != nil {
+		httpError(w, err)
 		return
-	}
-	if h := r.Header.Get("X-Tenant"); h != "" {
-		req.Tenant = h
 	}
 	snap, err := s.Submit(&req)
 	if err != nil {
@@ -728,18 +711,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		httpError(w, badRequest("serve: read body: %v", err))
-		return
-	}
 	var req DeltaRequest
-	if err := req.UnmarshalJSON(body); err != nil {
-		httpError(w, badRequest("serve: bad request JSON: %v", err))
+	if err := readRequest(r, &req, &req.Tenant); err != nil {
+		httpError(w, err)
 		return
-	}
-	if h := r.Header.Get("X-Tenant"); h != "" {
-		req.Tenant = h
 	}
 	snap, err := s.SubmitDelta(r.PathValue("id"), &req)
 	if err != nil {
@@ -749,12 +724,31 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	writeSnapshot(w, http.StatusAccepted, snap)
 }
 
+// readRequest decodes a submission body into req and lets the X-Tenant
+// header override its tenant.
+func readRequest(r *http.Request, req json.Unmarshaler, tenant *string) error {
+	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	if err != nil {
+		return badRequest("serve: read body: %v", err)
+	}
+	if err := req.UnmarshalJSON(body); err != nil {
+		return badRequest("serve: bad request JSON: %v", err)
+	}
+	if h := r.Header.Get("X-Tenant"); h != "" {
+		*tenant = h
+	}
+	return nil
+}
+
 // MaxWait caps the blocking wait of GET /v1/jobs/{id}?wait=.
 const MaxWait = 60 * time.Second
 
 // handleStatus serves a job's snapshot. With ?wait=<Go duration> it
 // first blocks until the job is terminal, the duration (capped at
 // MaxWait) has passed, or the client goes away, whichever comes first.
+// With &after=<seq> the wait also ends once the job's progress sequence
+// passes seq, so a follower that passes the last seq it saw is answered
+// each time the progress moves, then with the terminal update.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	var wait time.Duration
 	if q := r.URL.Query().Get("wait"); q != "" {
@@ -765,7 +759,16 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = min(d, MaxWait)
 	}
-	snap, err := s.await(r.Context(), r.PathValue("id"), wait)
+	after := uint64(math.MaxUint64) // no sequence passes it
+	if q := r.URL.Query().Get("after"); q != "" {
+		n, err := strconv.ParseUint(q, 10, 64)
+		if err != nil {
+			httpError(w, badRequest("serve: bad after %q (want a non-negative progress seq such as 12)", q))
+			return
+		}
+		after = n
+	}
+	snap, err := s.await(r.Context(), r.PathValue("id"), wait, after)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -773,22 +776,20 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeSnapshot(w, http.StatusOK, snap)
 }
 
-// await returns a job's snapshot once the job is terminal, wait has
-// passed or ctx has ended, whichever comes first; a zero wait returns
-// it at once. It watches the job's progress cell as the SSE stream
-// does: finish publishes the terminal update after the terminal state,
-// so the snapshot read after it is terminal.
-func (s *Server) await(ctx context.Context, id string, wait time.Duration) (Snapshot, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+// await returns a job's snapshot once the job is terminal, its progress
+// sequence passes after, wait has passed or ctx has ended, whichever
+// comes first; a zero wait returns it at once. It watches the job's
+// progress cell: finish publishes the terminal update after the
+// terminal state, so the snapshot read after it is terminal.
+func (s *Server) await(ctx context.Context, id string, wait time.Duration, after uint64) (Snapshot, error) {
+	j := s.lookup(id)
+	if j == nil {
 		return Snapshot{}, ErrNotFound
 	}
 	if wait > 0 {
 		timer := time.NewTimer(wait)
 		defer timer.Stop()
-		for p, ch := j.rep.Watch(); !p.Done; p, ch = j.rep.Watch() {
+		for p, ch := j.rep.Watch(); !p.Done && p.Seq <= after; p, ch = j.rep.Watch() {
 			select {
 			case <-ch:
 			case <-timer.C:
@@ -812,96 +813,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(out) //nolint:errcheck
-}
-
-// ProgressSnapshot is the GET /v1/jobs/{id}/progress payload and the SSE
-// event data: the job's identity and state plus the latest solver
-// progress.
-type ProgressSnapshot struct {
-	ID       string       `json:"id"`
-	TraceID  string       `json:"trace_id,omitempty"`
-	State    JobState     `json:"state"`
-	Progress obs.Progress `json:"progress"`
-}
-
-func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	snap, prog, err := s.Progress(r.PathValue("id"))
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	setTraceHeader(w, snap)
-	writeJSON(w, http.StatusOK, ProgressSnapshot{
-		ID: snap.ID, TraceID: snap.TraceID, State: snap.State, Progress: prog,
-	})
-}
-
-// sseKeepAlive is the idle interval after which the /events stream
-// emits a `: keep-alive` comment.
-var sseKeepAlive = 15 * time.Second
-
-// handleEvents streams progress updates as server-sent events: one
-// `data:` line per published snapshot (deduplicated by Seq), ending
-// after the terminal Done event or when the client goes away. Quiet
-// stretches (a long simplex phase publishes nothing for a while) are
-// bridged with `: keep-alive` comment frames every sseKeepAlive,
-// so idle-timeout reverse proxies keep the stream open and a vanished
-// client is noticed by the failed write instead of lingering forever.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rep, err := s.reporter(id)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, fmt.Errorf("serve: response writer cannot stream"))
-		return
-	}
-	if snap, err := s.Job(id); err == nil {
-		setTraceHeader(w, snap)
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	keepAlive := time.NewTicker(sseKeepAlive)
-	defer keepAlive.Stop()
-
-	var lastSeq uint64
-	sent := false
-	for {
-		p, ch := rep.Watch()
-		if !sent || p.Seq > lastSeq {
-			snap, _ := s.Job(id)
-			data, err := json.Marshal(ProgressSnapshot{
-				ID: id, TraceID: snap.TraceID, State: snap.State, Progress: p,
-			})
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-				return
-			}
-			flusher.Flush()
-			lastSeq, sent = p.Seq, true
-			if p.Done {
-				return
-			}
-		}
-		select {
-		case <-ch:
-		case <-keepAlive.C:
-			if _, err := io.WriteString(w, ": keep-alive\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 // handleReport serves the job's flight-recorder output: the raw journal
@@ -943,12 +854,11 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 }
 
 // statsWindow resolves the ?window= query (default: the pipeline's
-// Window, the horizon slow-solve capture also compares over).
+// DefaultWindow, the horizon slow-solve capture also compares over).
 func (s *Server) statsWindow(r *http.Request) (time.Duration, error) {
-	window := s.cfg.Telemetry.Window()
 	q := r.URL.Query().Get("window")
 	if q == "" {
-		return window, nil
+		return telemetry.DefaultWindow, nil
 	}
 	d, err := time.ParseDuration(q)
 	if err != nil {

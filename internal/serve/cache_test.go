@@ -230,10 +230,11 @@ func TestCacheHitValidationUnchanged(t *testing.T) {
 // sequence number and whether it is done.
 func waitCold(s *serve.Server, id string, seq uint64, untilDone bool) (uint64, bool, error) {
 	for {
-		snap, p, err := s.Progress(id)
+		snap, err := s.Job(id)
 		if err != nil {
 			return 0, false, err
 		}
+		p := snap.Progress
 		switch snap.State {
 		case serve.StateDone:
 			return p.Seq, true, nil

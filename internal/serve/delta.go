@@ -354,10 +354,8 @@ func (s *Server) SubmitDelta(baseID string, req *DeltaRequest) (Snapshot, error)
 		return Snapshot{}, badRequest("serve: bad design: %v", err)
 	}
 
-	s.mu.Lock()
-	base, ok := s.jobs[baseID]
-	s.mu.Unlock()
-	if !ok {
+	base := s.lookup(baseID)
+	if base == nil {
 		return Snapshot{}, ErrNotFound
 	}
 	base.mu.Lock()

@@ -39,12 +39,13 @@ var progressDocument = sync.OnceValue(func() string {
 	return fmt.Sprintf(`{"design": %s}`, doc)
 })
 
-// TestProgressPollingMidSolve is the end-to-end progress contract: a
-// slow job exposes live, monotonically advancing counters through
-// GET /v1/jobs/{id}/progress while the solver runs, and a cancel leaves
-// a terminal done=true snapshot behind. Run under -race this also
-// exercises the lock-free reporter against concurrent HTTP readers.
-func TestProgressPollingMidSolve(t *testing.T) {
+// TestFollowJob is the end-to-end progress contract of the one route
+// that follows a job: a follower that long-polls GET
+// /v1/jobs/{id}?wait=&after=<last seq> is answered at every advance with
+// a strictly higher seq and monotone counters while the solver runs, and
+// after a cancel with the terminal done update. Run under -race this
+// also exercises the lock-free reporter against concurrent HTTP readers.
+func TestFollowJob(t *testing.T) {
 	_, hs, _ := testServer(t, serve.Config{Workers: 1})
 
 	snap, code := postJob(t, hs, progressDocument())
@@ -53,113 +54,49 @@ func TestProgressPollingMidSolve(t *testing.T) {
 	}
 	waitState(t, hs, snap.ID, serve.StateRunning, 10*time.Second)
 
-	// Poll until the solver has demonstrably moved twice, asserting the
-	// monotone-counter contract on every observation.
-	var lastSeq uint64
-	var lastLP int64
-	advances := 0
-	deadline := time.Now().Add(90 * time.Second)
-	for (advances < 2 || lastLP == 0) && time.Now().Before(deadline) {
-		var ps serve.ProgressSnapshot
-		if code := getJSON(t, hs.URL+"/v1/jobs/"+snap.ID+"/progress", &ps); code != http.StatusOK {
-			t.Fatalf("progress poll: HTTP %d", code)
+	last := snap.Progress
+	// follow waits for the next answer past last and checks it against
+	// the one before.
+	follow := func() serve.Snapshot {
+		t.Helper()
+		next, code := getSnapshot(t, hs, fmt.Sprintf("%s?wait=60s&after=%d", snap.ID, last.Seq))
+		if code != http.StatusOK {
+			t.Fatalf("follow: HTTP %d", code)
 		}
-		if ps.ID != snap.ID || ps.TraceID != snap.TraceID {
-			t.Fatalf("progress identity %q/%q, want %q/%q", ps.ID, ps.TraceID, snap.ID, snap.TraceID)
+		if next.ID != snap.ID || next.TraceID != snap.TraceID {
+			t.Fatalf("follow identity %q/%q, want %q/%q", next.ID, next.TraceID, snap.ID, snap.TraceID)
 		}
-		p := ps.Progress
-		if p.Seq < lastSeq {
-			t.Fatalf("seq went backwards: %d after %d", p.Seq, lastSeq)
+		p := next.Progress
+		if p.Seq <= last.Seq {
+			t.Fatalf("wait answered without news: seq %d after %d (state %s)", p.Seq, last.Seq, next.State)
 		}
-		if p.LPSolves < lastLP {
-			t.Fatalf("lp_solves went backwards: %d after %d", p.LPSolves, lastLP)
+		if p.LPSolves < last.LPSolves {
+			t.Fatalf("lp_solves went backwards: %d after %d", p.LPSolves, last.LPSolves)
 		}
-		if p.Done {
-			t.Fatalf("running job published done=true: %+v", p)
-		}
-		if p.Seq > lastSeq && p.Seq > 0 {
-			advances++
-		}
-		lastSeq, lastLP = p.Seq, p.LPSolves
-		time.Sleep(10 * time.Millisecond)
+		last = p
+		return next
 	}
-	if advances < 2 {
-		t.Fatalf("progress never advanced twice (last seq %d)", lastSeq)
-	}
-	if lastLP == 0 {
-		t.Fatalf("lp_solves stayed 0 mid-solve")
+	// Follow until the solver has demonstrably moved: several updates,
+	// LP solves among them.
+	for advances := 0; advances < 3 || last.LPSolves == 0; advances++ {
+		if next := follow(); next.Progress.Done || next.State != serve.StateRunning {
+			t.Fatalf("running job answered %s with progress %+v", next.State, next.Progress)
+		}
 	}
 
-	// Cancel and require the terminal event on the same endpoint.
+	// Cancel; following on reaches the terminal update.
 	req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/"+snap.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	waitState(t, hs, snap.ID, serve.StateCanceled, 10*time.Second)
-
-	var final serve.ProgressSnapshot
-	getJSON(t, hs.URL+"/v1/jobs/"+snap.ID+"/progress", &final)
-	if !final.Progress.Done || final.Progress.Status != string(serve.StateCanceled) {
-		t.Fatalf("terminal progress = %+v, want done=true status=canceled", final.Progress)
+	final := follow()
+	for !final.Progress.Done {
+		final = follow()
 	}
-	if final.Progress.Seq <= lastSeq {
-		t.Fatalf("terminal seq %d did not advance past %d", final.Progress.Seq, lastSeq)
-	}
-}
-
-// TestEventsStream reads the SSE endpoint end to end: events arrive with
-// strictly increasing sequence numbers and the stream terminates itself
-// on the Done event.
-func TestEventsStream(t *testing.T) {
-	_, hs, _ := testServer(t, serve.Config{Workers: 1})
-
-	snap, code := postJob(t, hs, `{"bench": "B1"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	resp, err := http.Get(hs.URL + "/v1/jobs/" + snap.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	if got := resp.Header.Get("X-Trace-Id"); got != snap.TraceID {
-		t.Fatalf("X-Trace-Id = %q, want %q", got, snap.TraceID)
-	}
-
-	var events []serve.ProgressSnapshot
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev serve.ProgressSnapshot
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-			t.Fatalf("bad SSE payload %q: %v", line, err)
-		}
-		events = append(events, ev)
-	}
-	// The server closes the stream after Done; the scanner just ends.
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no SSE events before stream end")
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Progress.Seq <= events[i-1].Progress.Seq {
-			t.Fatalf("event %d seq %d not above %d", i, events[i].Progress.Seq, events[i-1].Progress.Seq)
-		}
-	}
-	last := events[len(events)-1]
-	if !last.Progress.Done || last.Progress.Status != string(serve.StateDone) {
-		t.Fatalf("final event = %+v, want done=true status=done", last.Progress)
+	if final.Progress.Status != string(serve.StateCanceled) || final.State != serve.StateCanceled {
+		t.Fatalf("terminal answer: state %s, progress %+v; want canceled with done=true status=canceled", final.State, final.Progress)
 	}
 }
 
@@ -412,8 +349,9 @@ func TestJobSpan(t *testing.T) {
 	}
 }
 
-// TestCacheHitTerminalProgress: a cache-served job must still expose a
-// terminal progress snapshot so SSE/poll clients terminate.
+// TestCacheHitTerminalProgress: a done snapshot carries the terminal
+// progress update, so a follower stops, whether the job was solved cold
+// or answered by the cache in its own 202.
 func TestCacheHitTerminalProgress(t *testing.T) {
 	_, hs, _ := testServer(t, serve.Config{Workers: 1})
 
@@ -421,7 +359,13 @@ func TestCacheHitTerminalProgress(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
-	waitState(t, hs, first.ID, serve.StateDone, 2*time.Minute)
+	done, code := getSnapshot(t, hs, first.ID+"?wait=60s")
+	if code != http.StatusOK || done.State != serve.StateDone {
+		t.Fatalf("cold job: HTTP %d state %q, want done", code, done.State)
+	}
+	if !done.Progress.Done || done.Progress.Status != string(serve.StateDone) {
+		t.Fatalf("cold done progress = %+v, want done=true status=done", done.Progress)
+	}
 
 	second, code := postJob(t, hs, `{"bench": "B1"}`)
 	if code != http.StatusAccepted {
@@ -430,12 +374,8 @@ func TestCacheHitTerminalProgress(t *testing.T) {
 	if second.State != serve.StateDone {
 		t.Fatalf("cache hit state %q, want done", second.State)
 	}
-	var ps serve.ProgressSnapshot
-	if code := getJSON(t, hs.URL+"/v1/jobs/"+second.ID+"/progress", &ps); code != http.StatusOK {
-		t.Fatalf("progress: HTTP %d", code)
-	}
-	if !ps.Progress.Done || ps.Progress.Status != string(serve.StateDone) {
-		t.Fatalf("cache-hit progress = %+v, want done=true status=done", ps.Progress)
+	if !second.Progress.Done || second.Progress.Status != string(serve.StateDone) {
+		t.Fatalf("cache-hit 202 progress = %+v, want done=true status=done", second.Progress)
 	}
 	if second.TraceID == first.TraceID {
 		t.Fatal("cache hit reused the original trace ID; wants its own")

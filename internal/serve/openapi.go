@@ -4,7 +4,7 @@ import "net/http"
 
 // openAPIVersion is the spec revision served at /v1/openapi.json. Bump
 // it when the API surface changes.
-const openAPIVersion = "1.5.0"
+const openAPIVersion = "1.6.0"
 
 // openAPIDocument assembles the OpenAPI 3 description from the route
 // table plus the hand-maintained schema section. Paths come from the
@@ -29,6 +29,10 @@ func (s *Server) openAPIDocument() map[string]interface{} {
 				"description": "Go duration (e.g. 30s, at most 60s) to block until the job is terminal; " +
 					"the snapshot is returned when it is, or when the duration has passed",
 				"schema": map[string]interface{}{"type": "string"},
+			}, map[string]interface{}{
+				"name": "after", "in": "query", "required": false,
+				"description": "progress seq the caller last saw; the wait also ends once the job's progress.seq passes it",
+				"schema":      map[string]interface{}{"type": "integer", "minimum": 0},
 			}}
 		}
 		switch rt.Method {
@@ -124,12 +128,15 @@ func openAPISchemas() map[string]interface{} {
 	// A done snapshot's result is the JobResult document, byte for byte
 	// as GET /v1/jobs/{id}/result serves it.
 	snapshot["properties"].(map[string]interface{})["result"] = ref("JobResult")
+	snapshot["properties"].(map[string]interface{})["progress"] = ref("Progress")
 	return map[string]interface{}{
 		"JobRequest":   obj("bench", "design", "mode", "seed", "time_limit_ms", "deadline_ms", "tenant"),
 		"DeltaRequest": obj("design", "mode", "seed", "time_limit_ms", "deadline_ms", "tenant"),
 		"Snapshot":     snapshot,
 		"Cost": obj("tier", "queue_wait_ms", "solve_ms", "lp_solves", "simplex_iters",
 			"st_probes", "phase_ms"),
+		"Progress": obj("seq", "phase", "st_target", "st_probes", "relax_rounds", "batch", "batches",
+			"lp_solves", "simplex_iters", "done", "status", "updated_us"),
 		"SLOStatus": obj("window", "since", "until", "objectives"),
 		"JobResult": obj("design", "ops", "contexts", "status", "improved", "st_target",
 			"st_lower_bound", "orig_max_stress", "new_max_stress", "orig_cpd_ns",

@@ -233,17 +233,22 @@ func getSnapshot(t *testing.T, hs *httptest.Server, path string) (serve.Snapshot
 	return snap, getJSON(t, hs.URL+"/v1/jobs/"+path, &snap)
 }
 
-// TestWaitRefusals: a malformed or negative wait answers 400 through
-// the error envelope, and a wait on an unknown job 404.
+// TestWaitRefusals: a malformed or negative wait or after answers 400
+// through the error envelope, and a wait on an unknown job 404.
 func TestWaitRefusals(t *testing.T) {
 	_, hs, _ := testServer(t, serve.Config{Workers: 1})
 	snap, _ := postJob(t, hs, `{"bench": "B1"}`)
 	for path, want := range map[string]int{
-		snap.ID + "?wait=soon":        http.StatusBadRequest,
-		snap.ID + "?wait=10":          http.StatusBadRequest,
-		snap.ID + "?wait=-1s":         http.StatusBadRequest,
-		"job-999999?wait=1s":          http.StatusNotFound,
-		"job-999999?wait=not-a-value": http.StatusBadRequest,
+		snap.ID + "?wait=soon":         http.StatusBadRequest,
+		snap.ID + "?wait=10":           http.StatusBadRequest,
+		snap.ID + "?wait=-1s":          http.StatusBadRequest,
+		"job-999999?wait=1s":           http.StatusNotFound,
+		"job-999999?wait=not-a-value":  http.StatusBadRequest,
+		snap.ID + "?wait=1s&after=-1":  http.StatusBadRequest,
+		snap.ID + "?wait=1s&after=x":   http.StatusBadRequest,
+		snap.ID + "?wait=1s&after=1.5": http.StatusBadRequest,
+		snap.ID + "?after=-0":          http.StatusBadRequest,
+		"job-999999?after=soon":        http.StatusBadRequest,
 	} {
 		resp, err := http.Get(hs.URL + "/v1/jobs/" + path)
 		if err != nil {

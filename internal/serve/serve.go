@@ -247,6 +247,9 @@ type Snapshot struct {
 	Submitted time.Time   `json:"submitted"`
 	Started   time.Time   `json:"started,omitempty"`
 	Finished  time.Time   `json:"finished,omitempty"`
+	// Progress is the job's latest solver progress. Its seq rises with
+	// every update, and a terminal job's carries done and the outcome.
+	Progress obs.Progress `json:"progress"`
 	// Result is a done job's result document: the bytes GET
 	// /v1/jobs/{id}/result serves, byte for byte. Other states carry
 	// none.
@@ -254,6 +257,10 @@ type Snapshot struct {
 }
 
 func (j *job) snapshot() Snapshot {
+	// The progress cell is read before the state: finish publishes the
+	// terminal state first and the terminal progress after it, so a done
+	// progress comes with a terminal state.
+	prog := j.rep.Latest()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	snap := Snapshot{
@@ -269,6 +276,7 @@ func (j *job) snapshot() Snapshot {
 		Cost:          j.cost,
 		Submitted:     j.submitted,
 		Started:       j.started,
+		Progress:      prog,
 	}
 	if j.state != StateQueued && j.state != StateRunning {
 		snap.Finished = j.finished
@@ -352,7 +360,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		reg:        cfg.Registry,
 		cache:      newResultCache(cfg.CacheEntries, cfg.Registry),
-		tenants:    telemetry.NewTenantTracker(),
+		tenants:    cfg.Telemetry.Tenants(), // the one its replay filled: /metrics and /v1/stats agree
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *job, cfg.QueueDepth),
@@ -524,19 +532,13 @@ func (s *Server) accountTenant(label string, final JobState, solveElapsed time.D
 // 2s per job — a deliberate overestimate for an idle-history server.
 func (s *Server) retryAfterSeconds() int {
 	const defaultSolveMs = 2000
-	medianMs := s.cfg.Telemetry.MedianSolveMs(s.cfg.Telemetry.Window())
+	medianMs := s.cfg.Telemetry.MedianSolveMs(telemetry.DefaultWindow)
 	if medianMs <= 0 {
 		medianMs = defaultSolveMs
 	}
 	backlog := float64(len(s.queue) + 1)
 	secs := math.Ceil(backlog * medianMs / 1000 / float64(s.cfg.Workers))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 300 {
-		secs = 300
-	}
-	return int(secs)
+	return int(min(max(secs, 1), 300))
 }
 
 // hitArtifacts rebinds the delta artifacts of e's semantic entry, when
@@ -576,25 +578,24 @@ func (s *Server) logJob(j *job, msg string, attrs ...slog.Attr) {
 	s.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, msg, append(base, attrs...)...)
 }
 
-// Job returns the current snapshot of a job.
-func (s *Server) Job(id string) (Snapshot, error) {
+// lookup returns the job with id, nil when there is none.
+func (s *Server) lookup(id string) *job {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return Snapshot{}, ErrNotFound
-	}
-	return j.snapshot(), nil
+	defer s.mu.Unlock()
+	return s.jobs[id]
+}
+
+// Job returns the current snapshot of a job: a wait that does not wait.
+func (s *Server) Job(id string) (Snapshot, error) {
+	return s.await(context.Background(), id, 0, 0)
 }
 
 // Result returns the finished job's result document (the exact cached
 // bytes). ErrNotDone while the job is queued or running; a failed or
 // canceled job reports its error instead.
 func (s *Server) Result(id string) ([]byte, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	j := s.lookup(id)
+	if j == nil {
 		return nil, ErrNotFound
 	}
 	j.mu.Lock()
@@ -614,10 +615,8 @@ func (s *Server) Result(id string) ([]byte, error) {
 // is canceled and the solver unwinds within one poll interval.
 // Canceling a finished job is a no-op.
 func (s *Server) Cancel(id string) error {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	j := s.lookup(id)
+	if j == nil {
 		return ErrNotFound
 	}
 	if j.claimQueued() {
@@ -627,38 +626,14 @@ func (s *Server) Cancel(id string) error {
 	return nil
 }
 
-// Progress returns the job's latest solver-progress snapshot.
-func (s *Server) Progress(id string) (Snapshot, obs.Progress, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return Snapshot{}, obs.Progress{}, ErrNotFound
-	}
-	return j.snapshot(), j.rep.Latest(), nil
-}
-
-// reporter exposes a job's live progress cell (for the SSE stream).
-func (s *Server) reporter(id string) (*obs.Reporter, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return j.rep, nil
-}
-
 // FlightJournal snapshots the job's flight-recorder journal. It works
 // on live jobs too (the snapshot is consistent mid-solve) and keeps
 // working after Drain, so an operator can pull the journal of a job
 // that was force-canceled. ErrNoFlight when the job has no recorder: a
 // cache-hit job that never ran the solver.
 func (s *Server) FlightJournal(id string) (*flight.Journal, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
+	j := s.lookup(id)
+	if j == nil {
 		return nil, ErrNotFound
 	}
 	if j.flight == nil {
@@ -858,8 +833,8 @@ func endState(err error) JobState {
 // the wide event (and, for a slow outlier, its captured flight journal),
 // the tenant accounting, and the job counters and gauges. Then it
 // publishes the terminal state with its cost under j.mu, and last the
-// terminal progress update, which SSE readers key off. A poller that
-// reads the terminal state therefore finds every other view written.
+// terminal progress update, which a blocking wait keys off. A poller
+// that reads the terminal state therefore finds every other view written.
 func (s *Server) finish(j *job, end ending) {
 	ev := s.jobEvent(j, &end)
 	cost := costFromEvent(ev)

@@ -2,7 +2,6 @@ package serve_test
 
 import (
 	"agingfp/internal/serve"
-	"bufio"
 	"io"
 	"net/http"
 	"os"
@@ -152,69 +151,6 @@ func TestSlowSolveAutoCapture(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("slow solve %s not captured; dir has %v", snap2.ID, entries)
-	}
-}
-
-// TestSSEKeepAlive parks a job in the queue behind a busy worker and
-// watches its event stream: with no progress to report, the server must
-// still emit `: keep-alive` comment frames at the keep-alive interval.
-func TestSSEKeepAlive(t *testing.T) {
-	// Restored after the server closes: cleanups run last-in first-out.
-	t.Cleanup(serve.SetSSEKeepAlive(40 * time.Millisecond))
-	_, hs, _ := testServer(t, serve.Config{Workers: 1})
-
-	running, code := postJob(t, hs, slowDocument())
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	waitState(t, hs, running.ID, serve.StateRunning, 10*time.Second)
-	queued, code := postJob(t, hs, `{"bench": "B2"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("second submit: HTTP %d", code)
-	}
-
-	resp, err := http.Get(hs.URL + "/v1/jobs/" + queued.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-
-	// Read frames until a keep-alive comment shows up; the queued job
-	// publishes nothing, so only the ticker can produce one.
-	type lineOrErr struct {
-		line string
-		err  error
-	}
-	lines := make(chan lineOrErr, 16)
-	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			lines <- lineOrErr{line: sc.Text()}
-		}
-		lines <- lineOrErr{err: io.EOF}
-	}()
-	deadline := time.After(5 * time.Second)
-	sawKeepAlive := false
-	for !sawKeepAlive {
-		select {
-		case l := <-lines:
-			if l.err != nil {
-				t.Fatalf("stream ended before keep-alive: %v", l.err)
-			}
-			if strings.HasPrefix(l.line, ": keep-alive") {
-				sawKeepAlive = true
-			}
-		case <-deadline:
-			t.Fatal("no keep-alive frame within 5s at a 40ms interval")
-		}
-	}
-
-	// Unblock the worker so cleanup drains fast.
-	for _, id := range []string{running.ID, queued.ID} {
-		req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/"+id, nil)
-		if resp, err := http.DefaultClient.Do(req); err == nil {
-			resp.Body.Close()
-		}
 	}
 }
 

@@ -361,3 +361,80 @@ func TestMixedTenantAccountingExact(t *testing.T) {
 		t.Fatalf("per-tenant solve-time sum = %v, aggregate %v", solveMs, st.Total.SolveMsTotal)
 	}
 }
+
+// tenantJobs reads the per-tenant job counts a server exports: from
+// /metrics (agingfp_tenant_jobs_total summed over statuses) and from
+// /v1/stats.
+func tenantJobs(t *testing.T, hs *httptest.Server) (metrics, stats map[string]int64) {
+	t.Helper()
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	metrics = map[string]int64{}
+	for _, m := range regexp.MustCompile(`agingfp_tenant_jobs_total{tenant="([^"]+)",status="[a-z]+"} (\d+)`).FindAllStringSubmatch(string(body), -1) {
+		var n int64
+		fmt.Sscan(m[2], &n)
+		metrics[m[1]] += n
+	}
+	var st telemetry.WindowStats
+	if code := getJSON(t, hs.URL+"/v1/stats", &st); code != http.StatusOK {
+		t.Fatalf("/v1/stats: HTTP %d", code)
+	}
+	stats = map[string]int64{}
+	for tenant, b := range st.Tenants {
+		stats[tenant] = b.Jobs
+	}
+	return metrics, stats
+}
+
+// TestTenantSetSurvivesRestart: one tracker decides every tenant label,
+// the one the store's replay fills. A store that admitted
+// DefaultTenantCap tenants is reopened under a new server, and a job
+// from a new tenant rolls into "other" on /metrics just as on /v1/stats,
+// so both name the same tenants before and after the reopen.
+func TestTenantSetSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	p := openPipeline(t, telemetry.Config{Dir: dir})
+	s, hs, _ := testServer(t, serve.Config{Workers: 1, Telemetry: p})
+	const body = `{"bench": "B1", "seed": 93}`
+	// One cold solve, then cache hits, each under a tenant of its own.
+	for i := 1; i <= telemetry.DefaultTenantCap; i++ {
+		snap, code, _ := postJobAs(t, hs, fmt.Sprintf("t%d", i), body)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit as t%d: HTTP %d", i, code)
+		}
+		waitState(t, hs, snap.ID, serve.StateDone, 30*time.Second)
+	}
+	metrics, before := tenantJobs(t, hs)
+	if len(before) != telemetry.DefaultTenantCap || !reflect.DeepEqual(metrics, before) {
+		t.Fatalf("before the reopen: /metrics tenants %v, /v1/stats tenants %v; want the same %d",
+			metrics, before, telemetry.DefaultTenantCap)
+	}
+
+	hs.Close()
+	s.Drain()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p2 := openPipeline(t, telemetry.Config{Dir: dir})
+	_, hs2, _ := testServer(t, serve.Config{Workers: 1, Telemetry: p2})
+	fresh, code, _ := postJobAs(t, hs2, "fresh", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit as fresh: HTTP %d", code)
+	}
+	waitState(t, hs2, fresh.ID, serve.StateDone, 30*time.Second)
+	metrics, after := tenantJobs(t, hs2)
+	if want := map[string]int64{telemetry.TenantOther: 1}; !reflect.DeepEqual(metrics, want) {
+		t.Fatalf("after the reopen /metrics tenants %v, want %v", metrics, want)
+	}
+	want := map[string]int64{telemetry.TenantOther: 1}
+	for tenant, n := range before {
+		want[tenant] = n
+	}
+	if !reflect.DeepEqual(after, want) {
+		t.Fatalf("after the reopen /v1/stats tenants %v, want %v", after, want)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"agingfp/internal/arch"
+	"agingfp/internal/obs"
 	"agingfp/internal/wire"
 )
 
@@ -389,9 +390,54 @@ func (snap Snapshot) MarshalJSON() ([]byte, error) {
 			return nil, err
 		}
 	}
+	b = append(b, `,"progress":`...)
+	b, err := appendProgress(b, &snap.Progress)
+	if err != nil {
+		return nil, err
+	}
 	if len(snap.Result) > 0 {
 		b = append(b, `,"result":`...)
 		b = append(b, snap.Result...)
+	}
+	return append(b, '}'), nil
+}
+
+// appendProgress writes p as encoding/json writes obs.Progress. The
+// codec lives here, beside the one document that carries it.
+func appendProgress(b []byte, p *obs.Progress) ([]byte, error) {
+	if err := wire.CheckFloats(p.STTarget); err != nil {
+		return nil, err
+	}
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, p.Seq, 10)
+	if p.Phase != "" {
+		b = append(b, `,"phase":`...)
+		b = wire.AppendString(b, p.Phase)
+	}
+	if p.STTarget != 0 {
+		b = append(b, `,"st_target":`...)
+		b = wire.AppendFloat(b, p.STTarget)
+	}
+	for _, m := range [...]struct {
+		key string
+		n   int64
+	}{{`,"st_probes":`, int64(p.STProbes)}, {`,"relax_rounds":`, int64(p.RelaxRounds)}, {`,"batch":`, int64(p.Batch)},
+		{`,"batches":`, int64(p.Batches)}, {`,"lp_solves":`, p.LPSolves}, {`,"simplex_iters":`, p.SimplexIters}} {
+		if m.n != 0 {
+			b = append(b, m.key...)
+			b = strconv.AppendInt(b, m.n, 10)
+		}
+	}
+	if p.Done {
+		b = append(b, `,"done":true`...)
+	}
+	if p.Status != "" {
+		b = append(b, `,"status":`...)
+		b = wire.AppendString(b, p.Status)
+	}
+	if p.UpdatedUnixMicro != 0 {
+		b = append(b, `,"updated_us":`...)
+		b = strconv.AppendInt(b, p.UpdatedUnixMicro, 10)
 	}
 	return append(b, '}'), nil
 }
@@ -458,7 +504,7 @@ func (snap *Snapshot) isZero() bool {
 	return snap.ID == "" && snap.TraceID == "" && snap.Tenant == "" && snap.State == "" && snap.Error == "" &&
 		snap.SolveKind == "" && snap.BaseJob == "" && snap.DeltaFallback == "" && snap.Reuse == nil &&
 		snap.Cost == nil && snap.Submitted.IsZero() && snap.Started.IsZero() && snap.Finished.IsZero() &&
-		snap.Result == nil
+		snap.Progress == (obs.Progress{}) && snap.Result == nil
 }
 
 func (snap *Snapshot) scan(s *wire.Scanner) {
@@ -519,6 +565,10 @@ func (snap *Snapshot) scan(s *wire.Scanner) {
 			if s.Field(&seen, 12) {
 				snap.Finished = s.Time()
 			}
+		case "progress":
+			if s.Field(&seen, 14) {
+				scanProgress(s, &snap.Progress)
+			}
 		case "result":
 			if s.Field(&seen, 13) {
 				snap.Result = s.Raw()
@@ -526,6 +576,64 @@ func (snap *Snapshot) scan(s *wire.Scanner) {
 				// encoding/json hands a null to json.RawMessage's
 				// UnmarshalJSON, which keeps it.
 				snap.Result = json.RawMessage("null")
+			}
+		default:
+			s.Fail()
+		}
+	}
+}
+
+func scanProgress(s *wire.Scanner, p *obs.Progress) {
+	var seen uint64
+	for more := s.Object(); more; more = s.More('}') {
+		switch string(s.Key()) {
+		case "seq":
+			if s.Field(&seen, 0) {
+				p.Seq = s.Uint64()
+			}
+		case "phase":
+			if s.Field(&seen, 1) {
+				p.Phase = s.Text()
+			}
+		case "st_target":
+			if s.Field(&seen, 2) {
+				p.STTarget = s.Float64()
+			}
+		case "st_probes":
+			if s.Field(&seen, 3) {
+				p.STProbes = s.Int()
+			}
+		case "relax_rounds":
+			if s.Field(&seen, 4) {
+				p.RelaxRounds = s.Int()
+			}
+		case "batch":
+			if s.Field(&seen, 5) {
+				p.Batch = s.Int()
+			}
+		case "batches":
+			if s.Field(&seen, 6) {
+				p.Batches = s.Int()
+			}
+		case "lp_solves":
+			if s.Field(&seen, 7) {
+				p.LPSolves = s.Int64()
+			}
+		case "simplex_iters":
+			if s.Field(&seen, 8) {
+				p.SimplexIters = s.Int64()
+			}
+		case "done":
+			if s.Field(&seen, 9) {
+				p.Done = s.Bool()
+			}
+		case "status":
+			if s.Field(&seen, 10) {
+				p.Status = s.Text()
+			}
+		case "updated_us":
+			if s.Field(&seen, 11) {
+				p.UpdatedUnixMicro = s.Int64()
 			}
 		default:
 			s.Fail()

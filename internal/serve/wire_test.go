@@ -13,6 +13,7 @@ import (
 
 	"agingfp/internal/arch"
 	"agingfp/internal/bench"
+	"agingfp/internal/obs"
 	"agingfp/internal/place"
 	"agingfp/internal/serve"
 )
@@ -213,13 +214,19 @@ func FuzzSnapshotJSON(f *testing.F) {
 	at := time.Date(2026, 10, 19, 23, 39, 35, 28371982, time.UTC)
 	cost := &serve.CostReport{Tier: "cold", QueueWaitMs: 0.25, SolveMs: 1234.5, LPSolves: 4, SimplexIters: 99, STProbes: 2,
 		PhaseMs: map[string]float64{"pricing": 1.5, "ftran": 1e-7, "update": 3}}
+	running := obs.Progress{Seq: 17, Phase: "probe", STTarget: 0.34812345678901234, STProbes: 3, RelaxRounds: 1,
+		Batch: 2, Batches: 4, LPSolves: 12, SimplexIters: 3456, UpdatedUnixMicro: at.UnixMicro()}
+	done := running
+	done.Seq, done.Phase, done.Done, done.Status = 41, "done", true, "done"
 	for _, snap := range []refSnapshot{
 		{ID: "job-000001", TraceID: "ec9341e03d5ff240", Tenant: "anon", State: serve.StateQueued, SolveKind: "cold", Submitted: at},
-		{ID: "job-000002", State: serve.StateRunning, SolveKind: "delta", BaseJob: "job-000001", Submitted: at, Started: at.Add(time.Millisecond)},
+		{ID: "job-000002", State: serve.StateRunning, SolveKind: "delta", BaseJob: "job-000001", Submitted: at, Started: at.Add(time.Millisecond),
+			Progress: running},
 		{ID: "job-000003", TraceID: "0123456789abcdef", Tenant: "team-a", State: serve.StateDone, SolveKind: "cold",
-			Cost: cost, Submitted: at, Started: at, Finished: at.Add(time.Second), Result: result},
+			Cost: cost, Submitted: at, Started: at, Finished: at.Add(time.Second), Progress: done, Result: result},
 		{ID: "job-000004", State: serve.StateDone, SolveKind: "exact_hit", Cost: &serve.CostReport{Tier: "exact_hit"},
-			Submitted: at, Started: at, Finished: at, Result: result},
+			Submitted: at, Started: at, Finished: at, Progress: obs.Progress{Seq: 1, Phase: "done", Done: true, Status: "done",
+				UpdatedUnixMicro: at.UnixMicro()}, Result: result},
 		{ID: "job-000005", State: serve.StateDone, SolveKind: "semantic_hit", Cost: &serve.CostReport{Tier: "semantic_hit"},
 			Submitted: at, Started: at, Finished: at, Result: []byte(`{"design":"B1","mapping":[[0,1]]}`)},
 		{ID: "job-000006", State: serve.StateDone, SolveKind: "delta", BaseJob: "job-000003",
@@ -263,6 +270,15 @@ func FuzzSnapshotJSON(f *testing.F) {
 		`{"cost":{"lp_solves":1.0}}`,
 		`{"reuse":{"bases_seeded":9223372036854775807}}`,
 		`{"state":"\u0064one"}`,
+		`{"progress":{"seq":0,"st_target":1e-7,"done":null,"status":null}}`,
+		`{"progress":{"seq":18446744073709551615,"st_target":2.5e400}}`,
+		`{"progress":{"seq":-0}}`,
+		`{"progress":{"seq":1.0,"lp_solves":-3}}`,
+		`{"progress":{"seq":1,"seq":2}}`,
+		`{"progress":{"Seq":3,"phase":"\u0070robe"}}`,
+		`{"progress":{},"progress":{"seq":1}}`,
+		`{"progress":null,"result":null}`,
+		`{"progress":{"batch":9223372036854775807,"done":true}}`,
 		`{}`,
 		`null`,
 		`[]`,
@@ -305,7 +321,8 @@ func FuzzSnapshotJSON(f *testing.F) {
 func TestSnapshotResultAliasesBody(t *testing.T) {
 	result := []byte("{\n  \"design\": \"B1\",\n  \"mapping\": [\n    [\n      0,\n      1\n    ]\n  ]\n}")
 	body, err := serve.Snapshot{ID: "job-000001", State: serve.StateDone, SolveKind: "exact_hit",
-		Cost: &serve.CostReport{Tier: "exact_hit"}, Submitted: time.Now(), Result: result}.MarshalJSON()
+		Cost: &serve.CostReport{Tier: "exact_hit"}, Submitted: time.Now(),
+		Progress: obs.Progress{Seq: 1, Phase: "done", STTarget: 0.25, Done: true, Status: "done"}, Result: result}.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,13 +193,13 @@ func (p *Pipeline) Series(window time.Duration) []SeriesPoint {
 	return p.agg.Series(window)
 }
 
-// Window is the slow-capture comparison window, also the default
-// window of GET /v1/stats (DefaultWindow; 0 on a nil pipeline).
-func (p *Pipeline) Window() time.Duration {
+// Tenants is the tracker that decides every tenant label: the one
+// Open's replay filled, or a new one without a pipeline.
+func (p *Pipeline) Tenants() *TenantTracker {
 	if p == nil {
-		return 0
+		return NewTenantTracker()
 	}
-	return DefaultWindow
+	return p.agg.tenants
 }
 
 // slowDir is where captured outlier journals land.

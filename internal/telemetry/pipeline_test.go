@@ -165,8 +165,11 @@ func TestPipelineNilSafe(t *testing.T) {
 	if p.CaptureSlow("x", func(io.Writer) error { return nil }) != "" {
 		t.Fatal("nil CaptureSlow must be a no-op")
 	}
-	if p.Window() != 0 || p.Close() != nil {
-		t.Fatal("nil pipeline scalar accessors must return zeros")
+	if p.Close() != nil {
+		t.Fatal("nil Close must return nil")
+	}
+	if tr := p.Tenants(); tr == nil || tr.Label("t") != "t" {
+		t.Fatal("nil Tenants must return a working tracker")
 	}
 }
 

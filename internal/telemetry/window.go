@@ -187,10 +187,8 @@ type Aggregator struct {
 	alpha float64
 	now   func() time.Time
 
-	// tenants bounds the per-tenant breakdown's key set at
-	// DefaultTenantCap. Live events arrive with serve's own rollup
-	// already applied, so this second tracker is a backstop against
-	// hand-written stores and history replayed across restarts.
+	// tenants bounds the per-tenant breakdown's key set; the replay
+	// fills it, and a server labels its live events with it too.
 	tenants *TenantTracker
 
 	mu   sync.Mutex

@@ -263,6 +263,16 @@ func (s *Scanner) Int() int {
 	return int(v)
 }
 
+// Uint64 reads an integer without a sign, as Int64 does: encoding/json
+// refuses a negative one, "-0" included, for an unsigned field.
+func (s *Scanner) Uint64() uint64 {
+	if s.peek() == '-' {
+		s.Fail()
+		return 0
+	}
+	return uint64(s.Int64())
+}
+
 // Float64 reads a number and converts it as encoding/json does, with
 // strconv.ParseFloat; a value out of float64 range fails the scan.
 func (s *Scanner) Float64() float64 {
