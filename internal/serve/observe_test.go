@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,25 +40,14 @@ var progressDocument = sync.OnceValue(func() string {
 	return fmt.Sprintf(`{"design": %s}`, doc)
 })
 
-// TestFollowJob is the end-to-end progress contract of the one route
-// that follows a job: a follower that long-polls GET
-// /v1/jobs/{id}?wait=&after=<last seq> is answered at every advance with
-// a strictly higher seq and monotone counters while the solver runs, and
-// after a cancel with the terminal done update. Run under -race this
-// also exercises the lock-free reporter against concurrent HTTP readers.
-func TestFollowJob(t *testing.T) {
-	_, hs, _ := testServer(t, serve.Config{Workers: 1})
-
-	snap, code := postJob(t, hs, progressDocument())
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	waitState(t, hs, snap.ID, serve.StateRunning, 10*time.Second)
-
+// follower long-polls GET /v1/jobs/{id}?wait=&after=<last seq> on the
+// one route that follows a job. Each call of the returned func waits
+// for the next answer past the last one seen and checks it against
+// that one: same job and trace, a strictly higher seq, and lp_solves
+// that never go backwards.
+func follower(t *testing.T, hs *httptest.Server, snap serve.Snapshot) func() serve.Snapshot {
 	last := snap.Progress
-	// follow waits for the next answer past last and checks it against
-	// the one before.
-	follow := func() serve.Snapshot {
+	return func() serve.Snapshot {
 		t.Helper()
 		next, code := getSnapshot(t, hs, fmt.Sprintf("%s?wait=60s&after=%d", snap.ID, last.Seq))
 		if code != http.StatusOK {
@@ -76,12 +66,33 @@ func TestFollowJob(t *testing.T) {
 		last = p
 		return next
 	}
+}
+
+// TestProgressPollingMidSolve is the end-to-end progress contract of
+// the one route that follows a job: a follower is answered at every
+// advance with a strictly higher seq and monotone counters while the
+// solver runs, and after a cancel with the terminal done update. Run
+// under -race this also exercises the lock-free reporter against
+// concurrent HTTP readers.
+func TestProgressPollingMidSolve(t *testing.T) {
+	_, hs, _ := testServer(t, serve.Config{Workers: 1})
+
+	snap, code := postJob(t, hs, progressDocument())
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	waitState(t, hs, snap.ID, serve.StateRunning, 10*time.Second)
+
+	follow := follower(t, hs, snap)
 	// Follow until the solver has demonstrably moved: several updates,
 	// LP solves among them.
-	for advances := 0; advances < 3 || last.LPSolves == 0; advances++ {
-		if next := follow(); next.Progress.Done || next.State != serve.StateRunning {
+	var lpSolves int64
+	for advances := 0; advances < 3 || lpSolves == 0; advances++ {
+		next := follow()
+		if next.Progress.Done || next.State != serve.StateRunning {
 			t.Fatalf("running job answered %s with progress %+v", next.State, next.Progress)
 		}
+		lpSolves = next.Progress.LPSolves
 	}
 
 	// Cancel; following on reaches the terminal update.
@@ -97,6 +108,27 @@ func TestFollowJob(t *testing.T) {
 	}
 	if final.Progress.Status != string(serve.StateCanceled) || final.State != serve.StateCanceled {
 		t.Fatalf("terminal answer: state %s, progress %+v; want canceled with done=true status=canceled", final.State, final.Progress)
+	}
+}
+
+// TestEventsStream follows a job's stream of progress events from
+// submission to its natural end on the one route: every answer carries
+// a strictly higher seq, and the stream ends with the terminal done
+// update, status done, on a done job.
+func TestEventsStream(t *testing.T) {
+	_, hs, _ := testServer(t, serve.Config{Workers: 1})
+
+	snap, code := postJob(t, hs, `{"bench": "B1"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	follow := follower(t, hs, snap)
+	final := follow()
+	for !final.Progress.Done {
+		final = follow()
+	}
+	if final.Progress.Status != string(serve.StateDone) || final.State != serve.StateDone {
+		t.Fatalf("terminal answer: state %s, progress %+v; want done with done=true status=done", final.State, final.Progress)
 	}
 }
 
